@@ -1,11 +1,15 @@
 """Exact language-size computations for gap shifts and labeled presentations.
 
 Counting for gap shifts uses a run-length dynamic program whose state is the
-trailing zero run of the word (split by whether a one has occurred yet); all
+trailing zero run of the word (split by whether a one has occurred yet).
+Runs at or past the preperiod q of the gap set matter only modulo its period
+p, so the DP keeps q + p run classes (SGapSpec.run_classes) and a table of
+lengths 1..n costs O(n * (q + p)) big-integer additions, not O(n^2).  All
 counts are exact Python integers.  Finite-type shifts given by forbidden
 blocks are presented as higher-block automata, and sofic presentations such
 as the even shift are counted by determinising the label action over subsets
-of states.
+of states; one pass of that construction yields the counts of every length
+up to n, in O(n * subsets * letters) steps.
 
 Word admissibility here is the factor language of a closed shift: every
 interior maximal zero run (flanked by ones) must lie in the gap set, while a
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import compress, product
 
 from .sgap import SGapSpec
 
@@ -65,40 +69,46 @@ def _count_extensions(
 ) -> list[int]:
     """Run-length DP: admissible extension counts for lengths 0..steps.
 
-    The state is the current trailing zero run; words that do not yet
-    contain a one are tracked separately because their run is a boundary
-    run, not an interior one.
+    The state is the run class of the current trailing zero run (see
+    SGapSpec.run_classes), so one step costs O(q + p) whatever steps is.
+    Words that do not yet contain a one are tracked separately because
+    their run is a boundary run, not an interior one.  tail_allows holds
+    for every run of every class, so each class counts towards the total.
     """
-    contains = spec.contains
-    tail_allows = spec.tail_allows
+    q, p = spec.run_classes()
+    closes = [spec.contains(r) for r in range(q + p)]
 
+    def fold(r: int) -> int | None:
+        """Run class of a zero run, None if no member is that long."""
+        if r < q:
+            return r
+        return q + (r - q) % p if p else None
+
+    runs = [0] * (q + p)
+    start = fold(start_run)
     if start_has_one:
-        runs = {start_run: 1}
-        zero_prefix: int | None = None
+        zero_prefix = None
+        if start is not None:
+            runs[start] = 1
+        out = [int(start is not None)]
     else:
-        runs = {}
-        zero_prefix = start_run
+        # The empty extension of an all-zero word is counted even when the
+        # word itself is too long to extend.
+        zero_prefix = start
+        out = [1]
 
-    def total() -> int:
-        t = sum(c for r, c in runs.items() if tail_allows(r))
-        if zero_prefix is not None:
-            t += 1
-        return t
-
-    out = [total()]
     for _ in range(steps):
-        nxt: dict[int, int] = {}
-        for r, c in runs.items():
-            if contains(r):
-                nxt[0] = nxt.get(0, 0) + c
-            if tail_allows(r + 1):
-                nxt[r + 1] = nxt.get(r + 1, 0) + c
+        ones = sum(compress(runs, closes))
         if zero_prefix is not None:
-            if tail_allows(zero_prefix):
-                nxt[0] = nxt.get(0, 0) + 1
-            zero_prefix = zero_prefix + 1 if tail_allows(zero_prefix + 1) else None
-        runs = nxt
-        out.append(total())
+            ones += 1
+            zero_prefix = fold(zero_prefix + 1)
+        # A zero lengthens every run: the last class wraps to class q, or
+        # dies when p == 0 because no member is q or longer.
+        last = runs.pop()
+        runs.insert(0, ones)
+        if p:
+            runs[q] += last
+        out.append(sum(runs) + (zero_prefix is not None))
     return out
 
 
@@ -154,16 +164,13 @@ def follower_profile(spec: SGapSpec, omega: Word, r_max: int) -> list[int]:
 class ShiftAutomaton:
     """Deterministic-per-letter labeled transition presentation.
 
-    Words are read starting from any state when all_states_initial is set
-    (the factor-language convention); transitions is a partial map from
-    (state, letter) to state.
+    Words are read starting from any state (the factor-language
+    convention); transitions is a partial map from (state, letter) to state.
     """
 
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
     transitions: dict[tuple[str, str], str]
-    all_states_initial: bool = True
-    initial_states: tuple[str, ...] = ()
 
     def __post_init__(self):
         for (src, letter), dst in self.transitions.items():
@@ -176,7 +183,7 @@ class ShiftAutomaton:
             raise ValueError("every state needs at least one outgoing transition")
 
     def start_states(self) -> tuple[str, ...]:
-        return self.states if self.all_states_initial else self.initial_states
+        return self.states
 
     def edge_count(self) -> int:
         return len(self.transitions)
@@ -266,50 +273,17 @@ def even_shift_automaton() -> ShiftAutomaton:
 
 
 def count_blocks_automaton(aut: ShiftAutomaton, n: int) -> int:
-    """Number of distinct length-n label words readable in the automaton.
-
-    Reading from several start states makes the presentation effectively
-    nondeterministic, so words are deduplicated by walking the subset
-    construction; the number of discovered subsets is budget-limited.
-    """
+    """Number of distinct length-n label words readable in the automaton."""
     if n < 1:
         raise ValueError("block length must be >= 1")
-    start = frozenset(aut.start_states())
-    if not start:
-        return 0
-    step_cache: dict[tuple[frozenset, str], frozenset] = {}
-    seen_subsets = {start}
-    layer = {start: 1}
-    for _ in range(n):
-        nxt: dict[frozenset, int] = {}
-        for subset, cnt in layer.items():
-            for a in aut.alphabet:
-                key = (subset, a)
-                target = step_cache.get(key)
-                if target is None:
-                    target = frozenset(
-                        aut.transitions[(q, a)]
-                        for q in subset
-                        if (q, a) in aut.transitions
-                    )
-                    step_cache[key] = target
-                if not target:
-                    continue
-                if target not in seen_subsets:
-                    seen_subsets.add(target)
-                    if len(seen_subsets) > SUBSET_STATE_LIMIT:
-                        raise SizeGuardError("determinisation exceeded subset budget")
-                nxt[target] = nxt.get(target, 0) + cnt
-        layer = nxt
-    return sum(layer.values())
+    return automaton_count_table(aut, n).counts[n]
 
 
 @dataclass
 class BlockCountTable:
-    """Exact block counts by length, with optional follower counts."""
+    """Exact block counts by length."""
 
     counts: dict[int, int] = field(default_factory=dict)
-    follower_counts: dict[tuple[Word, int], int] = field(default_factory=dict)
 
     def max_length(self) -> int:
         return max(self.counts) if self.counts else 0
@@ -336,6 +310,38 @@ def sgap_count_table(spec: SGapSpec, n_max: int) -> BlockCountTable:
 
 
 def automaton_count_table(aut: ShiftAutomaton, n_max: int) -> BlockCountTable:
-    return BlockCountTable(
-        counts={n: count_blocks_automaton(aut, n) for n in range(1, n_max + 1)}
-    )
+    """Distinct readable label words of every length 1..n_max, in one pass.
+
+    Reading from several start states makes the presentation effectively
+    nondeterministic, so words are deduplicated by walking the subset
+    construction; layer n holds how many words lead to each subset, and the
+    number of discovered subsets is budget-limited.
+    """
+    start = frozenset(aut.start_states())
+    step_cache: dict[tuple[frozenset, str], frozenset] = {}
+    seen_subsets = {start}
+    layer = {start: 1} if start else {}
+    counts = {}
+    for n in range(1, n_max + 1):
+        nxt: dict[frozenset, int] = {}
+        for subset, cnt in layer.items():
+            for a in aut.alphabet:
+                key = (subset, a)
+                target = step_cache.get(key)
+                if target is None:
+                    target = frozenset(
+                        aut.transitions[(q, a)]
+                        for q in subset
+                        if (q, a) in aut.transitions
+                    )
+                    step_cache[key] = target
+                if not target:
+                    continue
+                if target not in seen_subsets:
+                    seen_subsets.add(target)
+                    if len(seen_subsets) > SUBSET_STATE_LIMIT:
+                        raise SizeGuardError("determinisation exceeded subset budget")
+                nxt[target] = nxt.get(target, 0) + cnt
+        layer = nxt
+        counts[n] = sum(layer.values())
+    return BlockCountTable(counts=counts)

@@ -78,8 +78,11 @@ def _emit(args, report: dict, csv_text: str | None = None) -> None:
     else:
         payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(payload)
 
@@ -116,7 +119,13 @@ def cmd_classify(args) -> None:
     _emit(args, _report("classify", _config(args), result))
 
 
+def _require_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{flag} must be >= 1, got {value}")
+
+
 def cmd_blocks(args) -> None:
+    _require_positive("--n", args.n)
     kind, source = _spec_source(args)
     table = _count_table(kind, source, args.n)
     result = {
@@ -130,6 +139,7 @@ def cmd_blocks(args) -> None:
 
 
 def cmd_check_bsm(args) -> None:
+    _require_positive("--depth", args.depth)
     kind, source = _spec_source(args)
     table = _count_table(kind, source, 2 * args.depth)
     report = props.bsm_estimate(table, args.depth)

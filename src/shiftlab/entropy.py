@@ -135,8 +135,8 @@ def solve_sgap_entropy(
     while hi - lo > tol / 2 and iterations < _MAX_BISECTIONS:
         mid = 0.5 * (lo + hi)
         f_mid = _series(members, mid)
-        # The series must stay strictly decreasing across the bracket.
-        assert f_lo > f_hi - 1e-15
+        if not f_lo > f_hi - 1e-15:
+            raise EntropySolveError("series not decreasing across the bracket")
         if f_mid > 1.0:
             lo, f_lo = mid, f_mid
         else:

@@ -68,21 +68,31 @@ def bsm_estimate(table: BlockCountTable, depth: int) -> PropertyReport:
         raise ValueError("depth must be >= 1")
     table.require(2 * depth)
     counts = table.counts
+    if not all(counts[n] for n in range(2, 2 * depth + 1)):
+        raise ZeroDivisionError("block count of zero in the table")
 
-    best = Fraction(0)
+    # Ratios stay integer pairs (numerator, denominator) compared by
+    # cross-multiplying; only the extrema become Fractions.
+    best_num, best_den = 0, 1
     witness = None
-    best_by_depth = []
+    anchor_depth = max(1, (3 * depth) // 4)
+    anchor = (0, 1)
     for d in range(1, depth + 1):
         # Pairs with max(m, n) == d extend the previous depth's maximum.
         for m in range(1, d + 1):
             for n in (d,) if m < d else range(m, d + 1):
-                ratio = Fraction(counts[m] * counts[n], counts[m + n])
-                if ratio > best:
-                    best, witness = ratio, (m, n)
-        best_by_depth.append(best)
+                num, den = counts[m] * counts[n], counts[m + n]
+                if num * best_den > best_num * den:
+                    best_num, best_den, witness = num, den, (m, n)
+        if d == anchor_depth:
+            anchor = (best_num, best_den)
 
-    quartile_anchor = best_by_depth[max(0, (3 * depth) // 4 - 1)]
-    stable = best <= quartile_anchor * _STABLE_FACTOR
+    # Stable: best <= anchor * _STABLE_FACTOR.
+    stable = (
+        best_num * anchor[1] * _STABLE_FACTOR.denominator
+        <= anchor[0] * best_den * _STABLE_FACTOR.numerator
+    )
+    best = Fraction(best_num, best_den)
     return PropertyReport(
         k_estimate=best,
         b_estimate=None,
@@ -132,25 +142,30 @@ def balanced_estimate(
         )
     counts = sgap_count_table(spec, r_max).counts
 
-    best: Fraction | None = None
+    # Densities stay integer pairs compared by cross-multiplying, as in
+    # bsm_estimate; None means no pair seen yet.
+    best = best_at_half = None
     witness = None
-    best_at_half: Fraction | None = None
     half = r_max // 2
     for omega in reps:
         profile = follower_profile(spec, omega, r_max)
         for r in range(1, r_max + 1):
-            ratio = Fraction(profile[r], counts[r])
-            if best is None or ratio < best:
-                best, witness = ratio, (omega, r)
-            if r <= half and (best_at_half is None or ratio < best_at_half):
-                best_at_half = ratio
+            num, den = profile[r], counts[r]
+            if best is None or num * best[1] < best[0] * den:
+                best, witness = (num, den), (omega, r)
+            if r <= half and (
+                best_at_half is None or num * best_at_half[1] < best_at_half[0] * den
+            ):
+                best_at_half = (num, den)
 
-    assert best is not None and 0 < best <= 1
+    if best is None or not 0 < best[0] <= best[1]:
+        raise ArithmeticError("smallest follower density outside (0, 1]")
     decayed = (
         half >= 1
         and best_at_half is not None
-        and best * _DECAY_FACTOR <= best_at_half
+        and best[0] * _DECAY_FACTOR * best_at_half[1] <= best_at_half[0] * best[1]
     )
+    best = Fraction(*best)
     return PropertyReport(
         k_estimate=None,
         b_estimate=best,

@@ -75,6 +75,16 @@ class SGapSpec:
             raise ValueError("bound must be >= 0")
         return [n for n in range(bound + 1) if self.contains(n)]
 
+    def run_classes(self) -> tuple[int, int]:
+        """Zero-run classes (q, p) of the counting DP.
+
+        Runs r < q are told apart exactly; a run r >= q behaves like
+        q + (r - q) % p for membership and for tail_allows.  p == 0 only for
+        finite sets, where q = max + 1 and no run of length q or more is
+        admissible; for infinite sets tail_allows holds for every run.
+        """
+        raise NotImplementedError
+
     def render(self) -> str:
         raise NotImplementedError
 
@@ -105,6 +115,9 @@ class ExplicitGaps(SGapSpec):
             raise ValueError("bound must be >= 0")
         return [n for n in self.elements if n <= bound]
 
+    def run_classes(self) -> tuple[int, int]:
+        return self.elements[-1] + 1, 0
+
     def render(self) -> str:
         return "{" + ",".join(str(n) for n in self.elements) + "}"
 
@@ -123,6 +136,9 @@ class CofiniteGaps(SGapSpec):
 
     def is_full(self) -> bool:
         return not self.excluded
+
+    def run_classes(self) -> tuple[int, int]:
+        return (self.excluded[-1] + 1 if self.excluded else 0), 1
 
     def render(self) -> str:
         return "co{" + ",".join(str(n) for n in self.excluded) + "}"
@@ -148,6 +164,9 @@ class PeriodicGaps(SGapSpec):
 
     def is_finite(self) -> bool:
         return False
+
+    def run_classes(self) -> tuple[int, int]:
+        return len(self.preperiod), len(self.period)
 
     def render(self) -> str:
         pre = ",".join(str(b) for b in self.preperiod)

@@ -82,6 +82,47 @@ def brute_count_sgap(spec, n: int) -> int:
     return total
 
 
+def run_length_counts(spec, n_max: int, prefix: str = "") -> list[int]:
+    """Admissible words prefix + alpha for |alpha| = 0..n_max.
+
+    A plain unbounded run-length DP over (one seen yet, trailing zero run):
+    a one closes the trailing run, which must be tail-extendable when it is
+    the leading run and a member when it is interior; a word counts when
+    its trailing run is tail-extendable.  Run lengths are never folded, so
+    the state space grows with the length.
+    """
+
+    def step(states: dict, letter: str) -> dict:
+        out: dict = {}
+        for (seen_one, run), cnt in states.items():
+            if letter == "0":
+                # A run no member reaches can neither close nor end a word.
+                if not tail_ok(spec, run + 1):
+                    continue
+                key = (seen_one, run + 1)
+            elif spec.contains(run) if seen_one else tail_ok(spec, run):
+                key = (True, 0)
+            else:
+                continue
+            out[key] = out.get(key, 0) + cnt
+        return out
+
+    def total(states: dict) -> int:
+        return sum(cnt for (_, run), cnt in states.items() if tail_ok(spec, run))
+
+    states = {(False, 0): 1}
+    for letter in prefix:
+        states = step(states, letter)
+    counts = [total(states)]
+    for _ in range(n_max):
+        grown = step(states, "0")
+        for key, cnt in step(states, "1").items():
+            grown[key] = grown.get(key, 0) + cnt
+        states = grown
+        counts.append(total(states))
+    return counts
+
+
 def even_word_ok(word: str) -> bool:
     """No odd zero run between two ones."""
     ones = [i for i, ch in enumerate(word) if ch == "1"]

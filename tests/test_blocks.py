@@ -13,6 +13,7 @@ from shiftlab.blocks import (
     enumerate_blocks_sgap,
     even_shift_automaton,
     follower_count,
+    follower_profile,
     sgap_count_table,
     word_is_admissible,
 )
@@ -21,6 +22,24 @@ from shiftlab.sgap import parse_sgap_spec
 import oracles
 
 EX31_FORBIDDEN = ["ac", "ad", "bd", "ca", "cb", "da", "db"]
+
+# Finite, cofinite and eventually periodic sets of the benchmark's shape,
+# plus the extremes of the run-class quotient: a single class (co{}), a
+# single state with no wrap ({0}) and a long period with no preperiod.
+QUOTIENT_SETS = [
+    "{0,1,3,4,7}",
+    "{1,2,4,6,9,11}",
+    "{0,2,5,8}",
+    "co{0}",
+    "co{1,3}",
+    "co{2,4,5}",
+    "ep:pre=;pat=0,0,1",
+    "ep:pre=1;pat=1,1,0",
+    "ep:pre=0,1,0;pat=1,0,1",
+    "co{}",
+    "{0}",
+    "ep:pre=;pat=" + ",".join(["0"] * 49 + ["1"]),
+]
 
 
 def test_count_single_zero_gap():
@@ -106,6 +125,32 @@ def test_follower_decomposition(corpus):
                 assert total == counts[m + n]
 
 
+@pytest.mark.parametrize("text", QUOTIENT_SETS)
+def test_count_table_matches_unbounded_dp(text):
+    spec = parse_sgap_spec(text)
+    reference = oracles.run_length_counts(spec, 600)
+    counts = sgap_count_table(spec, 600).counts
+    assert [counts[n] for n in range(1, 601)] == reference[1:]
+
+
+@pytest.mark.parametrize("text", QUOTIENT_SETS)
+def test_follower_profile_matches_unbounded_dp(text):
+    # Start runs on both sides of the preperiod and past two full periods,
+    # where the DP folds the run before the first step.
+    spec = parse_sgap_spec(text)
+    q, p = spec.run_classes()
+    starts = {0, 1, q, q + p - 1, q + 2 * p, q + 2 * p + 1, q + 3 * p + 1, 7 * (q + p) + 5}
+    checked = 0
+    for t in sorted(starts):
+        for omega in ("1" + "0" * t, "0" * t):
+            if not omega or not oracles.sgap_word_ok(spec, omega):
+                continue
+            reference = oracles.run_length_counts(spec, 120, prefix=omega)
+            assert follower_profile(spec, omega, 120) == reference, (text, omega)
+            checked += 1
+    assert checked >= 1
+
+
 def test_build_sft_four_letter_example():
     aut = build_sft_automaton("abcd", EX31_FORBIDDEN)
     assert len(aut.states) == 4
@@ -173,3 +218,21 @@ def test_csv_export():
 def test_automaton_table_builder():
     table = automaton_count_table(even_shift_automaton(), 6)
     assert table.counts[4] == 12 and table.counts[6] == 33
+
+
+def test_automaton_table_one_pass_matches_per_length_counts():
+    aut = build_sft_automaton("abcd", EX31_FORBIDDEN)
+    counts = automaton_count_table(aut, 300).counts
+    assert sorted(counts) == list(range(1, 301))
+    for n in range(1, 41):
+        assert counts[n] == count_blocks_automaton(aut, n)
+    assert counts[1] == 4
+    for n in range(2, 301):
+        assert counts[n] == (n + 7) * 2 ** (n - 2)
+
+
+def test_even_shift_table_matches_even_gap_dp():
+    # The even shift is the gap shift of the even numbers.
+    counts = automaton_count_table(even_shift_automaton(), 300).counts
+    reference = oracles.run_length_counts(parse_sgap_spec("ep:pre=;pat=1,0"), 300)
+    assert [counts[n] for n in range(1, 301)] == reference[1:]

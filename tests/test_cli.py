@@ -87,6 +87,27 @@ def test_blocks_csv_format(capsys):
     assert out.splitlines()[1] == "1,2,1,1"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["blocks", "--s", "{0,1}", "--n", "0"],
+        ["blocks", "--even-shift", "--n", "-3"],
+        ["check-bsm", "--s", "co{0}", "--depth", "0"],
+        ["check-bsm", "--sft", "ac,ad", "--alphabet", "abcd", "--depth", "-1"],
+    ],
+)
+def test_nonpositive_sizes_are_usage_errors(capsys, monkeypatch, argv):
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr("shiftlab.blocks.sgap_count_table", no_table)
+    monkeypatch.setattr("shiftlab.blocks.automaton_count_table", no_table)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("shiftlab: ") and captured.err.count("\n") == 1
+
+
 def test_check_bsm_even_shift(capsys):
     rep = run_json(capsys, "check-bsm", "--even-shift", "--depth", "10")
     num, den = rep["result"]["K_estimate"].split("/")
@@ -180,6 +201,14 @@ def test_out_flag_writes_file(tmp_path, capsys):
     code, out = run(capsys, "entropy", "--s", "{0,1}", "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["command"] == "entropy"
+
+
+@pytest.mark.parametrize("missing", ["no-such-dir/report.json", "."])
+def test_out_flag_unwritable_path(tmp_path, capsys, missing):
+    code = main(["entropy", "--s", "{0,1}", "--out", str(tmp_path / missing)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("shiftlab: ") and captured.err.count("\n") == 1
 
 
 def test_every_command_validates_against_schema(capsys, schema):

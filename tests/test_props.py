@@ -30,6 +30,8 @@ def test_bsm_full_shift_is_exactly_one():
     table = sgap_count_table(parse_sgap_spec("co{}"), 20)
     rep = bsm_estimate(table, 10)
     assert rep.k_estimate == 1 and rep.verdict == VERDICT_BSM
+    # Every pair ties, and a tie never replaces the first maximum.
+    assert rep.witness == (1, 1)
 
 
 def test_bsm_even_shift_constant_below_four():
@@ -69,6 +71,7 @@ def test_bsm_maximising_pair_identity(corpus):
 def test_balanced_full_shift():
     rep = balanced_estimate(parse_sgap_spec("co{}"), 10, 8)
     assert rep.b_estimate == 1 and rep.verdict == VERDICT_BALANCED
+    assert rep.witness == ("1", 1)
 
 
 def test_balanced_doubling_gaps_decay():

@@ -148,3 +148,22 @@ def test_members_monotone_and_bounded(spec, bound):
     members = spec.members_up_to(bound)
     assert members == sorted(set(members))
     assert all(0 <= n <= bound for n in members)
+
+
+def test_run_classes_values():
+    assert parse_sgap_spec("{0,2,5}").run_classes() == (6, 0)
+    assert parse_sgap_spec("co{}").run_classes() == (0, 1)
+    assert parse_sgap_spec("co{1,3}").run_classes() == (4, 1)
+    assert parse_sgap_spec("ep:pre=0,1,0;pat=1,0,1").run_classes() == (3, 3)
+
+
+def test_run_classes_fold_preserves_membership(corpus):
+    for spec in corpus:
+        q, p = spec.run_classes()
+        for r in range(q, q + 5 * max(p, 1) + 3):
+            if p == 0:
+                assert not spec.contains(r) and not spec.tail_allows(r)
+                continue
+            folded = q + (r - q) % p
+            assert spec.contains(r) == spec.contains(folded), (spec, r)
+            assert spec.tail_allows(r) and spec.tail_allows(folded)
