@@ -4,16 +4,12 @@ __version__ = "0.1.0"
 
 from .sgap import (  # noqa: F401
     Classification,
-    CofiniteGaps,
     EmptySetError,
-    ExplicitGaps,
-    PeriodicGaps,
     SGapSpec,
     SpecSyntaxError,
     classify,
     cofinite_gaps,
     explicit_gaps,
-    members_up_to,
     parse_sgap_spec,
     periodic_gaps,
 )

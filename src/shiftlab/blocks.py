@@ -23,16 +23,12 @@ import csv
 from dataclasses import dataclass, field
 from itertools import compress, product
 
-from .sgap import SGapSpec
+from .sgap import SGapSpec, SizeGuardError
 
 Word = str
 
 SUBSET_STATE_LIMIT = 1 << 20
 ENUMERATION_LENGTH_LIMIT = 22
-
-
-class SizeGuardError(RuntimeError):
-    """An enumeration or determinisation budget was exceeded."""
 
 
 class EmptyShiftError(ValueError):
@@ -182,9 +178,6 @@ class ShiftAutomaton:
         if set(self.states) - sources:
             raise ValueError("every state needs at least one outgoing transition")
 
-    def start_states(self) -> tuple[str, ...]:
-        return self.states
-
     def edge_count(self) -> int:
         return len(self.transitions)
 
@@ -285,9 +278,6 @@ class BlockCountTable:
 
     counts: dict[int, int] = field(default_factory=dict)
 
-    def max_length(self) -> int:
-        return max(self.counts) if self.counts else 0
-
     def require(self, n_max: int) -> None:
         missing = [n for n in range(1, n_max + 1) if n not in self.counts]
         if missing:
@@ -317,7 +307,7 @@ def automaton_count_table(aut: ShiftAutomaton, n_max: int) -> BlockCountTable:
     construction; layer n holds how many words lead to each subset, and the
     number of discovered subsets is budget-limited.
     """
-    start = frozenset(aut.start_states())
+    start = frozenset(aut.states)
     step_cache: dict[tuple[frozenset, str], frozenset] = {}
     seen_subsets = {start}
     layer = {start: 1} if start else {}

@@ -344,6 +344,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if not math.isfinite(getattr(args, "tol", 0.0)):
+            raise ValueError(f"--tol must be finite, got {args.tol}")
         args.func(args)
         return 0
     except (sgap.SpecSyntaxError, sgap.EmptySetError) as exc:

@@ -2,26 +2,29 @@
 
 A gap set S is a nonempty set of naturals (0 included).  The associated
 binary shift consists of the bi-infinite sequences in which the length of
-every maximal zero run between successive ones lies in S.  Three finite
-descriptions are supported:
+every maximal zero run between successive ones lies in S.  Every gap set
+described here is one value: an eventually periodic characteristic sequence
+(preperiod, period), bit n set iff n in S.  It has three text forms, and
+render() picks the first that fits:
 
-* an explicit finite list            ``{0,2,5}``
-* a cofinite set by excluded values  ``co{3}``       (``co{}`` is all naturals)
-* an eventually periodic characteristic sequence
-                                     ``ep:pre=1,0;pat=0,1``  (bit n set iff n in S)
+* a finite set, period (0,)          ``{0,2,5}``
+* a cofinite set, period (1,)        ``co{3}``       (``co{}`` is all naturals)
+* any other period, kept as given    ``ep:pre=1,0;pat=0,1``
 
-Descriptions are normalised on construction: an eventually periodic form
-whose period is all zeros collapses to an explicit list, one whose period is
-all ones collapses to a cofinite set, and the empty set is rejected.  This
-keeps every classification predicate decidable by finite inspection.
+Descriptions are normalised on construction: a constant period collapses to
+one bit and the preperiod drops trailing bits equal to it, the empty set is
+rejected, and a description longer than DESCRIPTION_BIT_LIMIT bits raises
+SizeGuardError before it is built.  This keeps every classification
+predicate decidable by finite inspection.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
+from itertools import compress, count, cycle
 from math import gcd
+from operator import not_, sub
 
 
 class SpecSyntaxError(ValueError):
@@ -32,32 +35,50 @@ class EmptySetError(ValueError):
     """The description encodes the empty set."""
 
 
+class SizeGuardError(RuntimeError):
+    """An enumeration, determinisation or description budget was exceeded."""
+
+
+# Largest len(preperiod) + len(period) a description may have; parse,
+# classify and render all cost time linear in it.
+DESCRIPTION_BIT_LIMIT = 1 << 20
+
+
+@dataclass(frozen=True)
 class SGapSpec:
-    """Common interface of the three gap-set descriptions."""
+    """A gap set as an eventually periodic characteristic sequence.
+
+    Bit n of preperiod + period + period + ... is set iff n is in S.  Build
+    one with explicit_gaps, cofinite_gaps or periodic_gaps, which normalise:
+    a finite set has period (0,), a cofinite one period (1,), and in both
+    the preperiod ends at the last bit differing from the period.
+    """
+
+    preperiod: tuple[int, ...]
+    period: tuple[int, ...]
 
     def contains(self, n: int) -> bool:
-        raise NotImplementedError
+        if n < 0:
+            return False
+        q = len(self.preperiod)
+        if n < q:
+            return bool(self.preperiod[n])
+        return bool(self.period[(n - q) % len(self.period)])
 
     def is_finite(self) -> bool:
-        raise NotImplementedError
+        return self.period == (0,)
 
     def is_full(self) -> bool:
         """True iff the set is all of the naturals."""
-        return False
+        return not self.preperiod and self.period == (1,)
 
     def max_element(self) -> int | None:
         """Largest member for finite sets, None for infinite ones."""
-        return None
-
-    def min_element(self) -> int:
-        n = 0
-        while not self.contains(n):
-            n += 1
-        return n
+        return len(self.preperiod) - 1 if self.is_finite() else None
 
     def size(self) -> int | None:
         """Number of members for finite sets, None for infinite ones."""
-        return None
+        return sum(self.preperiod) if self.is_finite() else None
 
     def tail_allows(self, k: int) -> bool:
         """True iff some member is >= k.
@@ -66,14 +87,17 @@ class SGapSpec:
         not closed by a one on both sides is admissible exactly when it can
         be extended to a run whose full length lies in the set.
         """
-        m = self.max_element()
-        return m is None or k <= m
+        return k < len(self.preperiod) or not self.is_finite()
 
     def members_up_to(self, bound: int) -> list[int]:
         """Exactly the members <= bound, in increasing order."""
         if bound < 0:
             raise ValueError("bound must be >= 0")
-        return [n for n in range(bound + 1) if self.contains(n)]
+        q = len(self.preperiod)
+        members = list(compress(range(min(q, bound + 1)), self.preperiod))
+        if bound >= q and not self.is_finite():
+            members.extend(compress(range(q, bound + 1), cycle(self.period)))
+        return members
 
     def run_classes(self) -> tuple[int, int]:
         """Zero-run classes (q, p) of the counting DP.
@@ -83,134 +107,78 @@ class SGapSpec:
         finite sets, where q = max + 1 and no run of length q or more is
         admissible; for infinite sets tail_allows holds for every run.
         """
-        raise NotImplementedError
+        q = len(self.preperiod)
+        return q, 0 if self.is_finite() else len(self.period)
 
     def render(self) -> str:
-        raise NotImplementedError
+        """The shortest text form: {..} if finite, co{..} if cofinite,
+        ep:pre=..;pat=.. otherwise."""
+        if self.is_finite():
+            return "{" + _join(compress(count(), self.preperiod)) + "}"
+        if self.period == (1,):
+            holes = map(not_, self.preperiod)
+            return "co{" + _join(compress(count(), holes)) + "}"
+        return f"ep:pre={_join(self.preperiod)};pat={_join(self.period)}"
 
 
-@dataclass(frozen=True)
-class ExplicitGaps(SGapSpec):
-    """A finite gap set listed element by element, strictly increasing."""
-
-    elements: tuple[int, ...]
-
-    def contains(self, n: int) -> bool:
-        return n in self.elements
-
-    def is_finite(self) -> bool:
-        return True
-
-    def max_element(self) -> int | None:
-        return self.elements[-1]
-
-    def min_element(self) -> int:
-        return self.elements[0]
-
-    def size(self) -> int | None:
-        return len(self.elements)
-
-    def members_up_to(self, bound: int) -> list[int]:
-        if bound < 0:
-            raise ValueError("bound must be >= 0")
-        return [n for n in self.elements if n <= bound]
-
-    def run_classes(self) -> tuple[int, int]:
-        return self.elements[-1] + 1, 0
-
-    def render(self) -> str:
-        return "{" + ",".join(str(n) for n in self.elements) + "}"
+def _join(values) -> str:
+    return ",".join(map(str, values))
 
 
-@dataclass(frozen=True)
-class CofiniteGaps(SGapSpec):
-    """All naturals except a finite excluded set (sorted)."""
-
-    excluded: tuple[int, ...]
-
-    def contains(self, n: int) -> bool:
-        return n >= 0 and n not in self.excluded
-
-    def is_finite(self) -> bool:
-        return False
-
-    def is_full(self) -> bool:
-        return not self.excluded
-
-    def run_classes(self) -> tuple[int, int]:
-        return (self.excluded[-1] + 1 if self.excluded else 0), 1
-
-    def render(self) -> str:
-        return "co{" + ",".join(str(n) for n in self.excluded) + "}"
+def _check_size(bits: int) -> None:
+    if bits > DESCRIPTION_BIT_LIMIT:
+        raise SizeGuardError(
+            f"gap-set description of {bits} bits exceeds the limit "
+            f"{DESCRIPTION_BIT_LIMIT}"
+        )
 
 
-@dataclass(frozen=True)
-class PeriodicGaps(SGapSpec):
-    """Eventually periodic characteristic sequence: bit n set iff n in S.
-
-    Normalisation guarantees the period contains both a set and an unset
-    bit, so the set is infinite but not cofinite.
-    """
-
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
-
-    def contains(self, n: int) -> bool:
-        if n < 0:
-            return False
-        if n < len(self.preperiod):
-            return bool(self.preperiod[n])
-        return bool(self.period[(n - len(self.preperiod)) % len(self.period)])
-
-    def is_finite(self) -> bool:
-        return False
-
-    def run_classes(self) -> tuple[int, int]:
-        return len(self.preperiod), len(self.period)
-
-    def render(self) -> str:
-        pre = ",".join(str(b) for b in self.preperiod)
-        pat = ",".join(str(b) for b in self.period)
-        return f"ep:pre={pre};pat={pat}"
+def _marked(length: int, fill: int, positions) -> tuple[int, ...]:
+    """length bits equal to fill, flipped at the given positions."""
+    _check_size(length + 1)
+    bits = [fill] * length
+    for n in positions:
+        bits[n] = 1 - fill
+    return tuple(bits)
 
 
-def explicit_gaps(values) -> ExplicitGaps:
-    """Normalised explicit description: sorted, deduplicated, nonempty."""
-    elems = sorted(set(int(v) for v in values))
+def explicit_gaps(values) -> SGapSpec:
+    """The finite set of the given naturals; it must be nonempty."""
+    elems = set(int(v) for v in values)
     if not elems:
         raise EmptySetError("gap set must be nonempty")
-    if elems[0] < 0:
+    if min(elems) < 0:
         raise SpecSyntaxError("gap set members must be naturals")
-    return ExplicitGaps(tuple(elems))
+    return SGapSpec(_marked(max(elems) + 1, 0, elems), (0,))
 
 
-def cofinite_gaps(excluded) -> CofiniteGaps:
-    """Cofinite description from its finite excluded set."""
-    excl = sorted(set(int(v) for v in excluded))
-    if excl and excl[0] < 0:
+def cofinite_gaps(excluded) -> SGapSpec:
+    """All naturals except the given ones."""
+    excl = set(int(v) for v in excluded)
+    if excl and min(excl) < 0:
         raise SpecSyntaxError("excluded values must be naturals")
-    return CofiniteGaps(tuple(excl))
+    return SGapSpec(_marked(max(excl, default=-1) + 1, 1, excl), (1,))
 
 
 def periodic_gaps(preperiod, period) -> SGapSpec:
     """Eventually periodic description, normalised.
 
-    An all-zero period collapses to the explicit set carried by the
-    preperiod (or is rejected when that set is empty); an all-one period
-    collapses to a cofinite set.
+    A constant period collapses to that one bit, and trailing preperiod bits
+    equal to it are trimmed, so an all-zero period gives the finite form
+    (rejected when it has no member) and an all-one period the cofinite
+    form.  A mixed period is kept exactly as given.
     """
+    _check_size(len(preperiod) + len(period))
     pre = tuple(int(bool(int(b))) for b in preperiod)
     pat = tuple(int(bool(int(b))) for b in period)
     if not pat:
         raise SpecSyntaxError("period must be nonempty")
-    if not any(pat):
-        members = [i for i, b in enumerate(pre) if b]
-        if not members:
+    if len(set(pat)) == 1:
+        pat = pat[:1]
+        pre = tuple(bytes(pre).rstrip(bytes(pat)))
+        if pat == (0,) and not pre:
             raise EmptySetError("all-zero tail with empty preperiod support")
-        return ExplicitGaps(tuple(members))
-    if all(pat):
-        return CofiniteGaps(tuple(i for i, b in enumerate(pre) if not b))
-    return PeriodicGaps(pre, pat)
+    return SGapSpec(pre, pat)
 
 
 _EXPLICIT_RE = re.compile(r"^\{\s*(\d+(\s*,\s*\d+)*)?\s*\}$")
@@ -238,10 +206,6 @@ def parse_sgap_spec(text: str) -> SGapSpec:
     raise SpecSyntaxError(f"unrecognised gap-set description: {text!r}")
 
 
-def members_up_to(spec: SGapSpec, bound: int) -> list[int]:
-    return spec.members_up_to(bound)
-
-
 @dataclass(frozen=True)
 class Classification:
     """Decidable dynamical predicates of the shift defined by a gap set.
@@ -260,46 +224,24 @@ class Classification:
     gcd_value: int
 
 
-def _gap_sup_of(members: list[int]) -> int:
-    if len(members) < 2:
-        return 0
-    return max(b - a for a, b in zip(members, members[1:]))
-
-
 def classify(spec: SGapSpec) -> Classification:
     """Classify the shift of a gap set by finite inspection.
 
-    Finite and cofinite sets give shifts of finite type.  The gap supremum
-    and the gcd of shifted members stabilise within one window of the
-    description: the preperiod plus three periods for gaps, the preperiod
-    plus two periods (folded with the period length) for the gcd.
+    The gap supremum and the gcd of shifted members stabilise within one
+    window of the description: the preperiod plus three periods for gaps,
+    the preperiod plus two periods for the gcd (the window holds some
+    member n and n + p, so the gcd divides p).  Period (0,) or (1,) means
+    a finite or cofinite set, whose shift is of finite type.
     """
-    if isinstance(spec, ExplicitGaps):
-        members = list(spec.elements)
-        gap_sup = _gap_sup_of(members)
-        gcd_value = reduce(gcd, (n + 1 for n in members))
-        is_sft = True
-    elif isinstance(spec, CofiniteGaps):
-        hi = (spec.excluded[-1] if spec.excluded else 0) + 2
-        members = spec.members_up_to(hi)
-        gap_sup = _gap_sup_of(members)
-        gcd_value = reduce(gcd, (n + 1 for n in members))
-        is_sft = True
-    elif isinstance(spec, PeriodicGaps):
-        q, p = len(spec.preperiod), len(spec.period)
-        gap_sup = _gap_sup_of(spec.members_up_to(q + 3 * p - 1))
-        gcd_value = reduce(
-            gcd, (n + 1 for n in spec.members_up_to(q + 2 * p - 1)), p
-        )
-        is_sft = False
-    else:
-        raise TypeError(f"not a gap-set description: {spec!r}")
-
-    # All three finite descriptions have bounded gaps between members.
+    q, p = len(spec.preperiod), len(spec.period)
+    members = spec.members_up_to(q + 3 * p - 1)
+    gap_sup = max(map(sub, members[1:], members), default=0)
+    gcd_value = gcd(*(n + 1 for n in spec.members_up_to(q + 2 * p - 1)))
+    # Every description has bounded gaps between members.
     is_almost_specified = True
     is_mixing = gcd_value == 1
     return Classification(
-        is_sft=is_sft,
+        is_sft=p == 1,
         is_almost_specified=is_almost_specified,
         is_mixing=is_mixing,
         has_specification=is_almost_specified and is_mixing,

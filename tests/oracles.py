@@ -12,14 +12,7 @@ import random
 from functools import lru_cache
 from itertools import product
 
-from shiftlab.sgap import (
-    CofiniteGaps,
-    ExplicitGaps,
-    PeriodicGaps,
-    cofinite_gaps,
-    explicit_gaps,
-    periodic_gaps,
-)
+from shiftlab.sgap import cofinite_gaps, explicit_gaps, periodic_gaps
 
 
 def tail_ok(spec, k: int) -> bool:
@@ -147,23 +140,12 @@ def spectral_radius_2x2(a, b, c, d, iterations: int = 200) -> float:
 
 
 def closed_series(spec, lam: float) -> float:
-    """Closed form of sum over S of lam**-(n+1) via geometric sums."""
-    if isinstance(spec, ExplicitGaps):
-        return math.fsum(lam ** -(n + 1) for n in reversed(spec.elements))
-    if isinstance(spec, CofiniteGaps):
-        return 1.0 / (lam - 1.0) - math.fsum(
-            lam ** -(e + 1) for e in reversed(spec.excluded)
-        )
-    if isinstance(spec, PeriodicGaps):
-        q, p = len(spec.preperiod), len(spec.period)
-        head = math.fsum(
-            lam ** -(i + 1) for i, b in enumerate(spec.preperiod) if b
-        )
-        cycle = math.fsum(
-            lam ** -(q + j + 1) for j, b in enumerate(spec.period) if b
-        )
-        return head + cycle / (1.0 - lam**-p)
-    raise TypeError(spec)
+    """Closed form of sum over S of lam**-(n+1): the preperiod terms plus
+    the period terms summed as a geometric series in lam**-p."""
+    q, p = len(spec.preperiod), len(spec.period)
+    head = math.fsum(lam ** -(i + 1) for i, b in enumerate(spec.preperiod) if b)
+    cycle = math.fsum(lam ** -(q + j + 1) for j, b in enumerate(spec.period) if b)
+    return head + cycle / (1.0 - lam**-p)
 
 
 def bisect_decreasing(f, lo: float, hi: float, target: float, tol: float) -> float:

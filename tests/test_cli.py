@@ -108,6 +108,41 @@ def test_nonpositive_sizes_are_usage_errors(capsys, monkeypatch, argv):
     assert captured.err.startswith("shiftlab: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--s", "{0,1000000000}"],
+        ["classify", "--s", "{0,1000000000}"],
+        ["blocks", "--s", "{0,1000000000}", "--n", "3"],
+        ["classify", "--s", "co{1000000000}"],
+    ],
+)
+def test_oversized_description_is_a_budget_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith("shiftlab: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--s", "{0,1}"],
+        ["gibbs", "--s", "{0,1}"],
+        ["expand", "--lambda", "1.5", "--x", "0.5"],
+        ["enumerate-one", "--lambda", "1.5"],
+        ["kl"],
+        ["bridge", "--digits", "11"],
+    ],
+)
+def test_non_finite_tol_is_a_usage_error(capsys, argv, tol):
+    code = main([*argv, f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"shiftlab: --tol must be finite, got {float(tol)}\n"
+
+
 def test_check_bsm_even_shift(capsys):
     rep = run_json(capsys, "check-bsm", "--even-shift", "--depth", "10")
     num, den = rep["result"]["K_estimate"].split("/")

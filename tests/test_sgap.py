@@ -2,15 +2,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shiftlab.sgap import (
-    CofiniteGaps,
     EmptySetError,
-    ExplicitGaps,
-    PeriodicGaps,
+    SGapSpec,
     SpecSyntaxError,
     classify,
     cofinite_gaps,
     explicit_gaps,
-    members_up_to,
     parse_sgap_spec,
     periodic_gaps,
 )
@@ -19,12 +16,12 @@ import oracles
 
 
 def test_parse_explicit():
-    assert parse_sgap_spec("{0,2,5}") == ExplicitGaps((0, 2, 5))
+    assert parse_sgap_spec("{0,2,5}") == SGapSpec((1, 0, 1, 0, 0, 1), (0,))
 
 
 def test_parse_cofinite():
     spec = parse_sgap_spec("co{0}")
-    assert spec == CofiniteGaps((0,))
+    assert spec == SGapSpec((0,), (1,))
     assert not spec.contains(0) and spec.contains(1) and spec.contains(10**6)
 
 
@@ -47,15 +44,22 @@ def test_parse_rejects_empty_set():
 
 
 def test_periodic_degenerate_forms_normalise():
-    assert periodic_gaps([1, 0, 1], [0, 0]) == ExplicitGaps((0, 2))
-    assert periodic_gaps([0, 1], [1, 1]) == CofiniteGaps((0,))
-    assert periodic_gaps([], [1]) == CofiniteGaps(())
+    assert periodic_gaps([1, 0, 1], [0, 0]) == SGapSpec((1, 0, 1), (0,))
+    assert periodic_gaps([0, 1], [1, 1]) == SGapSpec((0,), (1,))
+    assert periodic_gaps([], [1]) == SGapSpec((), (1,))
+    for typed, short in [
+        ("ep:pre=0,1,1;pat=1,1", "co{0}"),
+        ("ep:pre=1,0,1,0;pat=0,0", "{0,2}"),
+    ]:
+        spec = parse_sgap_spec(typed)
+        assert spec == parse_sgap_spec(short)
+        assert spec.render() == short
 
 
 def test_members_up_to_examples():
-    assert members_up_to(parse_sgap_spec("co{0}"), 4) == [1, 2, 3, 4]
-    assert members_up_to(parse_sgap_spec("{0,2,5}"), 3) == [0, 2]
-    assert members_up_to(parse_sgap_spec("ep:pre=;pat=0,1"), 6) == [1, 3, 5]
+    assert parse_sgap_spec("co{0}").members_up_to(4) == [1, 2, 3, 4]
+    assert parse_sgap_spec("{0,2,5}").members_up_to(3) == [0, 2]
+    assert parse_sgap_spec("ep:pre=;pat=0,1").members_up_to(6) == [1, 3, 5]
 
 
 def test_members_match_characteristic_semantics(corpus):
@@ -101,13 +105,11 @@ def test_specification_iff_bounded_gaps_and_gcd_one(corpus):
 
 
 def test_periodic_gcd_matches_long_window():
-    # The folded gcd must agree with a direct gcd over a long prefix.
+    # The windowed gcd must agree with a direct gcd over a long prefix.
     from math import gcd
     from functools import reduce
 
     for spec in oracles.random_specs(80, seed=23):
-        if not isinstance(spec, PeriodicGaps):
-            continue
         c = classify(spec)
         direct = reduce(gcd, (n + 1 for n in spec.members_up_to(500)))
         assert c.gcd_value == direct
@@ -115,10 +117,8 @@ def test_periodic_gcd_matches_long_window():
 
 def test_periodic_gap_sup_matches_long_window():
     for spec in oracles.random_specs(80, seed=29):
-        if not isinstance(spec, PeriodicGaps):
-            continue
         members = spec.members_up_to(600)
-        direct = max(b - a for a, b in zip(members, members[1:]))
+        direct = max((b - a for a, b in zip(members, members[1:])), default=0)
         assert classify(spec).gap_sup == direct
 
 
