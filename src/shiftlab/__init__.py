@@ -23,7 +23,6 @@ from .blocks import (  # noqa: F401
     build_sft_automaton,
     count_blocks_automaton,
     count_blocks_sgap,
-    enumerate_blocks_sgap,
     even_shift_automaton,
     follower_count,
     sgap_count_table,

@@ -75,10 +75,6 @@ class BetaContext:
             return FORCED1
         return SWITCH
 
-    def in_switch_region(self, y: float) -> bool:
-        tol = self.membership_tol
-        return self.switch_lo - tol <= y <= self.switch_hi + tol
-
     def require_in_interval(self, x: float) -> None:
         tol = max(self.membership_tol, 1e-12)
         if not (-tol <= x <= self.interval_right + tol):

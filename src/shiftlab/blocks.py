@@ -1,10 +1,13 @@
 """Exact language-size computations for gap shifts and labeled presentations.
 
-Counting for gap shifts uses a run-length dynamic program whose state is the
-trailing zero run of the word (split by whether a one has occurred yet).
-Runs at or past the preperiod q of the gap set matter only modulo its period
-p, so the DP keeps q + p run classes (SGapSpec.run_classes) and a table of
-lengths 1..n costs O(n * (q + p)) big-integer additions, not O(n^2).  All
+Counting for gap shifts is one backward run-length pass (_follower_profiles).
+The followers of a word depend only on whether it contains a one and on its
+trailing zero run; runs at or past the preperiod q of the gap set matter only
+modulo its period p, so the pass keeps one extension count per run class
+(SGapSpec.run_classes).  Each step moves a ring offset and adds one count to
+the member classes, so it costs O(members below q + p) plus one read per
+start word, and a single pass to length n serves any number of start words.
+The block counts of length n are the followers of the empty word.  All
 counts are exact Python integers.  Finite-type shifts given by forbidden
 blocks are presented as higher-block automata, and sofic presentations such
 as the even shift are counted by determinising the label action over subsets
@@ -21,14 +24,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import compress, product
+from itertools import accumulate, product
 
 from .sgap import SGapSpec, SizeGuardError
 
 Word = str
 
 SUBSET_STATE_LIMIT = 1 << 20
-ENUMERATION_LENGTH_LIMIT = 22
 
 
 class EmptyShiftError(ValueError):
@@ -60,87 +62,81 @@ def word_is_admissible(spec: SGapSpec, word: Word) -> bool:
     return all(spec.contains(r) for r in interior)
 
 
-def _count_extensions(
-    spec: SGapSpec, steps: int, start_run: int, start_has_one: bool
-) -> list[int]:
-    """Run-length DP: admissible extension counts for lengths 0..steps.
+def _follower_profiles(spec: SGapSpec, words, r_max: int) -> list[list[int]]:
+    """Follower counts of each word for every length 0..r_max, in one pass.
 
-    The state is the run class of the current trailing zero run (see
-    SGapSpec.run_classes), so one step costs O(q + p) whatever steps is.
-    Words that do not yet contain a one are tracked separately because
-    their run is a boundary run, not an interior one.  tail_allows holds
-    for every run of every class, so each class counts towards the total.
+    A word's followers depend only on whether it contains a one and on its
+    trailing zero run.  ext[c] counts the extensions of a word that holds a
+    one and ends in a run of class c (SGapSpec.run_classes); ext starts at 1
+    for every class and one backward step shifts it by one class (the last
+    class wraps to class q, or dies when p == 0) and then adds ext[0], the
+    count after a closing one, to every member class.  ext lives in a ring
+    with a moving base, so after an O(q + p) setup a step costs
+    O(members below q + p) plus one read per word.  A word with no one may
+    close its run at any boundary run that some member reaches, so its
+    counts are prefix sums of the successive ext[0].  An inadmissible word
+    keeps the convention of the empty extension: 1 at length 0 for an
+    all-zero word, 0 after a one.
     """
     q, p = spec.run_classes()
-    closes = [spec.contains(r) for r in range(q + p)]
+    size = q + p
+    closing = spec.members_up_to(size - 1)
+    # The count of class c sits at ext[(base + c) % size].
+    ext, base = [1] * size, 0
+    rows, reads, zero_runs = [], [], []
+    for word in words:
+        run = len(word) - len(word.rstrip("0"))
+        row: list[int] = []
+        rows.append(row)
+        if "1" not in word:
+            zero_runs.append((row, run))
+        elif run < q or p:
+            reads.append((row, run if run < q else q + (run - q) % p))
+        else:
+            row.extend([0] * (r_max + 1))
 
-    def fold(r: int) -> int | None:
-        """Run class of a zero run, None if no member is that long."""
-        if r < q:
-            return r
-        return q + (r - q) % p if p else None
+    heads = []  # ext[0] after k steps, for k = 0..r_max - 1
+    for k in range(r_max + 1):
+        for row, c in reads:
+            row.append(ext[(base + c) % size])
+        if k == r_max:
+            break
+        head = ext[base]
+        heads.append(head)
+        ext[base] = ext[(base + q) % size] if p else 0
+        base = (base + 1) % size
+        for c in closing:
+            ext[(base + c) % size] += head
 
-    runs = [0] * (q + p)
-    start = fold(start_run)
-    if start_has_one:
-        zero_prefix = None
-        if start is not None:
-            runs[start] = 1
-        out = [int(start is not None)]
-    else:
-        # The empty extension of an all-zero word is counted even when the
-        # word itself is too long to extend.
-        zero_prefix = start
-        out = [1]
-
-    for _ in range(steps):
-        ones = sum(compress(runs, closes))
-        if zero_prefix is not None:
-            ones += 1
-            zero_prefix = fold(zero_prefix + 1)
-        # A zero lengthens every run: the last class wraps to class q, or
-        # dies when p == 0 because no member is q or longer.
-        last = runs.pop()
-        runs.insert(0, ones)
+    # sums[k] counts the length-k extensions of an all-zero word that hold a
+    # one, if every boundary run may close: a first one at j leaves the
+    # ext[0] of k - 1 - j steps.
+    sums = list(accumulate(heads, initial=0))
+    for row, run in zero_runs:
         if p:
-            runs[q] += last
-        out.append(sum(runs) + (zero_prefix is not None))
-    return out
+            row.extend(1 + s for s in sums)
+        elif run >= q:
+            row.extend([1] + [0] * r_max)
+        else:
+            row.extend(
+                (run + k < q) + sums[k] - sums[max(0, k - (q - run))]
+                for k in range(r_max + 1)
+            )
+    return rows
 
 
 def count_blocks_sgap(spec: SGapSpec, n: int) -> int:
     """Exact number of admissible binary words of length n >= 1."""
     if n < 1:
         raise ValueError("block length must be >= 1")
-    return _count_extensions(spec, n, 0, False)[n]
-
-
-def enumerate_blocks_sgap(spec: SGapSpec, n: int) -> list[Word]:
-    """All admissible words of length n in lexicographic order.
-
-    Deliberately brute force (filters every binary word of length n) so it
-    can serve as an independent cross-check of the counting DP; guarded
-    against exponential blowup.
-    """
-    if n < 1:
-        raise ValueError("block length must be >= 1")
-    if n > ENUMERATION_LENGTH_LIMIT:
-        raise SizeGuardError(
-            f"enumeration limited to length {ENUMERATION_LENGTH_LIMIT}, got {n}"
-        )
-    words = []
-    for bits in product("01", repeat=n):
-        word = "".join(bits)
-        if word_is_admissible(spec, word):
-            words.append(word)
-    return words
+    return _follower_profiles(spec, [""], n)[0][n]
 
 
 def follower_count(spec: SGapSpec, omega: Word, r: int) -> int:
     """Exact number of length-r words that may follow omega.
 
     The continuation structure depends only on whether omega contains a one
-    and on its trailing zero run, which is what the DP consumes.
+    and on its trailing zero run, which is what the counting pass consumes.
     """
     if r < 1:
         raise ValueError("follower length must be >= 1")
@@ -151,9 +147,7 @@ def follower_count(spec: SGapSpec, omega: Word, r: int) -> int:
 
 def follower_profile(spec: SGapSpec, omega: Word, r_max: int) -> list[int]:
     """Follower counts of omega for every length 0..r_max at once."""
-    has_one = "1" in omega
-    trailing = len(omega) - len(omega.rstrip("0"))
-    return _count_extensions(spec, r_max, trailing, has_one)
+    return _follower_profiles(spec, [omega], r_max)[0]
 
 
 @dataclass
@@ -295,7 +289,7 @@ class BlockCountTable:
 
 
 def sgap_count_table(spec: SGapSpec, n_max: int) -> BlockCountTable:
-    profile = _count_extensions(spec, n_max, 0, False)
+    profile = _follower_profiles(spec, [""], n_max)[0]
     return BlockCountTable(counts={n: profile[n] for n in range(1, n_max + 1)})
 
 

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 
 from . import __version__, beta, blocks, entropy, props, sgap
 
@@ -68,13 +69,14 @@ def _count_table(kind, source, n_max) -> blocks.BlockCountTable:
     return blocks.automaton_count_table(source, n_max)
 
 
-def _emit(args, report: dict, csv_text: str | None = None) -> None:
+def _emit(args, report: dict, to_csv: Callable[[], str] | None = None) -> None:
+    """Write the report as JSON, or as the text to_csv builds under --format csv."""
     if args.format == "csv":
-        if csv_text is None:
+        if to_csv is None:
             raise sgap.SpecSyntaxError(
                 f"command {report['command']!r} has no CSV form; use --format json"
             )
-        payload = csv_text
+        payload = to_csv()
     else:
         payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -133,9 +135,13 @@ def cmd_blocks(args) -> None:
         "counts": {str(n): c for n, c in sorted(table.counts.items())},
         "count_at_n": table.counts[args.n],
     }
-    buf = io.StringIO()
-    table.write_csv(buf)
-    _emit(args, _report("blocks", _config(args), result), csv_text=buf.getvalue())
+
+    def to_csv() -> str:
+        buf = io.StringIO()
+        table.write_csv(buf)
+        return buf.getvalue()
+
+    _emit(args, _report("blocks", _config(args), result), to_csv)
 
 
 def cmd_check_bsm(args) -> None:
@@ -166,13 +172,17 @@ def cmd_gibbs(args) -> None:
         "cell_count": len(diag.finite_level_cells),
         "all_cells_pass": diag.all_cells_pass(),
     }
-    lines = ["omega,r,k,mu_value,lower,upper,passes"]
-    for cell in diag.finite_level_cells:
-        lines.append(
-            f"{cell.omega},{cell.r},{cell.k},{cell.mu_value},"
-            f"{cell.lower},{cell.upper},{cell.passes()}"
-        )
-    _emit(args, _report("gibbs", _config(args), result), csv_text="\n".join(lines) + "\n")
+
+    def to_csv() -> str:
+        lines = ["omega,r,k,mu_value,lower,upper,passes"]
+        for cell in diag.finite_level_cells:
+            lines.append(
+                f"{cell.omega},{cell.r},{cell.k},{cell.mu_value},"
+                f"{cell.lower},{cell.upper},{cell.passes()}"
+            )
+        return "\n".join(lines) + "\n"
+
+    _emit(args, _report("gibbs", _config(args), result), to_csv)
 
 
 def cmd_expand(args) -> None:

@@ -19,9 +19,8 @@ from fractions import Fraction
 from .blocks import (
     BlockCountTable,
     SizeGuardError,
-    follower_profile,
+    _follower_profiles,
     sgap_count_table,
-    word_is_admissible,
 )
 from .sgap import SGapSpec
 
@@ -80,10 +79,9 @@ def bsm_estimate(table: BlockCountTable, depth: int) -> PropertyReport:
     for d in range(1, depth + 1):
         # Pairs with max(m, n) == d extend the previous depth's maximum.
         for m in range(1, d + 1):
-            for n in (d,) if m < d else range(m, d + 1):
-                num, den = counts[m] * counts[n], counts[m + n]
-                if num * best_den > best_num * den:
-                    best_num, best_den, witness = num, den, (m, n)
+            num, den = counts[m] * counts[d], counts[m + d]
+            if num * best_den > best_num * den:
+                best_num, best_den, witness = num, den, (m, d)
         if d == anchor_depth:
             anchor = (best_num, best_den)
 
@@ -102,53 +100,34 @@ def bsm_estimate(table: BlockCountTable, depth: int) -> PropertyReport:
     )
 
 
-def _suffix_run_representatives(
-    spec: SGapSpec, word_length_max: int
-) -> list[str]:
-    """One admissible word per follower class, shortest first.
+def _suffix_run_followers(
+    spec: SGapSpec, word_length_max: int, r_max: int, max_cells: int | None
+) -> tuple[list[str], list[list[int]]]:
+    """One admissible word per follower class, shortest first, with its
+    follower counts for lengths 0..r_max.
 
     The follower structure of a word depends only on whether it contains a
     one and on its trailing zero run, so '1' + zeros and all-zero words
     cover every class realisable within the length budget.
     """
-    reps = []
-    for k in range(0, word_length_max):
-        if spec.tail_allows(k):
-            reps.append("1" + "0" * k)
-    for k in range(1, word_length_max + 1):
-        if spec.tail_allows(k):
-            reps.append("0" * k)
-    return [w for w in reps if word_is_admissible(spec, w)]
-
-
-def balanced_estimate(
-    spec: SGapSpec,
-    word_length_max: int,
-    r_max: int,
-    max_cells: int | None = None,
-) -> PropertyReport:
-    """Smallest observed follower density over suffix-run representatives.
-
-    The verdict flags decay when the running minimum drops by a factor of
-    4 or more between half depth and full depth; otherwise the data is
-    consistent with a uniform lower bound.
-    """
-    if r_max < 1 or word_length_max < 1:
-        raise ValueError("window sizes must be >= 1")
-    reps = _suffix_run_representatives(spec, word_length_max)
+    reps = ["1" + "0" * k for k in range(word_length_max) if spec.tail_allows(k)]
+    reps += ["0" * k for k in range(1, word_length_max + 1) if spec.tail_allows(k)]
     if max_cells is not None and len(reps) * r_max > max_cells:
         raise SizeGuardError(
             f"{len(reps) * r_max} follower cells exceed the budget {max_cells}"
         )
-    counts = sgap_count_table(spec, r_max).counts
+    return reps, _follower_profiles(spec, reps, r_max)
 
+
+def _min_density(reps, profiles, counts, r_max: int) -> PropertyReport:
+    """Smallest follower density profile[r] / counts[r] for 1 <= r <= r_max,
+    the first one met in word order and then length order."""
     # Densities stay integer pairs compared by cross-multiplying, as in
     # bsm_estimate; None means no pair seen yet.
     best = best_at_half = None
     witness = None
     half = r_max // 2
-    for omega in reps:
-        profile = follower_profile(spec, omega, r_max)
+    for omega, profile in zip(reps, profiles):
         for r in range(1, r_max + 1):
             num, den = profile[r], counts[r]
             if best is None or num * best[1] < best[0] * den:
@@ -173,6 +152,25 @@ def balanced_estimate(
         verdict=VERDICT_DECAY if decayed else VERDICT_BALANCED,
         witness=witness,
     )
+
+
+def balanced_estimate(
+    spec: SGapSpec,
+    word_length_max: int,
+    r_max: int,
+    max_cells: int | None = None,
+) -> PropertyReport:
+    """Smallest observed follower density over suffix-run representatives.
+
+    The verdict flags decay when the running minimum drops by a factor of
+    4 or more between half depth and full depth; otherwise the data is
+    consistent with a uniform lower bound.
+    """
+    if r_max < 1 or word_length_max < 1:
+        raise ValueError("window sizes must be >= 1")
+    reps, profiles = _suffix_run_followers(spec, word_length_max, r_max, max_cells)
+    counts = sgap_count_table(spec, r_max).counts
+    return _min_density(reps, profiles, counts, r_max)
 
 
 def almost_specified_floor(table: BlockCountTable, gap_sup: int) -> Fraction:
@@ -223,31 +221,20 @@ def gibbs_diagnostics(
     """Level-n count ratios and cylinder cells for the gap shift."""
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    table = sgap_count_table(spec, depth)
     window = depth // 2
+    reps, profiles = _suffix_run_followers(spec, window, window, max_cells)
+    table = sgap_count_table(spec, depth)
 
     ratios = {n: 2.0 ** (n * h) / table.counts[n] for n in range(1, depth + 1)}
     c2 = bsm_estimate(table, window).k_estimate
-    c1 = balanced_estimate(spec, window, window, max_cells=max_cells).b_estimate
+    c1 = _min_density(reps, profiles, table.counts, window).b_estimate
 
+    # Sorted words give cells sorted by (omega, r, k): each word has one r.
     cells = []
-    reps = [w for w in _suffix_run_representatives(spec, window) if len(w) <= window]
-    for omega in sorted(reps):
+    for omega, profile in sorted(zip(reps, profiles)):
         r = len(omega)
-        profile = follower_profile(spec, omega, window)
+        lower, upper = c1 / table.counts[r], c2 / table.counts[r]
         for k in range(1, window + 1):
             mu = Fraction(profile[k], table.counts[r + k])
-            cells.append(
-                GibbsCell(
-                    omega=omega,
-                    r=r,
-                    k=k,
-                    mu_value=mu,
-                    lower=c1 / table.counts[r],
-                    upper=c2 / table.counts[r],
-                )
-            )
-            if max_cells is not None and len(cells) > max_cells:
-                raise SizeGuardError(f"cell budget {max_cells} exceeded")
-    cells.sort(key=lambda cell: (cell.omega, cell.r, cell.k))
+            cells.append(GibbsCell(omega, r, k, mu, lower, upper))
     return GibbsDiagnostics(ratios=ratios, finite_level_cells=cells, c1=c1, c2=c2)

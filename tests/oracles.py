@@ -14,6 +14,24 @@ from itertools import product
 
 from shiftlab.sgap import cofinite_gaps, explicit_gaps, periodic_gaps
 
+# Finite, cofinite and eventually periodic sets of the benchmark's shape,
+# plus the extremes of the run-class quotient: a single class (co{}), a
+# single state with no wrap ({0}) and a long period with no preperiod.
+QUOTIENT_SETS = [
+    "{0,1,3,4,7}",
+    "{1,2,4,6,9,11}",
+    "{0,2,5,8}",
+    "co{0}",
+    "co{1,3}",
+    "co{2,4,5}",
+    "ep:pre=;pat=0,0,1",
+    "ep:pre=1;pat=1,1,0",
+    "ep:pre=0,1,0;pat=1,0,1",
+    "co{}",
+    "{0}",
+    "ep:pre=;pat=" + ",".join(["0"] * 49 + ["1"]),
+]
+
 
 def tail_ok(spec, k: int) -> bool:
     return (not spec.is_finite()) or spec.max_element() >= k

@@ -408,5 +408,7 @@ def test_flags_reflect_switch_membership(lam, frac):
     x = frac * ctx.interval_right
     prefix = greedy_expansion(x, ctx, 40)
     points = (x,) + prefix.orbit[:-1]
+    tol = ctx.membership_tol
     for y, flag in zip(points, prefix.flags):
-        assert (flag in (SWITCH, AMBIGUOUS)) == ctx.in_switch_region(y)
+        in_switch = ctx.switch_lo - tol <= y <= ctx.switch_hi + tol
+        assert (flag in (SWITCH, AMBIGUOUS)) == in_switch

@@ -5,12 +5,10 @@ import pytest
 from shiftlab.blocks import (
     EmptyShiftError,
     InadmissibleWordError,
-    SizeGuardError,
     automaton_count_table,
     build_sft_automaton,
     count_blocks_automaton,
     count_blocks_sgap,
-    enumerate_blocks_sgap,
     even_shift_automaton,
     follower_count,
     follower_profile,
@@ -22,24 +20,6 @@ from shiftlab.sgap import parse_sgap_spec
 import oracles
 
 EX31_FORBIDDEN = ["ac", "ad", "bd", "ca", "cb", "da", "db"]
-
-# Finite, cofinite and eventually periodic sets of the benchmark's shape,
-# plus the extremes of the run-class quotient: a single class (co{}), a
-# single state with no wrap ({0}) and a long period with no preperiod.
-QUOTIENT_SETS = [
-    "{0,1,3,4,7}",
-    "{1,2,4,6,9,11}",
-    "{0,2,5,8}",
-    "co{0}",
-    "co{1,3}",
-    "co{2,4,5}",
-    "ep:pre=;pat=0,0,1",
-    "ep:pre=1;pat=1,1,0",
-    "ep:pre=0,1,0;pat=1,0,1",
-    "co{}",
-    "{0}",
-    "ep:pre=;pat=" + ",".join(["0"] * 49 + ["1"]),
-]
 
 
 def test_count_single_zero_gap():
@@ -60,14 +40,10 @@ def test_count_gap_one():
 
 
 def test_enumerate_examples():
-    assert enumerate_blocks_sgap(parse_sgap_spec("{1}"), 2) == ["01", "10"]
-    assert enumerate_blocks_sgap(parse_sgap_spec("{0}"), 1) == ["1"]
-    assert enumerate_blocks_sgap(parse_sgap_spec("co{}"), 2) == ["00", "01", "10", "11"]
-
-
-def test_enumerate_guard():
-    with pytest.raises(SizeGuardError):
-        enumerate_blocks_sgap(parse_sgap_spec("co{}"), 23)
+    assert oracles.brute_words_sgap(parse_sgap_spec("{1}"), 2) == ["01", "10"]
+    assert oracles.brute_words_sgap(parse_sgap_spec("{0}"), 1) == ["1"]
+    full = parse_sgap_spec("co{}")
+    assert oracles.brute_words_sgap(full, 2) == ["00", "01", "10", "11"]
 
 
 def test_follower_examples():
@@ -101,7 +77,7 @@ def test_follower_requires_admissible_word():
 def test_oracle_equivalence_small(corpus):
     for spec in corpus:
         for n in range(1, 11):
-            assert count_blocks_sgap(spec, n) == len(enumerate_blocks_sgap(spec, n))
+            assert count_blocks_sgap(spec, n) == len(oracles.brute_words_sgap(spec, n))
 
 
 def test_submultiplicativity(corpus):
@@ -120,12 +96,12 @@ def test_follower_decomposition(corpus):
             for n in (1, 4, 8):
                 total = sum(
                     follower_count(spec, omega, n)
-                    for omega in enumerate_blocks_sgap(spec, m)
+                    for omega in oracles.brute_words_sgap(spec, m)
                 )
                 assert total == counts[m + n]
 
 
-@pytest.mark.parametrize("text", QUOTIENT_SETS)
+@pytest.mark.parametrize("text", oracles.QUOTIENT_SETS)
 def test_count_table_matches_unbounded_dp(text):
     spec = parse_sgap_spec(text)
     reference = oracles.run_length_counts(spec, 600)
@@ -133,7 +109,7 @@ def test_count_table_matches_unbounded_dp(text):
     assert [counts[n] for n in range(1, 601)] == reference[1:]
 
 
-@pytest.mark.parametrize("text", QUOTIENT_SETS)
+@pytest.mark.parametrize("text", oracles.QUOTIENT_SETS)
 def test_follower_profile_matches_unbounded_dp(text):
     # Start runs on both sides of the preperiod and past two full periods,
     # where the DP folds the run before the first step.
@@ -149,6 +125,28 @@ def test_follower_profile_matches_unbounded_dp(text):
             assert follower_profile(spec, omega, 120) == reference, (text, omega)
             checked += 1
     assert checked >= 1
+
+
+def test_follower_profile_dead_starts():
+    # An inadmissible word keeps only the empty extension of an all-zero
+    # word; after a one, a run no member reaches has no extension at all.
+    spec = parse_sgap_spec("{0,2,5}")
+    assert follower_profile(spec, "0" * 6, 9) == [1] + [0] * 9
+    assert follower_profile(spec, "0" * 40, 9) == [1] + [0] * 9
+    assert follower_profile(spec, "1" + "0" * 6, 9) == [0] * 10
+    assert follower_profile(spec, "01" + "0" * 40, 9) == [0] * 10
+    assert follower_profile(spec, "0" * 5, 3) == oracles.run_length_counts(
+        spec, 3, prefix="0" * 5
+    )
+
+
+def test_count_sparse_finite_set_of_huge_maximum():
+    # Below the larger member only runs of ones occur: 0^a 1^b 0^c with
+    # b >= 1, or the all-zero word.
+    spec = parse_sgap_spec("{0,1000000}")
+    counts = sgap_count_table(spec, 1419).counts
+    assert all(counts[n] == n * (n + 1) // 2 + 1 for n in range(1, 1420))
+    assert count_blocks_sgap(spec, 1419) == 1419 * 1420 // 2 + 1
 
 
 def test_build_sft_four_letter_example():

@@ -7,7 +7,6 @@ from shiftlab.blocks import (
     automaton_count_table,
     build_sft_automaton,
     even_shift_automaton,
-    follower_count,
     sgap_count_table,
 )
 from shiftlab.entropy import solve_sgap_entropy
@@ -22,6 +21,8 @@ from shiftlab.props import (
     gibbs_diagnostics,
 )
 from shiftlab.sgap import classify, parse_sgap_spec
+
+import oracles
 
 DOUBLING = "{0,1,2,4,8,16,32}"
 
@@ -190,9 +191,29 @@ def test_gibbs_cell_values_match_follower_counts():
     spec = parse_sgap_spec("{0,2,5}")
     h = solve_sgap_entropy(spec, tol=1e-10).entropy
     diag = gibbs_diagnostics(spec, h, 10)
-    counts = sgap_count_table(spec, 10).counts
+    counts = oracles.run_length_counts(spec, 10)
     for cell in diag.finite_level_cells[:40]:
-        expected = Fraction(
-            follower_count(spec, cell.omega, cell.k), counts[cell.r + cell.k]
-        )
+        followers = oracles.run_length_counts(spec, cell.k, prefix=cell.omega)
+        expected = Fraction(followers[cell.k], counts[cell.r + cell.k])
         assert cell.mu_value == expected
+
+
+@pytest.mark.parametrize("text", oracles.QUOTIENT_SETS)
+def test_balanced_minimum_matches_unbounded_dp(text):
+    # Every suffix-run representative within the window, its density at
+    # every length, the first minimum in representative then length order.
+    spec = parse_sgap_spec(text)
+    word_max, r_max = 56, 12
+    reps = ["1" + "0" * k for k in range(word_max)]
+    reps += ["0" * k for k in range(1, word_max + 1)]
+    counts = oracles.run_length_counts(spec, r_max)
+    cells = []
+    for omega in reps:
+        if not oracles.sgap_word_ok(spec, omega):
+            continue
+        followers = oracles.run_length_counts(spec, r_max, prefix=omega)
+        for r in range(1, r_max + 1):
+            cells.append((Fraction(followers[r], counts[r]), (omega, r)))
+    density, witness = min(cells, key=lambda cell: cell[0])
+    rep = balanced_estimate(spec, word_max, r_max)
+    assert (rep.b_estimate, rep.witness) == (density, witness)
