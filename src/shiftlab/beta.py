@@ -316,12 +316,12 @@ def komornik_loreti_constant(tol: float = 1e-12) -> float:
         raise ArithmeticError("failed to bracket the constant in [1.5, 2]")
     while hi - lo > tol / 2:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent doubles
+            break
         if series(mid) > 1.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-16:
-            break
     return 0.5 * (lo + hi)
 
 

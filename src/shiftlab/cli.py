@@ -5,11 +5,17 @@ Exit codes: 0 success, 2 usage or parse failure, 3 numeric failure,
 flag configuration and contain no timestamps, so identical invocations
 produce byte-identical output.  The environment variable SHIFTLAB_MAX_CELLS
 caps enumeration budgets (tree leaves, follower cells).
+
+The argument parser is built once per process, on the first main() call, and
+reused by every later call; main() looks up the cmd_* handler of the chosen
+subcommand by name each time, so rebinding a handler takes effect at once.
+Argument errors are usage errors like any other: one line and exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -90,7 +96,7 @@ def _emit(args, report: dict, to_csv: Callable[[], str] | None = None) -> None:
 
 
 def _report(command: str, config: dict, result: dict) -> dict:
-    clean = {k: v for k, v in config.items() if v is not None and k not in ("func",)}
+    clean = {k: v for k, v in config.items() if v is not None}
     return {
         "tool": "shiftlab",
         "version": __version__,
@@ -257,12 +263,20 @@ def cmd_bridge(args) -> None:
 
 
 def _config(args) -> dict:
-    skip = {"func", "command"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+    return {k: v for k, v in vars(args).items() if k != "command"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports errors as SpecSyntaxError, not by
+    printing its usage and exiting; subparsers are built from this class."""
+
+    def error(self, message):
+        raise sgap.SpecSyntaxError(message)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shiftlab",
         description="gap-shift combinatorics, entropy, and expansion reports",
     )
@@ -276,12 +290,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", required=True)
     p.add_argument("--tol", type=float, default=1e-10)
     common(p)
-    p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("classify", help="finite-type/mixing/specification predicates")
     p.add_argument("--s", required=True)
     common(p)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("blocks", help="exact block counts up to a length")
     p.add_argument("--s")
@@ -290,7 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--even-shift", action="store_true")
     p.add_argument("--n", type=int, required=True)
     common(p)
-    p.set_defaults(func=cmd_blocks)
 
     p = sub.add_parser("check-bsm", help="supermultiplicativity constant estimate")
     p.add_argument("--s")
@@ -299,21 +310,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--even-shift", action="store_true")
     p.add_argument("--depth", type=int, required=True)
     common(p)
-    p.set_defaults(func=cmd_check_bsm)
 
     p = sub.add_parser("check-balanced", help="follower-density lower estimate")
     p.add_argument("--s", required=True)
     p.add_argument("--word-max", type=int, default=16)
     p.add_argument("--r-max", type=int, default=10)
     common(p)
-    p.set_defaults(func=cmd_check_balanced)
 
     p = sub.add_parser("gibbs", help="finite-level cylinder-measure diagnostics")
     p.add_argument("--s", required=True)
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--tol", type=float, default=1e-10)
     common(p)
-    p.set_defaults(func=cmd_gibbs)
 
     p = sub.add_parser("expand", help="greedy or lazy expansion of a point")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -322,7 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=32)
     p.add_argument("--tol", type=float, default=1e-12)
     common(p)
-    p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("enumerate-one", help="digit tree of the expansions of 1")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -330,12 +337,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-leaves", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-12)
     common(p)
-    p.set_defaults(func=cmd_enumerate_one)
 
     p = sub.add_parser("kl", help="smallest base with a unique expansion of 1")
     p.add_argument("--tol", type=float, default=1e-10)
     common(p)
-    p.set_defaults(func=cmd_kl)
 
     p = sub.add_parser("bridge", help="digit words <-> gap sets, with entropy")
     p.add_argument("--digits")
@@ -345,18 +350,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int)
     p.add_argument("--tol", type=float, default=1e-10)
     common(p)
-    p.set_defaults(func=cmd_bridge)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if not math.isfinite(getattr(args, "tol", 0.0)):
             raise ValueError(f"--tol must be finite, got {args.tol}")
-        args.func(args)
+        globals()["cmd_" + args.command.replace("-", "_")](args)
         return 0
     except (sgap.SpecSyntaxError, sgap.EmptySetError) as exc:
         print(f"shiftlab: {exc}", file=sys.stderr)

@@ -189,6 +189,8 @@ def _shrink_lower_bracket(members, start: float) -> float:
 def _truncation_depth(lo: float, tol: float) -> int:
     """Smallest depth N with lo**-N / (lo - 1) below tol / 10."""
     target = tol / 10.0 * (lo - 1.0)
+    if target == 0.0:
+        raise EntropySolveError(f"tolerance {tol:.3e} underflows the truncation bound")
     depth = max(8, math.ceil(-math.log(target) / math.log(lo)) + 1)
     if depth > _MAX_TRUNCATION:
         raise EntropySolveError("truncation depth exceeds budget; root too close to 1")

@@ -1,11 +1,14 @@
+import contextlib
+import io
 import json
 import math
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from shiftlab.cli import main
+from shiftlab.cli import _build_parser, main
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -47,6 +50,9 @@ def test_entropy_parse_error_exit_code(capsys):
 def test_entropy_numeric_failure_exit_code(capsys):
     # An uncertifiable tolerance must surface as a numeric failure.
     code, _ = run(capsys, "entropy", "--s", "{0,1}", "--tol", "1e-30")
+    assert code == 3
+    # tol / 10 underflows to zero in the truncation bound of an infinite set.
+    code, _ = run(capsys, "entropy", "--s", "ep:pre=1;pat=1,0", "--tol", "5e-324")
     assert code == 3
 
 
@@ -264,3 +270,196 @@ def test_every_command_validates_against_schema(capsys, schema):
         jsonschema.validate(report, schema)
         assert report["command"] == argv[0]
         assert report["version"]
+
+
+def call(argv):
+    """Exit code, stdout and stderr of one in-process main() call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_line_failure(out, err):
+    assert out == ""
+    assert err.startswith("shiftlab: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["blocks", "--n", "x"],
+        ["frobnicate"],
+        ["entropy"],
+        [],
+        ["kl", "--bogus", "1"],
+        ["expand", "--lambda", "1.5", "--x", "0.5", "--mode", "sideways"],
+    ],
+)
+def test_argument_errors_are_one_line_usage_errors(argv):
+    code, out, err = call(argv)
+    assert code == 2
+    assert_one_line_failure(out, err)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["blocks", "--help"]])
+def test_help_still_prints_and_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: shiftlab")
+
+
+@pytest.mark.parametrize("tol", ["4e-16", "1e-16", "1e-300"])
+def test_kl_tolerance_below_double_spacing_terminates(capsys, tol):
+    reference = run_json(capsys, "kl", "--tol", "1e-15")["result"]["lambda_kl"]
+    lam = run_json(capsys, "kl", "--tol", tol)["result"]["lambda_kl"]
+    assert abs(lam - reference) <= 1e-15
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_repeated_calls_in_one_process_are_identical():
+    sequence = [
+        ["entropy", "--s", "co{0}"],
+        ["blocks", "--n", "x"],
+        ["classify", "--s", "{0,2,5}"],
+        ["frobnicate"],
+        ["blocks", "--s", "co{}", "--n", "4"],
+        ["blocks", "--s", "co{}", "--n", "4", "--format", "csv"],
+        ["entropy", "--s", "{0,1}", "--tol", "1e-30"],
+        ["check-bsm", "--even-shift", "--depth", "6"],
+        [],
+        ["check-balanced", "--s", "{0,1}", "--word-max", "8", "--r-max", "6"],
+        ["classify", "--s", "{0,1000000000}"],
+        ["gibbs", "--s", "co{0}", "--depth", "8"],
+        ["gibbs", "--s", "co{0}", "--depth", "8", "--format", "csv"],
+        ["entropy"],
+        ["expand", "--lambda", "1.8", "--x", "1.0", "--depth", "8"],
+        ["enumerate-one", "--lambda", str(PHI), "--depth", "10", "--max-leaves", "2"],
+        ["enumerate-one", "--lambda", str(PHI), "--depth", "8"],
+        ["kl", "--tol", "1e-6"],
+        ["kl", "--format", "csv"],
+        ["bridge", "--digits", "1101"],
+    ]
+    first = [call(argv) for argv in sequence]
+    assert {code for code, _, _ in first} == {0, 2, 3, 4}
+    assert [call(argv) for argv in sequence] == first
+
+
+def test_handler_rebinding_takes_effect_after_first_call(monkeypatch):
+    assert call(["kl", "--tol", "1e-6"])[0] == 0
+    seen = []
+    monkeypatch.setattr("shiftlab.cli.cmd_kl", seen.append)
+    assert call(["kl", "--tol", "1e-6"]) == (0, "", "")
+    assert [args.tol for args in seen] == [1e-6]
+
+
+# For each subcommand, the sets of flags that make a complete request.
+FUZZ_FORMS = {
+    "entropy": [("--s", "--tol")],
+    "classify": [("--s",)],
+    "blocks": [("--s", "--n"), ("--sft", "--alphabet", "--n"), ("--even-shift", "--n")],
+    "check-bsm": [
+        ("--s", "--depth"), ("--sft", "--alphabet", "--depth"), ("--even-shift", "--depth"),
+    ],
+    "check-balanced": [("--s", "--word-max", "--r-max")],
+    "gibbs": [("--s", "--depth", "--tol")],
+    "expand": [("--lambda", "--x", "--mode", "--depth", "--tol")],
+    "enumerate-one": [("--lambda", "--depth", "--max-leaves", "--tol")],
+    "kl": [("--tol",)],
+    "bridge": [
+        ("--digits", "--length", "--tol"), ("--pre", "--pat", "--tol"), ("--s", "--length"),
+    ],
+}
+
+
+def _mostly(good, bad):
+    """Values from good nine times in ten, from bad otherwise."""
+    return st.integers(0, 9).flatmap(lambda i: bad if i == 0 else good)
+
+
+_BAD_NUMBERS = st.sampled_from(["x", "", "1.5", "nan", "inf", "-inf", "1e309"])
+# --n and --depth have no budget yet, so sizes stay small to bound the runtime.
+_SIZE = _mostly(st.integers(1, 14).map(str), st.integers(-3, 0).map(str) | _BAD_NUMBERS)
+_TOL = _mostly(
+    st.sampled_from(["1e-6", "1e-10", "1e-12", "1e-15", "1e-16", "1e-300", "5e-324"]),
+    st.sampled_from(["0", "-1"]) | st.floats().map(repr) | _BAD_NUMBERS,
+)
+_ANY_REAL = st.floats(allow_nan=True, allow_infinity=True).map(repr) | _BAD_NUMBERS
+_BASE = _mostly(st.floats(1.0, 2.2).map(repr), _ANY_REAL)
+_POINT = _mostly(st.floats(0.0, 3.0).map(repr), _ANY_REAL)
+_WORD = _mostly(st.text(alphabet="01", max_size=8), st.text(alphabet="012x", max_size=8))
+FUZZ_VALUES = {
+    "--s": _mostly(
+        st.sampled_from(
+            ["{0}", "{0,1}", "{0,2,5}", "co{}", "co{0}", "co{3}", "ep:pre=;pat=0,1",
+             "ep:pre=1;pat=1,0", "ep:pre=;pat=0", "{0,1000000000}"]
+        ),
+        st.text(alphabet="{}co0123,;:=-ep x", max_size=14),
+    ),
+    "--sft": st.sampled_from(["ac,ad,bd,ca,cb,da,db", "00,01,10,11", "11", "", ",", "z"]),
+    "--alphabet": st.sampled_from(["abcd", "01", "", "a"]),
+    "--even-shift": st.none(),
+    "--n": _SIZE,
+    "--depth": _SIZE,
+    "--word-max": _SIZE,
+    "--r-max": _SIZE,
+    "--length": _SIZE,
+    "--max-leaves": _SIZE,
+    "--tol": _TOL,
+    "--lambda": _BASE,
+    "--x": _POINT,
+    "--mode": _mostly(st.sampled_from(["greedy", "lazy"]), st.just("sideways")),
+    "--digits": _WORD,
+    "--pre": _WORD,
+    "--pat": _WORD,
+    "--format": _mostly(st.sampled_from(["json", "csv"]), st.just("xml")),
+    "--out": st.just("no-such-dir/report.json"),
+    "--bogus": st.just("1"),
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A request of one of FUZZ_FORMS, one time in ten missing a flag or with
+    up to two more flags of any subcommand."""
+    command = draw(st.sampled_from(sorted(FUZZ_FORMS)))
+    form = draw(st.sampled_from(FUZZ_FORMS[command]))
+    flags = [flag for flag in form if draw(_mostly(st.just(True), st.just(False)))]
+    if draw(st.booleans()):
+        flags.append("--format")
+    extra = st.lists(st.sampled_from(sorted(FUZZ_VALUES)), min_size=1, max_size=2)
+    flags += draw(_mostly(st.just([]), extra))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        value = draw(FUZZ_VALUES[flag])
+        if value is None:
+            argv.append(flag)
+        elif value.startswith("-"):
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_argvs())
+def test_fuzz_cli_contract(schema, argv):
+    code, out, err = call(argv)
+    assert code in (0, 2, 3, 4), (argv, err)
+    if code != 0:
+        assert_one_line_failure(out, err)
+        return
+    assert err == ""
+    formats = [argv[i + 1] for i, a in enumerate(argv) if a == "--format"]
+    if formats and formats[-1] == "csv":
+        assert out.endswith("\n") and "," in out.splitlines()[0]
+    else:
+        jsonschema.validate(json.loads(out, parse_constant=_reject_constant), schema)
