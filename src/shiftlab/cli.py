@@ -132,10 +132,28 @@ def _require_positive(flag: str, value: int) -> None:
         raise ValueError(f"{flag} must be >= 1, got {value}")
 
 
+def _require_printable(flag: str, value: int, what: str, numbers) -> None:
+    """Refuse, as a budget failure, an integer longer than the interpreter's
+    limit for converting integers to text (sys.get_int_max_str_digits(),
+    0 for none).  The limit is process-wide and belongs to whoever runs
+    the interpreter, so it is read here and never changed."""
+    limit = sys.get_int_max_str_digits()
+    top = max(numbers, key=int.bit_length)
+    # A b-bit integer has at most b * log10(2) + 1 decimal digits.
+    if limit == 0 or top.bit_length() * 0.30103 < limit - 1:
+        return
+    if abs(top) >= 10**limit:
+        raise blocks.SizeGuardError(
+            f"{flag} {value} gives a {what} of {top.bit_length()} bits, more than "
+            f"the {limit} decimal digits the interpreter converts to text"
+        )
+
+
 def cmd_blocks(args) -> None:
     _require_positive("--n", args.n)
     kind, source = _spec_source(args)
     table = _count_table(kind, source, args.n)
+    _require_printable("--n", args.n, "count", table.counts.values())
     result = {
         "n": args.n,
         "counts": {str(n): c for n, c in sorted(table.counts.items())},
@@ -155,6 +173,8 @@ def cmd_check_bsm(args) -> None:
     kind, source = _spec_source(args)
     table = _count_table(kind, source, 2 * args.depth)
     report = props.bsm_estimate(table, args.depth)
+    k = report.k_estimate
+    _require_printable("--depth", args.depth, "K_estimate part", (k.numerator, k.denominator))
     _emit(args, _report("check-bsm", _config(args), report.to_report()))
 
 

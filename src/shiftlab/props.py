@@ -9,12 +9,24 @@ it is at least 1 because factor languages are submultiplicative.
 B_estimate is the smallest observed follower density
 |followers(omega, r)| / counts(r); it lies in (0, 1] because an admissible
 word always has at least one admissible continuation.
+
+bsm_estimate takes log2 of every count once and, before forming any
+big-integer product, scores each pair (m, n) by the float
+log2 counts(m) + log2 counts(n) - log2 counts(m + n).  Pairs scoring below
+the best score so far minus twice a margin of (1 + max log2 count) * 2**-44
+are strictly worse than the best and are skipped, whole rows at a time;
+the rest are compared exactly.  The margin is proven larger than the float
+error of the scores (see the comment in bsm_estimate), so K, the witness
+and the verdict are those of the full exact search.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import le, sub
 
 from .blocks import (
     BlockCountTable,
@@ -22,6 +34,9 @@ from .blocks import (
     _follower_profiles,
     sgap_count_table,
 )
+# A private name, so the benchmark tracer (which wraps public names) charges
+# the 2 * depth calls per bsm_estimate to bsm_estimate itself.
+from .entropy import log2_int as _log2_int
 from .sgap import SGapSpec
 
 VERDICT_BSM = "ConsistentWithBSM"
@@ -70,6 +85,25 @@ def bsm_estimate(table: BlockCountTable, depth: int) -> PropertyReport:
     if not all(counts[n] for n in range(2, 2 * depth + 1)):
         raise ZeroDivisionError("block count of zero in the table")
 
+    # Pair (m, d) scores L[m] - L[m + d] + L[d], a float log2 of its ratio;
+    # a pair scoring below cut is strictly worse than the best so far, and
+    # the strict test below would never let it replace the best.
+    #
+    # Why.  Let B = 1 + max(L) and let s, s* be the exact log2 ratios of a
+    # pair and of the best.  Each L[n] = log2_int(counts[n]) is within
+    # 6 * B * 2**-52 of log2 counts[n]: at most 2**-52 from rounding the
+    # count (or its top 64 bits, 2**-62 more) to a double, 4 ulp allowed for
+    # libm's log2 (common libms stay within 1) and half an ulp for adding
+    # the shift, where an ulp of a value below B is at most B * 2**-52.
+    # Every float below is a sum of at most three L values and 2 * margin,
+    # so at most 3 * B in size, and each of the five roundings (row entry,
+    # best_score twice, cut, floor) moves it by at most 1.5 * B * 2**-52.
+    # So row[m - 1] < floor gives s < s* - 2 * margin + 43.5 * B * 2**-52,
+    # and 2 * margin = B * 2**-43 > 43.5 * B * 2**-52 gives s < s*.
+    logs = [0.0] + [_log2_int(counts[n]) for n in range(1, 2 * depth + 1)]
+    margin = (1.0 + max(logs)) * 2.0**-44
+    cut = best_score = -math.inf
+
     # Ratios stay integer pairs (numerator, denominator) compared by
     # cross-multiplying; only the extrema become Fractions.
     best_num, best_den = 0, 1
@@ -77,11 +111,17 @@ def bsm_estimate(table: BlockCountTable, depth: int) -> PropertyReport:
     anchor_depth = max(1, (3 * depth) // 4)
     anchor = (0, 1)
     for d in range(1, depth + 1):
-        # Pairs with max(m, n) == d extend the previous depth's maximum.
-        for m in range(1, d + 1):
-            num, den = counts[m] * counts[d], counts[m + d]
-            if num * best_den > best_num * den:
-                best_num, best_den, witness = num, den, (m, d)
+        # Pairs with max(m, n) == d extend the previous depth's maximum;
+        # row[m - 1] = L[m] - L[m + d], compared with cut - L[d].
+        row = list(map(sub, logs[1 : d + 1], logs[d + 1 : 2 * d + 1]))
+        floor = cut - logs[d]
+        if max(row) >= floor:
+            for m in compress(range(1, d + 1), map(le, repeat(floor), row)):
+                num, den = counts[m] * counts[d], counts[m + d]
+                if num * best_den > best_num * den:
+                    best_num, best_den, witness = num, den, (m, d)
+                    best_score = row[m - 1] + logs[d]
+            cut = best_score - 2 * margin
         if d == anchor_depth:
             anchor = (best_num, best_den)
 
@@ -173,14 +213,18 @@ def balanced_estimate(
     return _min_density(reps, profiles, counts, r_max)
 
 
-def almost_specified_floor(table: BlockCountTable, gap_sup: int) -> Fraction:
+def almost_specified_floor(table: BlockCountTable, connector_max: int) -> Fraction:
     """Connector-based lower bound for follower densities.
 
-    For a shift with connector length at most N between any two words, the
-    follower density is at least 1 / (1 + counts(1) + ... + counts(N)).
+    For a shift in which any two words u, w have a connector v with
+    |v| <= N and uvw admissible, the follower density is at least
+    1 / (1 + counts(1) + ... + counts(N)); pass that N as connector_max.
+    The bound holds only for a true connector bound: the gap supremum is
+    not one, since in the shift of {3,10} (gap supremum 7) the shortest
+    connector from 10000 to 0^9 1 is 00000010, of length 8.
     """
-    table.require(gap_sup)
-    return Fraction(1, 1 + sum(table.counts[j] for j in range(1, gap_sup + 1)))
+    table.require(connector_max)
+    return Fraction(1, 1 + sum(table.counts[j] for j in range(1, connector_max + 1)))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,11 @@ import pytest
 from shiftlab import parse_sgap_spec
 
 # Shared reference descriptions: bounded gaps throughout, a mix of finite,
-# cofinite, and eventually periodic forms.  The connector-bound assertions
-# (almost-specified floor with N = gap_sup) were verified to hold for every
-# member before freezing.
+# cofinite, and eventually periodic forms.  The tests compare follower
+# densities with the almost-specified floor taken at N = gap_sup.  That is
+# an observation about these members, not a theorem: gap_sup is not a bound
+# on connector lengths ({3,10} needs a connector of length 8, see
+# test_gap_sup_is_not_a_connector_bound).
 CORPUS_STRINGS = [
     "{0}",
     "{0,1}",

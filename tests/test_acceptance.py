@@ -33,7 +33,12 @@ from shiftlab.entropy import (
     entropy_slope_diagnostic,
     solve_sgap_entropy,
 )
-from shiftlab.props import VERDICT_DECAY, almost_specified_floor, balanced_estimate
+from shiftlab.props import (
+    VERDICT_DECAY,
+    almost_specified_floor,
+    balanced_estimate,
+    bsm_estimate,
+)
 from shiftlab.sgap import classify, parse_sgap_spec
 
 import oracles
@@ -72,6 +77,17 @@ def test_criterion_2_even_shift_bsm_bound():
                 assert counts[m] * counts[n] <= 4 * counts[m + n]
 
     _gate("2 even-shift K=4 bound", 1.0, body)
+
+
+def test_criterion_2b_deep_bsm_search():
+    # About 4.5 million pairs of counts up to 4166 bits; the float bound
+    # sends few of them to the exact integer test.
+    def body():
+        table = sgap_count_table(parse_sgap_spec("co{0}"), 6000)
+        rep = bsm_estimate(table, 3000)
+        assert rep.witness == (1, 1) and rep.k_estimate == Fraction(4, 3)
+
+    _gate("2b deep BSM search", 5.0, body)
 
 
 def test_criterion_3_golden_entropy_and_slope():

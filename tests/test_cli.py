@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 from importlib import resources
 
 import jsonschema
@@ -283,6 +284,40 @@ def call(argv):
 def assert_one_line_failure(out, err):
     assert out == ""
     assert err.startswith("shiftlab: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_count_past_int_to_text_limit_is_a_budget_error(fmt):
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        pytest.skip("this interpreter converts integers of any length")
+    # co{} counts 2**n, which has limit + 1 digits at this n.
+    n = math.ceil(limit * math.log2(10))
+    code, out, err = call(["blocks", "--s", "co{}", "--n", str(n), "--format", fmt])
+    assert code == 4
+    assert_one_line_failure(out, err)
+    assert err.startswith(f"shiftlab: budget exceeded: --n {n} gives a count of ")
+
+
+@pytest.mark.parametrize(
+    "limit, argv, code",
+    [
+        (4, ["blocks", "--s", "co{}", "--n", "13"], 0),  # 2**13 = 8192
+        (4, ["blocks", "--s", "co{}", "--n", "14"], 4),  # 2**14 = 16384
+        (0, ["blocks", "--s", "co{}", "--n", "14"], 0),  # 0: no limit
+        (4, ["check-bsm", "--even-shift", "--depth", "10"], 0),  # 3364/1791
+        (3, ["check-bsm", "--even-shift", "--depth", "10"], 4),
+    ],
+)
+def test_int_to_text_limit_boundary(monkeypatch, limit, argv, code):
+    # The limit is read, never set, so a patched reader stands in for an
+    # interpreter started with a lower one.
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+    got, out, err = call(argv)
+    assert got == code
+    if code:
+        assert_one_line_failure(out, err)
+        assert f"{argv[-2]} {argv[-1]} gives a " in err
 
 
 @pytest.mark.parametrize(

@@ -1,15 +1,17 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from shiftlab.blocks import (
+    BlockCountTable,
     automaton_count_table,
     build_sft_automaton,
     even_shift_automaton,
     sgap_count_table,
 )
-from shiftlab.entropy import solve_sgap_entropy
+from shiftlab.entropy import log2_int, solve_sgap_entropy
 from shiftlab.props import (
     VERDICT_BALANCED,
     VERDICT_BSM,
@@ -23,8 +25,25 @@ from shiftlab.props import (
 from shiftlab.sgap import classify, parse_sgap_spec
 
 import oracles
+from conftest import CORPUS_STRINGS
 
 DOUBLING = "{0,1,2,4,8,16,32}"
+# The four automata of the benchmark's count tables.
+BSM_AUTOMATA = {
+    "even": even_shift_automaton,
+    "golden": lambda: build_sft_automaton("01", ["11"]),
+    "sft3": lambda: build_sft_automaton("abc", ["aa", "bc"]),
+    "sft4": lambda: build_sft_automaton("abcd", ["ac", "ad", "bd", "ca", "cb", "da", "db"]),
+}
+# Every pair ties (co{}), or the ratios climb to their supremum, so many
+# pairs score within the float margin of the best and reach the exact test.
+BSM_TIE_SETS = ["ep:pre=;pat=0,0,1", "ep:pre=;pat=1,0", "ep:pre=1;pat=1,1,0"]
+BSM_SOURCES = (
+    CORPUS_STRINGS
+    + [spec.render() for spec in oracles.random_specs(6, 4177)]
+    + BSM_TIE_SETS
+    + list(BSM_AUTOMATA)
+)
 
 
 def test_bsm_full_shift_is_exactly_one():
@@ -69,6 +88,37 @@ def test_bsm_maximising_pair_identity(corpus):
         assert rep.k_estimate >= 1
 
 
+@pytest.mark.parametrize("source", BSM_SOURCES)
+def test_bsm_matches_reference(source):
+    # K, witness and verdict equal the plain Fraction maximum at every depth
+    # up to 40 and at 300, where the counts run to hundreds of bits.
+    if source in BSM_AUTOMATA:
+        table = automaton_count_table(BSM_AUTOMATA[source](), 600)
+    else:
+        table = sgap_count_table(parse_sgap_spec(source), 600)
+    for depth in [*range(1, 41), 300]:
+        rep = bsm_estimate(table, depth)
+        got = (rep.k_estimate, rep.witness, rep.verdict)
+        assert got == oracles.bsm_reference(table.counts, depth), depth
+
+
+def test_bsm_margin_covers_float_rounding():
+    # log2 c2 rounds down and log2 c3 up, so the float score of (1, 2) falls
+    # below that of (1, 1) although its ratio is larger: only the margin
+    # keeps the true maximum in the exact test.
+    c1 = 1 << 100
+    c2 = (1 << 150) + int(0.9 * math.log(2) * 2**104)
+    c3 = (c2 * c2 - 1) >> 100  # the largest c3 with c2 / c3 > c1 / c2
+    table = BlockCountTable({1: c1, 2: c2, 3: c3, 4: 1 << 400})
+    logs = {n: log2_int(c) for n, c in table.counts.items()}
+    assert logs[1] - logs[3] + logs[2] < 2 * logs[1] - logs[2]
+    rep = bsm_estimate(table, 2)
+    assert rep.witness == (1, 2)
+    assert (rep.k_estimate, rep.witness, rep.verdict) == oracles.bsm_reference(
+        table.counts, 2
+    )
+
+
 def test_balanced_full_shift():
     rep = balanced_estimate(parse_sgap_spec("co{}"), 10, 8)
     assert rep.b_estimate == 1 and rep.verdict == VERDICT_BALANCED
@@ -102,6 +152,21 @@ def test_connector_floor_across_corpus(corpus):
             floor = almost_specified_floor(sgap_count_table(spec, gap_sup), gap_sup)
         rep = balanced_estimate(spec, max(12, gap_sup + 2), 10)
         assert rep.b_estimate >= floor, spec
+
+
+def test_gap_sup_is_not_a_connector_bound():
+    # The corpus floors above take N = gap_sup; that is no theorem.
+    spec = parse_sgap_spec("{3,10}")
+    assert classify(spec).gap_sup == 7
+    u, w = "10000", "0" * 9 + "1"
+    assert oracles.sgap_word_ok(spec, u) and oracles.sgap_word_ok(spec, w)
+    connectors = [
+        "".join(bits)
+        for k in range(9)
+        for bits in product("01", repeat=k)
+        if oracles.sgap_word_ok(spec, u + "".join(bits) + w)
+    ]
+    assert connectors == ["00000010"]
 
 
 def test_k_bounded_by_inverse_b(corpus):
