@@ -195,7 +195,7 @@ def cmd_gibbs(args) -> None:
         "c1": str(diag.c1),
         "c2": str(diag.c2),
         "ratios": {str(n): r for n, r in sorted(diag.ratios.items())},
-        "cell_count": len(diag.finite_level_cells),
+        "cell_count": diag.cell_count,
         "all_cells_pass": diag.all_cells_pass(),
     }
 

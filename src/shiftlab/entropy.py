@@ -27,6 +27,7 @@ from .sgap import SGapSpec
 DEFAULT_TOL = 1e-10
 _MAX_TRUNCATION = 2_000_000
 _MAX_BISECTIONS = 300
+_MIN_TOL = 2.0**-50
 
 
 class EntropySolveError(ArithmeticError):
@@ -103,10 +104,15 @@ def solve_sgap_entropy(
     Bisection on the truncated series down to a bracket of width tol / 2,
     then up to five Newton steps clamped inside the bracket.  A singleton
     set has its root exactly at 1 (entropy zero) and is returned directly;
-    the full set of naturals has its root exactly at 2.
+    the full set of naturals has its root exactly at 2.  A tolerance below
+    2**-50, four ulps at 1, raises EntropySolveError before any work.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    # The residual is a float near 1, so it carries rounding error of a few
+    # ulps at 1 (2**-52 each); below _MIN_TOL it cannot certify anything.
+    if tol < _MIN_TOL:
+        raise EntropySolveError(f"tolerance {tol:.3e} is below the float floor 2**-50")
 
     if spec.size() == 1:
         return EntropyResult(1.0, 0.0, 0.0, 0.0, 0, None, log_base)
@@ -189,8 +195,6 @@ def _shrink_lower_bracket(members, start: float) -> float:
 def _truncation_depth(lo: float, tol: float) -> int:
     """Smallest depth N with lo**-N / (lo - 1) below tol / 10."""
     target = tol / 10.0 * (lo - 1.0)
-    if target == 0.0:
-        raise EntropySolveError(f"tolerance {tol:.3e} underflows the truncation bound")
     depth = max(8, math.ceil(-math.log(target) / math.log(lo)) + 1)
     if depth > _MAX_TRUNCATION:
         raise EntropySolveError("truncation depth exceeds budget; root too close to 1")

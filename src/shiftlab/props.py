@@ -18,15 +18,25 @@ are strictly worse than the best and are skipped, whole rows at a time;
 the rest are compared exactly.  The margin is proven larger than the float
 error of the scores (see the comment in bsm_estimate), so K, the witness
 and the verdict are those of the full exact search.
+
+gibbs_diagnostics keeps the follower rows, the count table and the band
+constants c1 = a / b and c2 = c / d rather than one object per cell.
+all_cells_pass decides the band c1 / counts(r) <= f / counts(r + k) <=
+c2 / counts(r) of every cell (omega, k), f = follower(omega, k) and
+r = |omega|, in integers: a * counts(r + k) <= b * counts(r) * f and
+f * d * counts(r) <= c * counts(r + k), one C-level pass over each word's
+row.  finite_level_cells is a lazy sequence: its length is known at once,
+and a cell with its Fractions is built only when it is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import le, sub
+from operator import le, mul, sub
 
 from .blocks import (
     BlockCountTable,
@@ -244,19 +254,82 @@ class GibbsCell:
 class GibbsDiagnostics:
     """Finite-level cylinder-measure diagnostics.
 
-    ratios holds 2 ** (n * h) / counts(n); each cell compares the level
-    measure follower(omega, k) / counts(r + k) of the cylinder of omega
+    ratios holds 2 ** (n * h) / counts(n); each cell (omega, k), with
+    1 <= k <= window, compares the level measure
+    follower(omega, k) / counts(r + k) of the cylinder of omega
     (|omega| = r) against the band [c1 / counts(r), c2 / counts(r)] built
-    from the observed balance and supermultiplicativity constants.
+    from the observed balance and supermultiplicativity constants.  reps
+    holds one word per follower class in sorted order and profiles their
+    follower counts.
     """
 
-    ratios: dict[int, float] = field(default_factory=dict)
-    finite_level_cells: list[GibbsCell] = field(default_factory=list)
-    c1: Fraction = Fraction(1)
-    c2: Fraction = Fraction(1)
+    ratios: dict[int, float]
+    c1: Fraction
+    c2: Fraction
+    window: int
+    reps: list[str]
+    profiles: list[list[int]]
+    table: BlockCountTable
+
+    @property
+    def cell_count(self) -> int:
+        return len(self.reps) * self.window
+
+    @property
+    def finite_level_cells(self) -> GibbsCells:
+        return GibbsCells(self)
 
     def all_cells_pass(self) -> bool:
-        return all(cell.passes() for cell in self.finite_level_cells)
+        """Whether every cell lies in its band, decided in integers by the
+        cross-multiplied tests of the module docstring."""
+        w = self.window
+        a, b = self.c1.numerator, self.c1.denominator
+        c, d = self.c2.numerator, self.c2.denominator
+        # counts[n - 1] = counts(n); a * counts(n) and c * counts(n) are
+        # shared by every word, so each cell costs two products.
+        counts = list(map(self.table.counts.__getitem__, range(1, 2 * w + 1)))
+        lows = list(map(mul, repeat(a), counts))
+        highs = list(map(mul, repeat(c), counts))
+        for omega, profile in zip(self.reps, self.profiles):
+            r = len(omega)
+            f, base = profile[1 : w + 1], counts[r - 1]
+            if not (
+                all(map(le, lows[r : r + w], map(mul, repeat(b * base), f)))
+                and all(map(le, map(mul, repeat(d * base), f), highs[r : r + w]))
+            ):
+                return False
+        return True
+
+
+class GibbsCells(Sequence):
+    """The cells of a GibbsDiagnostics, sorted by (omega, r, k) and built
+    as Fractions only when read."""
+
+    def __init__(self, diag: GibbsDiagnostics):
+        self._diag = diag
+
+    def __len__(self) -> int:
+        return self._diag.cell_count
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = range(len(self))[index]  # IndexError past either end
+        row, k = divmod(i, self._diag.window)
+        return next(self._row(row, k + 1, k + 2))
+
+    def __iter__(self):
+        for row in range(len(self._diag.reps)):
+            yield from self._row(row, 1, self._diag.window + 1)
+
+    def _row(self, row: int, k_start: int, k_stop: int):
+        diag = self._diag
+        omega, profile, counts = diag.reps[row], diag.profiles[row], diag.table.counts
+        r = len(omega)
+        lower, upper = diag.c1 / counts[r], diag.c2 / counts[r]
+        for k in range(k_start, k_stop):
+            mu = Fraction(profile[k], counts[r + k])
+            yield GibbsCell(omega, r, k, mu, lower, upper)
 
 
 def gibbs_diagnostics(
@@ -274,11 +347,13 @@ def gibbs_diagnostics(
     c1 = _min_density(reps, profiles, table.counts, window).b_estimate
 
     # Sorted words give cells sorted by (omega, r, k): each word has one r.
-    cells = []
-    for omega, profile in sorted(zip(reps, profiles)):
-        r = len(omega)
-        lower, upper = c1 / table.counts[r], c2 / table.counts[r]
-        for k in range(1, window + 1):
-            mu = Fraction(profile[k], table.counts[r + k])
-            cells.append(GibbsCell(omega, r, k, mu, lower, upper))
-    return GibbsDiagnostics(ratios=ratios, finite_level_cells=cells, c1=c1, c2=c2)
+    rows = sorted(zip(reps, profiles))
+    return GibbsDiagnostics(
+        ratios=ratios,
+        c1=c1,
+        c2=c2,
+        window=window,
+        reps=[omega for omega, _ in rows],
+        profiles=[profile for _, profile in rows],
+        table=table,
+    )

@@ -38,6 +38,7 @@ from shiftlab.props import (
     almost_specified_floor,
     balanced_estimate,
     bsm_estimate,
+    gibbs_diagnostics,
 )
 from shiftlab.sgap import classify, parse_sgap_spec
 
@@ -88,6 +89,18 @@ def test_criterion_2b_deep_bsm_search():
         assert rep.witness == (1, 1) and rep.k_estimate == Fraction(4, 3)
 
     _gate("2b deep BSM search", 5.0, body)
+
+
+def test_criterion_2c_deep_gibbs_band():
+    # 500,000 cells, decided in integers without building one of them.
+    def body():
+        spec = parse_sgap_spec("co{0,1,4}")
+        h = solve_sgap_entropy(spec, tol=1e-10).entropy
+        diag = gibbs_diagnostics(spec, h, 1000)
+        assert diag.cell_count == 500_000
+        assert diag.all_cells_pass()
+
+    _gate("2c deep Gibbs band", 1.2, body)
 
 
 def test_criterion_3_golden_entropy_and_slope():

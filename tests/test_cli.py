@@ -52,7 +52,7 @@ def test_entropy_numeric_failure_exit_code(capsys):
     # An uncertifiable tolerance must surface as a numeric failure.
     code, _ = run(capsys, "entropy", "--s", "{0,1}", "--tol", "1e-30")
     assert code == 3
-    # tol / 10 underflows to zero in the truncation bound of an infinite set.
+    # A tolerance that tol / 10 would underflow to zero, on an infinite set.
     code, _ = run(capsys, "entropy", "--s", "ep:pre=1;pat=1,0", "--tol", "5e-324")
     assert code == 3
 
@@ -284,6 +284,23 @@ def call(argv):
 def assert_one_line_failure(out, err):
     assert out == ""
     assert err.startswith("shiftlab: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["entropy", "--s", "{0,2,5}"], ["entropy", "--s", "co{0}"], ["gibbs", "--s", "co{0}"]],
+)
+def test_tolerance_below_float_floor_fails_before_solving(monkeypatch, argv):
+    # A float residual near 1 cannot certify 1e-300, so the solver must not
+    # evaluate the series at all, let alone report residual 0.0.
+    def no_series(*_):
+        raise AssertionError("series evaluated")
+
+    monkeypatch.setattr("shiftlab.entropy._series", no_series)
+    code, out, err = call([*argv, "--tol", "1e-300"])
+    assert code == 3
+    assert_one_line_failure(out, err)
+    assert "below the float floor" in err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

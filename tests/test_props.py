@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -261,6 +262,38 @@ def test_gibbs_cell_values_match_follower_counts():
         followers = oracles.run_length_counts(spec, cell.k, prefix=cell.omega)
         expected = Fraction(followers[cell.k], counts[cell.r + cell.k])
         assert cell.mu_value == expected
+
+
+def _band_readings(diag):
+    """all_cells_pass() and the reading of the Fraction cells, which must agree."""
+    return diag.all_cells_pass(), all(c.passes() for c in diag.finite_level_cells)
+
+
+def test_integer_band_check_matches_cells(corpus):
+    # The integer test decides the band exactly as the Fraction cells do,
+    # at the observed constants and at the tightest band the cells allow,
+    # where a cell sits on each end: moving either end inwards by one part
+    # in 10**6 must fail both readings.
+    nudge = Fraction(1, 10**6)
+    for spec in corpus + oracles.random_specs(20, 11):
+        for depth in (2, 3, 5, 8, 13, 21, 30, 40):
+            diag = gibbs_diagnostics(spec, 1.0, depth)
+            cells = list(diag.finite_level_cells)
+            assert diag.cell_count == len(cells) == len(diag.finite_level_cells)
+            assert cells == sorted(cells, key=lambda c: (c.omega, c.r, c.k))
+            assert diag.finite_level_cells[-1] == cells[-1]
+            assert diag.finite_level_cells[1:7:2] == cells[1:7:2]
+            assert _band_readings(diag) == (True, True), (spec, depth)
+
+            levels = [c.mu_value * diag.table.counts[c.r] for c in cells]
+            lo, hi = min(levels), max(levels)
+            for c1, c2, ok in (
+                (lo, hi, True),
+                (lo * (1 + nudge), hi, False),
+                (lo, hi * (1 - nudge), False),
+            ):
+                moved = replace(diag, c1=c1, c2=c2)
+                assert _band_readings(moved) == (ok, ok), (spec, depth, c1, c2)
 
 
 @pytest.mark.parametrize("text", oracles.QUOTIENT_SETS)

@@ -1,0 +1,81 @@
+"""One digest of everything the CLI prints for the benchmark's requests.
+
+    python3 tools/output_digest.py ROOT SEED [SEED ...]
+
+Builds the request lists of every workload in ``perfbench/workloads.py``
+(taken from the checkout this script sits in) for each seed, adds a
+``--format csv`` variant of every blocks and gibbs request that lacks one,
+and runs each argv in-process through ``shiftlab.cli.main`` imported from
+``ROOT/src``.  It prints the number of argvs and one SHA-256 over their
+exit codes, standard output and standard error, so two checkouts print the
+same line exactly when their outputs are byte-identical.  Standard library
+only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+OWN_CHECKOUT = Path(__file__).resolve().parent.parent
+CSV_COMMANDS = ("blocks", "gibbs")
+
+
+def argvs(seeds) -> list[list[str]]:
+    sys.path.insert(0, str(OWN_CHECKOUT / "perfbench"))
+    import workloads
+
+    out = []
+    for seed in seeds:
+        for workload in workloads.BUILDERS:
+            for request in workloads.build(workload, seed):
+                out.append(request.argv)
+                if request.command in CSV_COMMANDS and "csv" not in request.argv:
+                    out.append([*request.argv, "--format", "csv"])
+    return out
+
+
+def run(main, argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 2
+        except Exception as exc:  # a traceback is exit code 1 for a CLI user
+            code = 1
+            # The message alone: a traceback holds the checkout's paths.
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    return code, out.getvalue(), err.getvalue()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("root", type=Path, help="checkout whose src/shiftlab is run")
+    parser.add_argument("seeds", type=int, nargs="+")
+    args = parser.parse_args()
+
+    src = (args.root / "src").resolve()
+    if not (src / "shiftlab" / "__init__.py").is_file():
+        raise SystemExit(f"output_digest: no shiftlab sources under {src}")
+    sys.path.insert(0, str(src))
+    import shiftlab.cli
+
+    if src not in Path(shiftlab.cli.__file__).resolve().parents:
+        raise SystemExit(f"output_digest: imported shiftlab from {shiftlab.cli.__file__}")
+
+    requests = argvs(args.seeds)
+    digest = hashlib.sha256()
+    for argv in requests:
+        record = json.dumps(run(shiftlab.cli.main, argv))
+        digest.update(record.encode() + b"\n")
+    print(f"argvs {len(requests)} sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
