@@ -6,13 +6,15 @@ trailing zero run; runs at or past the preperiod q of the gap set matter only
 modulo its period p, so the pass keeps one extension count per run class
 (SGapSpec.run_classes).  Each step moves a ring offset and adds one count to
 the member classes, so it costs O(members below q + p) plus one read per
-start word, and a single pass to length n serves any number of start words.
-The block counts of length n are the followers of the empty word.  All
-counts are exact Python integers.  Finite-type shifts given by forbidden
-blocks are presented as higher-block automata, and sofic presentations such
-as the even shift are counted by determinising the label action over subsets
-of states; one pass of that construction yields the counts of every length
-up to n, in O(n * subsets * letters) steps.
+class in use.  Words of one class share one row, so a single pass to length
+n serves any number of start words at a cost set by their classes, at most
+2(q + p) + 2, not by their number.  The block counts of length n are the
+followers of the empty word.  All counts are exact Python integers.
+Finite-type shifts given by forbidden blocks are presented as higher-block
+automata, and sofic presentations such as the even shift are counted by
+determinising the label action over subsets of states; one pass of that
+construction yields the counts of every length up to n, in
+O(n * subsets * letters) steps.
 
 Word admissibility here is the factor language of a closed shift: every
 interior maximal zero run (flanked by ones) must lie in the gap set, while a
@@ -25,12 +27,15 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from itertools import accumulate, product
+from operator import sub
 
 from .sgap import SGapSpec, SizeGuardError
 
 Word = str
 
 SUBSET_STATE_LIMIT = 1 << 20
+# The _suffix_run of the empty word, whose followers are the block counts.
+_EMPTY = (False, 0)
 
 
 class EmptyShiftError(ValueError):
@@ -62,37 +67,54 @@ def word_is_admissible(spec: SGapSpec, word: Word) -> bool:
     return all(spec.contains(r) for r in interior)
 
 
-def _follower_profiles(spec: SGapSpec, words, r_max: int) -> list[list[int]]:
-    """Follower counts of each word for every length 0..r_max, in one pass.
+def _suffix_run(word: Word) -> tuple[bool, int]:
+    """Whether word holds a one, and its trailing zero run: all that its
+    followers depend on."""
+    return "1" in word, len(word) - len(word.rstrip("0"))
 
-    A word's followers depend only on whether it contains a one and on its
-    trailing zero run.  ext[c] counts the extensions of a word that holds a
-    one and ends in a run of class c (SGapSpec.run_classes); ext starts at 1
-    for every class and one backward step shifts it by one class (the last
-    class wraps to class q, or dies when p == 0) and then adds ext[0], the
-    count after a closing one, to every member class.  ext lives in a ring
-    with a moving base, so after an O(q + p) setup a step costs
-    O(members below q + p) plus one read per word.  A word with no one may
-    close its run at any boundary run that some member reaches, so its
-    counts are prefix sums of the successive ext[0].  An inadmissible word
-    keeps the convention of the empty extension: 1 at length 0 for an
+
+def _follower_profiles(spec: SGapSpec, starts, r_max: int) -> list[list[int]]:
+    """Follower counts of each start for every length 0..r_max, in one pass.
+
+    A start is the _suffix_run of a word; (False, 0) is the empty word,
+    whose row is the count table.  ext[c] counts the extensions of a word
+    that holds a one and ends in a run of class c (SGapSpec.run_classes);
+    ext starts at 1 for every class and one backward step shifts it by one
+    class (the last class wraps to class q, or dies when p == 0) and then
+    adds ext[0], the count after a closing one, to every member class.  ext
+    lives in a ring with a moving base, so after an O(q + p) setup a step
+    costs O(members below q + p) plus one read per class.  A word with
+    no one may close its run at any boundary run that some member reaches,
+    so its counts are prefix sums of the successive ext[0].  An inadmissible
+    word keeps the convention of the empty extension: 1 at length 0 for an
     all-zero word, 0 after a one.
+
+    Words of one class share one row, built once: after a one, the run
+    class, with every run of q or more dead when p == 0; with no one, one
+    row for all runs when p > 0, else the run below q and one dead row.
+    So the pass costs O(classes) per step, however many starts share them.
+    The returned lists are shared between starts and must not be mutated.
     """
     q, p = spec.run_classes()
     size = q + p
     closing = spec.members_up_to(size - 1)
+
+    def class_key(has_one: bool, run: int) -> tuple[bool, int]:
+        if p and not has_one:
+            return False, 0  # every run extends, so one row serves all
+        if run >= q:
+            run = q + (run - q) % p if p else q  # q: dead when p == 0
+        return has_one, run
+
+    keys = [class_key(*start) for start in starts]
+    rows: dict[tuple[bool, int], list[int]] = {key: [] for key in keys}
     # The count of class c sits at ext[(base + c) % size].
     ext, base = [1] * size, 0
-    rows, reads, zero_runs = [], [], []
-    for word in words:
-        run = len(word) - len(word.rstrip("0"))
-        row: list[int] = []
-        rows.append(row)
-        if "1" not in word:
-            zero_runs.append((row, run))
-        elif run < q or p:
-            reads.append((row, run if run < q else q + (run - q) % p))
-        else:
+    reads = []
+    for (has_one, c), row in rows.items():
+        if has_one and c < size:
+            reads.append((row, c))
+        elif has_one:
             row.extend([0] * (r_max + 1))
 
     heads = []  # ext[0] after k steps, for k = 0..r_max - 1
@@ -112,24 +134,25 @@ def _follower_profiles(spec: SGapSpec, words, r_max: int) -> list[list[int]]:
     # one, if every boundary run may close: a first one at j leaves the
     # ext[0] of k - 1 - j steps.
     sums = list(accumulate(heads, initial=0))
-    for row, run in zero_runs:
-        if p:
-            row.extend(1 + s for s in sums)
-        elif run >= q:
+    for (has_one, run), row in rows.items():
+        if has_one:
+            continue
+        if not p and run >= q:
             row.extend([1] + [0] * r_max)
-        else:
-            row.extend(
-                (run + k < q) + sums[k] - sums[max(0, k - (q - run))]
-                for k in range(r_max + 1)
-            )
-    return rows
+            continue
+        # The run may stay open through fewer than d more letters (through
+        # all of them when p > 0); past that a first one comes within d.
+        d = r_max + 1 if p else q - run
+        row.extend(1 + s for s in sums[:d])
+        row.extend(map(sub, sums[d:], sums))
+    return [rows[key] for key in keys]
 
 
 def count_blocks_sgap(spec: SGapSpec, n: int) -> int:
     """Exact number of admissible binary words of length n >= 1."""
     if n < 1:
         raise ValueError("block length must be >= 1")
-    return _follower_profiles(spec, [""], n)[0][n]
+    return _follower_profiles(spec, [_EMPTY], n)[0][n]
 
 
 def follower_count(spec: SGapSpec, omega: Word, r: int) -> int:
@@ -147,7 +170,7 @@ def follower_count(spec: SGapSpec, omega: Word, r: int) -> int:
 
 def follower_profile(spec: SGapSpec, omega: Word, r_max: int) -> list[int]:
     """Follower counts of omega for every length 0..r_max at once."""
-    return _follower_profiles(spec, [omega], r_max)[0]
+    return _follower_profiles(spec, [_suffix_run(omega)], r_max)[0]
 
 
 @dataclass
@@ -289,8 +312,8 @@ class BlockCountTable:
 
 
 def sgap_count_table(spec: SGapSpec, n_max: int) -> BlockCountTable:
-    profile = _follower_profiles(spec, [""], n_max)[0]
-    return BlockCountTable(counts={n: profile[n] for n in range(1, n_max + 1)})
+    profile = _follower_profiles(spec, [_EMPTY], n_max)[0]
+    return BlockCountTable(counts=dict(enumerate(profile[1:], start=1)))
 
 
 def automaton_count_table(aut: ShiftAutomaton, n_max: int) -> BlockCountTable:

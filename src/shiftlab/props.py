@@ -8,7 +8,10 @@ K_estimate is the largest observed counts(m) * counts(n) / counts(m + n);
 it is at least 1 because factor languages are submultiplicative.
 B_estimate is the smallest observed follower density
 |followers(omega, r)| / counts(r); it lies in (0, 1] because an admissible
-word always has at least one admissible continuation.
+word always has at least one admissible continuation.  Words of one
+follower class share one follower row (blocks._follower_profiles), and a
+repeated row never holds a strictly smaller density, so the minimum reads
+only the first word of each class: O((q + p) * r_max) work for any window.
 
 bsm_estimate takes log2 of every count once and, before forming any
 big-integer product, scores each pair (m, n) by the float
@@ -38,12 +41,7 @@ from fractions import Fraction
 from itertools import compress, repeat
 from operator import le, mul, sub
 
-from .blocks import (
-    BlockCountTable,
-    SizeGuardError,
-    _follower_profiles,
-    sgap_count_table,
-)
+from .blocks import _EMPTY, BlockCountTable, SizeGuardError, _follower_profiles
 # A private name, so the benchmark tracer (which wraps public names) charges
 # the 2 * depth calls per bsm_estimate to bsm_estimate itself.
 from .entropy import log2_int as _log2_int
@@ -150,38 +148,60 @@ def bsm_estimate(table: BlockCountTable, depth: int) -> PropertyReport:
     )
 
 
-def _suffix_run_followers(
+def _check_cells(
     spec: SGapSpec, word_length_max: int, r_max: int, max_cells: int | None
-) -> tuple[list[str], list[list[int]]]:
-    """One admissible word per follower class, shortest first, with its
-    follower counts for lengths 0..r_max.
+) -> None:
+    """Refuse, before any word or row is built, a window whose suffix-run
+    representatives times r_max exceed max_cells.
 
-    The follower structure of a word depends only on whether it contains a
-    one and on its trailing zero run, so '1' + zeros and all-zero words
-    cover every class realisable within the length budget.
+    The representatives are the admissible '1' + zeros and all-zero words
+    up to W = word_length_max: 2 * W of them for an infinite set, and
+    min(W, q) + min(W, q - 1) for a finite one, which admits the runs below
+    q = max + 1.
     """
-    reps = ["1" + "0" * k for k in range(word_length_max) if spec.tail_allows(k)]
-    reps += ["0" * k for k in range(1, word_length_max + 1) if spec.tail_allows(k)]
-    if max_cells is not None and len(reps) * r_max > max_cells:
+    q, p = spec.run_classes()
+    w = word_length_max
+    words = 2 * w if p else min(w, q) + min(w, q - 1)
+    if max_cells is not None and words * r_max > max_cells:
         raise SizeGuardError(
-            f"{len(reps) * r_max} follower cells exceed the budget {max_cells}"
+            f"{words * r_max} follower cells exceed the budget {max_cells}"
         )
-    return reps, _follower_profiles(spec, reps, r_max)
 
 
-def _min_density(reps, profiles, counts, r_max: int) -> PropertyReport:
+def _class_starts(spec: SGapSpec, word_length_max: int) -> list[tuple[bool, int]]:
+    """The first suffix-run representative of each follower class, as
+    (holds a one, trailing run), in representative order: every '1' +
+    zeros before every all-zero word, shorter first.
+
+    Runs past q + p fold onto earlier classes after a one, and all-zero
+    words share one class when p > 0; the runs a finite set admits are
+    those below q.
+    """
+    q, p = spec.run_classes()
+    w = word_length_max
+    ones = [(True, run) for run in range(min(w, q + p))]
+    zeros = [(False, 1)] if p else [(False, run) for run in range(1, min(w + 1, q))]
+    return ones + zeros
+
+
+def _min_density(starts, profiles, counts, r_max: int) -> PropertyReport:
     """Smallest follower density profile[r] / counts[r] for 1 <= r <= r_max,
-    the first one met in word order and then length order."""
+    the first one met in start order and then length order.
+
+    starts are the _class_starts of the profiles.  A later word of a class
+    repeats its first word's row, so it never holds a strictly smaller
+    density: the first minimum over every word is the one found here.
+    """
     # Densities stay integer pairs compared by cross-multiplying, as in
     # bsm_estimate; None means no pair seen yet.
     best = best_at_half = None
     witness = None
     half = r_max // 2
-    for omega, profile in zip(reps, profiles):
+    for start, profile in zip(starts, profiles):
         for r in range(1, r_max + 1):
             num, den = profile[r], counts[r]
             if best is None or num * best[1] < best[0] * den:
-                best, witness = (num, den), (omega, r)
+                best, witness = (num, den), (start, r)
             if r <= half and (
                 best_at_half is None or num * best_at_half[1] < best_at_half[0] * den
             ):
@@ -194,13 +214,14 @@ def _min_density(reps, profiles, counts, r_max: int) -> PropertyReport:
         and best_at_half is not None
         and best[0] * _DECAY_FACTOR * best_at_half[1] <= best_at_half[0] * best[1]
     )
+    (has_one, run), r = witness
     best = Fraction(*best)
     return PropertyReport(
         k_estimate=None,
         b_estimate=best,
         depth_tested=r_max,
         verdict=VERDICT_DECAY if decayed else VERDICT_BALANCED,
-        witness=witness,
+        witness=("1" * has_one + "0" * run, r),
     )
 
 
@@ -212,15 +233,18 @@ def balanced_estimate(
 ) -> PropertyReport:
     """Smallest observed follower density over suffix-run representatives.
 
-    The verdict flags decay when the running minimum drops by a factor of
-    4 or more between half depth and full depth; otherwise the data is
-    consistent with a uniform lower bound.
+    Only the first representative of each follower class is read, so the
+    cost is O((q + p) * r_max) whatever word_length_max is.  The verdict
+    flags decay when the running minimum drops by a factor of 4 or more
+    between half depth and full depth; otherwise the data is consistent
+    with a uniform lower bound.
     """
     if r_max < 1 or word_length_max < 1:
         raise ValueError("window sizes must be >= 1")
-    reps, profiles = _suffix_run_followers(spec, word_length_max, r_max, max_cells)
-    counts = sgap_count_table(spec, r_max).counts
-    return _min_density(reps, profiles, counts, r_max)
+    _check_cells(spec, word_length_max, r_max, max_cells)
+    starts = _class_starts(spec, word_length_max)
+    counts, *profiles = _follower_profiles(spec, [_EMPTY, *starts], r_max)
+    return _min_density(starts, profiles, counts, r_max)
 
 
 def almost_specified_floor(table: BlockCountTable, connector_max: int) -> Fraction:
@@ -259,8 +283,10 @@ class GibbsDiagnostics:
     follower(omega, k) / counts(r + k) of the cylinder of omega
     (|omega| = r) against the band [c1 / counts(r), c2 / counts(r)] built
     from the observed balance and supermultiplicativity constants.  reps
-    holds one word per follower class in sorted order and profiles their
-    follower counts.
+    holds every suffix-run representative up to the window in sorted order
+    (all-zero words, then '1' + zeros, shorter first) and profiles their
+    follower counts for lengths 0..window; words of one follower class
+    share one profile list.
     """
 
     ratios: dict[int, float]
@@ -339,21 +365,29 @@ def gibbs_diagnostics(
     if depth < 2:
         raise ValueError("depth must be >= 2")
     window = depth // 2
-    reps, profiles = _suffix_run_followers(spec, window, window, max_cells)
-    table = sgap_count_table(spec, depth)
+    _check_cells(spec, window, window, max_cells)
+    starts = _class_starts(spec, window)
+    # Sorted representatives: all-zero words, then '1' + zeros.
+    runs = [(False, run) for run in range(1, window + 1) if spec.tail_allows(run)]
+    runs += [(True, run) for run in range(window) if spec.tail_allows(run)]
+    counts, *rows = _follower_profiles(spec, [_EMPTY, *starts, *runs], depth)
+    table = BlockCountTable(counts=dict(enumerate(counts[1:], start=1)))
 
-    ratios = {n: 2.0 ** (n * h) / table.counts[n] for n in range(1, depth + 1)}
+    ratios = {n: 2.0 ** (n * h) / counts[n] for n in range(1, depth + 1)}
     c2 = bsm_estimate(table, window).k_estimate
-    c1 = _min_density(reps, profiles, table.counts, window).b_estimate
+    c1 = _min_density(starts, rows, counts, window).b_estimate
 
-    # Sorted words give cells sorted by (omega, r, k): each word has one r.
-    rows = sorted(zip(reps, profiles))
+    # Rows run to depth for the count table; cut each shared one once.
+    cut = {}
+    for row in rows[len(starts) :]:
+        if id(row) not in cut:
+            cut[id(row)] = row[: window + 1]
     return GibbsDiagnostics(
         ratios=ratios,
         c1=c1,
         c2=c2,
         window=window,
-        reps=[omega for omega, _ in rows],
-        profiles=[profile for _, profile in rows],
+        reps=["1" * has_one + "0" * run for has_one, run in runs],
+        profiles=[cut[id(row)] for row in rows[len(starts) :]],
         table=table,
     )

@@ -4,9 +4,12 @@ Each test prints a single pass/fail line (visible with `pytest -s`) and
 enforces its wall-clock budget.
 """
 
+import contextlib
+import io
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 from shiftlab.beta import (
@@ -28,6 +31,7 @@ from shiftlab.blocks import (
     even_shift_automaton,
     sgap_count_table,
 )
+from shiftlab.cli import main as cli_main
 from shiftlab.entropy import (
     entropy_bounds_from_counts,
     entropy_slope_diagnostic,
@@ -101,6 +105,46 @@ def test_criterion_2c_deep_gibbs_band():
         assert diag.all_cells_pass()
 
     _gate("2c deep Gibbs band", 1.2, body)
+
+
+def test_criterion_2d_balanced_reads_one_word_per_class():
+    # 4000 words of a window 2000 long fall into 7 follower classes.
+    def body():
+        spec = parse_sgap_spec("ep:pre=0,1,0;pat=1,0,1")
+        rep = balanced_estimate(spec, 2000, 500)
+        assert rep.witness == ("1", 5)
+
+    _gate("2d balanced estimate per class", 0.15, body)
+
+
+def _peak_bytes(body):
+    tracemalloc.start()
+    try:
+        body()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_criterion_2e_follower_memory(monkeypatch):
+    # Neither a wide window nor a refused one builds a word past the first
+    # of its class: 10,000 words share 3 classes, and a gibbs depth whose
+    # cells exceed the budget exits 4 before any word or count is built.
+    monkeypatch.delenv("SHIFTLAB_MAX_CELLS", raising=False)
+
+    def body():
+        spec = parse_sgap_spec("co{0}")
+        assert _peak_bytes(lambda: balanced_estimate(spec, 5000, 4)) < 1 << 20
+        err = io.StringIO()
+        codes = []
+        with contextlib.redirect_stderr(err):
+            peak = _peak_bytes(
+                lambda: codes.append(cli_main(["gibbs", "--s", "co{0}", "--depth", "30000"]))
+            )
+        assert codes == [4] and "follower cells exceed the budget" in err.getvalue()
+        assert peak < 1 << 20
+
+    _gate("2e follower memory", 5.0, body)
 
 
 def test_criterion_3_golden_entropy_and_slope():

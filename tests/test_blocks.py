@@ -5,6 +5,8 @@ import pytest
 from shiftlab.blocks import (
     EmptyShiftError,
     InadmissibleWordError,
+    _follower_profiles,
+    _suffix_run,
     automaton_count_table,
     build_sft_automaton,
     count_blocks_automaton,
@@ -125,6 +127,40 @@ def test_follower_profile_matches_unbounded_dp(text):
             assert follower_profile(spec, omega, 120) == reference, (text, omega)
             checked += 1
     assert checked >= 1
+
+
+CLASS_ROW_SETS = oracles.QUOTIENT_SETS + [
+    spec.render() for spec in oracles.random_specs(12, 8083)
+]
+
+
+@pytest.mark.parametrize("text", CLASS_ROW_SETS)
+def test_class_rows_match_unbounded_dp(text):
+    # Words up to 3(q + p) + 7 letters, all in one kernel call: an
+    # admissible head ending in a one (or none) and then every trailing
+    # run, so runs past two periods and the empty word occur, and for a
+    # finite set dead runs after a one and inadmissible all-zero words.
+    # Only the trailing run of a word may be inadmissible: the kernel reads
+    # nothing else.
+    spec = parse_sgap_spec(text)
+    q, p = spec.run_classes()
+    length, r_max = 3 * (q + p) + 7, 12
+    heads = [""] + [
+        w for n in range(1, 6) for w in oracles.brute_words_sgap(spec, n) if w[-1] == "1"
+    ]
+    words = [head + "0" * t for head in heads for t in range(length - len(head) + 1)]
+    assert words[0] == ""
+    assert p or any(not oracles.sgap_word_ok(spec, w) for w in words)
+    rows = _follower_profiles(spec, [_suffix_run(w) for w in words], r_max)
+    for omega, row in zip(words, rows):
+        expected = oracles.run_length_counts(spec, r_max, prefix=omega)
+        if "1" not in omega and not oracles.sgap_word_ok(spec, omega):
+            expected[0] = 1  # the empty extension, by convention
+        assert row == expected, omega
+    table = sgap_count_table(spec, r_max).counts
+    assert rows[0] == [1] + [table[n] for n in range(1, r_max + 1)]
+    # Words of one class share one row.
+    assert len({id(row) for row in rows}) <= 2 * (q + p) + 2
 
 
 def test_follower_profile_dead_starts():

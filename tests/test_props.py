@@ -23,7 +23,7 @@ from shiftlab.props import (
     bsm_estimate,
     gibbs_diagnostics,
 )
-from shiftlab.sgap import classify, parse_sgap_spec
+from shiftlab.sgap import SizeGuardError, classify, parse_sgap_spec
 
 import oracles
 from conftest import CORPUS_STRINGS
@@ -296,12 +296,9 @@ def test_integer_band_check_matches_cells(corpus):
                 assert _band_readings(moved) == (ok, ok), (spec, depth, c1, c2)
 
 
-@pytest.mark.parametrize("text", oracles.QUOTIENT_SETS)
-def test_balanced_minimum_matches_unbounded_dp(text):
-    # Every suffix-run representative within the window, its density at
-    # every length, the first minimum in representative then length order.
-    spec = parse_sgap_spec(text)
-    word_max, r_max = 56, 12
+def _first_minimum_density(spec, word_max, r_max):
+    """Every suffix-run representative within the window, its density at
+    every length, the first minimum in representative then length order."""
     reps = ["1" + "0" * k for k in range(word_max)]
     reps += ["0" * k for k in range(1, word_max + 1)]
     counts = oracles.run_length_counts(spec, r_max)
@@ -312,6 +309,42 @@ def test_balanced_minimum_matches_unbounded_dp(text):
         followers = oracles.run_length_counts(spec, r_max, prefix=omega)
         for r in range(1, r_max + 1):
             cells.append((Fraction(followers[r], counts[r]), (omega, r)))
-    density, witness = min(cells, key=lambda cell: cell[0])
-    rep = balanced_estimate(spec, word_max, r_max)
-    assert (rep.b_estimate, rep.witness) == (density, witness)
+    return min(cells, key=lambda cell: cell[0])
+
+
+@pytest.mark.parametrize("text", oracles.QUOTIENT_SETS)
+def test_balanced_minimum_matches_unbounded_dp(text):
+    spec = parse_sgap_spec(text)
+    rep = balanced_estimate(spec, 56, 12)
+    assert (rep.b_estimate, rep.witness) == _first_minimum_density(spec, 56, 12)
+
+
+@pytest.mark.parametrize(
+    "text",
+    oracles.QUOTIENT_SETS + [spec.render() for spec in oracles.random_specs(12, 8083)],
+)
+def test_balanced_first_class_words_match_every_word(text):
+    # balanced_estimate reads only the first word of each follower class;
+    # the oracle reads all 400 words of a window 200 long, past several
+    # periods of every set, and must find the same first minimum.
+    spec = parse_sgap_spec(text)
+    rep = balanced_estimate(spec, 200, 12)
+    assert (rep.b_estimate, rep.witness) == _first_minimum_density(spec, 200, 12)
+
+
+def test_cell_budget_counts_every_representative(corpus):
+    # The budget counts all admissible '1' + zeros and all-zero words of the
+    # window, without building them: a budget one cell short refuses it.
+    for spec in corpus + oracles.random_specs(20, 8081):
+        for word_max in (1, 2, 5, 17, 40):
+            reps = [k for k in range(word_max) if oracles.tail_ok(spec, k)]
+            reps += [k for k in range(1, word_max + 1) if oracles.tail_ok(spec, k)]
+            cells = len(reps) * 3
+            balanced_estimate(spec, word_max, 3, max_cells=cells)
+            with pytest.raises(SizeGuardError, match=f"^{cells} follower cells exceed"):
+                balanced_estimate(spec, word_max, 3, max_cells=cells - 1)
+            if word_max >= 2:
+                cells = len(reps) * word_max
+                gibbs_diagnostics(spec, 1.0, 2 * word_max + 1, max_cells=cells)
+                with pytest.raises(SizeGuardError, match=f"^{cells} follower cells"):
+                    gibbs_diagnostics(spec, 1.0, 2 * word_max, max_cells=cells - 1)

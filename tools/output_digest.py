@@ -6,10 +6,12 @@ Builds the request lists of every workload in ``perfbench/workloads.py``
 (taken from the checkout this script sits in) for each seed, adds a
 ``--format csv`` variant of every blocks and gibbs request that lacks one,
 and runs each argv in-process through ``shiftlab.cli.main`` imported from
-``ROOT/src``.  It prints the number of argvs and one SHA-256 over their
-exit codes, standard output and standard error, so two checkouts print the
-same line exactly when their outputs are byte-identical.  Standard library
-only.
+``ROOT/src``.  It prints one ``command NAME argvs N sha256 HEX`` line per
+subcommand, in name order, and last the line ``argvs N sha256 HEX`` over
+all of them: the number of argvs and one SHA-256 over their exit codes,
+standard output and standard error.  Two checkouts print the same line
+exactly when those outputs are byte-identical, so a mismatch in the last
+line is named by the command lines above it.  Standard library only.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import hashlib
 import io
 import json
 import sys
+from collections import Counter, defaultdict
 from pathlib import Path
 
 OWN_CHECKOUT = Path(__file__).resolve().parent.parent
@@ -71,9 +74,14 @@ def main() -> None:
 
     requests = argvs(args.seeds)
     digest = hashlib.sha256()
+    counts, digests = Counter(), defaultdict(hashlib.sha256)
     for argv in requests:
-        record = json.dumps(run(shiftlab.cli.main, argv))
-        digest.update(record.encode() + b"\n")
+        record = json.dumps(run(shiftlab.cli.main, argv)).encode() + b"\n"
+        digest.update(record)
+        counts[argv[0]] += 1
+        digests[argv[0]].update(record)
+    for name in sorted(digests):
+        print(f"command {name} argvs {counts[name]} sha256 {digests[name].hexdigest()}")
     print(f"argvs {len(requests)} sha256 {digest.hexdigest()}")
 
 
