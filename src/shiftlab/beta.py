@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, cycle, islice
 
 from . import sgap
+from .entropy import _bisect, _series
 from .sgap import SGapSpec
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -110,10 +113,6 @@ class ExpansionPrefix:
     flagged_incomplete: bool = False
 
     @property
-    def orbit_point(self) -> float:
-        return self.orbit[-1] if self.orbit else self.start
-
-    @property
     def ambiguous(self) -> bool:
         return AMBIGUOUS in self.flags
 
@@ -121,10 +120,10 @@ class ExpansionPrefix:
         return "".join(str(d) for d in self.digits)
 
     def partial_sum(self, upto: int | None = None) -> float:
+        """sum of digit j * lam ** -j over the first upto digits (all by
+        default): the gap series of the positions of the one digits."""
         k = len(self.digits) if upto is None else upto
-        return math.fsum(
-            d * self.lam ** -(j + 1) for j, d in enumerate(self.digits[:k])
-        )
+        return _series([j for j, d in enumerate(self.digits[:k]) if d], self.lam)
 
     def residual(self) -> float:
         return abs(self.start - self.partial_sum())
@@ -262,23 +261,21 @@ class UnivoqueReport:
 
 
 def univoque_check(ctx: BetaContext, depth: int) -> UnivoqueReport:
-    """Follow the forced orbit of 1 and report the first digit choice.
+    """Report the first digit choice on the forced orbit of 1.
 
-    Strict switch-region entry reports a branch; an orbit point within
-    tolerance of a region endpoint reports ambiguity (floating point cannot
-    decide the side); otherwise the unique digit is applied, and surviving
-    all steps reports uniqueness up to the depth.
+    Reads the flags of the greedy expansion of 1, which up to the first
+    choice is the only expansion.  Strict switch-region entry reports a
+    branch; an orbit point within tolerance of a region endpoint reports
+    ambiguity (floating point cannot decide the side); no choice in depth
+    steps reports uniqueness up to the depth.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    y = 1.0
-    for step in range(1, depth + 1):
-        region = ctx.region_of(y)
-        if region == SWITCH:
+    for step, flag in enumerate(greedy_expansion(1.0, ctx, depth).flags, 1):
+        if flag == SWITCH:
             return UnivoqueReport(BRANCH_AT, step)
-        if region == AMBIGUOUS:
+        if flag == AMBIGUOUS:
             return UnivoqueReport(AMBIGUOUS_AT, step)
-        y = ctx.lam * y - (1 if region == FORCED1 else 0)
     return UnivoqueReport(UNIQUE_UP_TO_DEPTH, None)
 
 
@@ -298,30 +295,20 @@ _KL_SERIES_TERMS = 256
 def komornik_loreti_constant(tol: float = 1e-12) -> float:
     """Root of sum_j t(j) * lambda**-j = 1 over the parity-doubling bits.
 
-    This is the smallest base in which 1 has a unique binary expansion.
-    Bisection on the truncated, strictly decreasing series; with 256 terms
-    the geometric tail is far below any representable tolerance.
+    This is the smallest base in which 1 has a unique binary expansion: the
+    root of the gap series of {j - 1 : t(j) = 1, j <= 256}, solved with the
+    entropy solver's series and bisection (entropy._series, _bisect) down to
+    tol / 2 or adjacent doubles.  With 256 terms the geometric tail is far
+    below any representable tolerance.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    bits = [thue_morse(j) for j in range(_KL_SERIES_TERMS + 1)]
-
-    def series(lam: float) -> float:
-        return math.fsum(
-            bits[j] * lam ** -j for j in range(_KL_SERIES_TERMS, 0, -1)
-        )
-
+    members = [j - 1 for j in range(1, _KL_SERIES_TERMS + 1) if thue_morse(j)]
+    series = partial(_series, members)
     lo, hi = 1.5, 2.0
     if not (series(lo) > 1.0 > series(hi)):
         raise ArithmeticError("failed to bracket the constant in [1.5, 2]")
-    while hi - lo > tol / 2:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # lo and hi are adjacent doubles
-            break
-        if series(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi, _ = _bisect(series, lo, hi, tol)
     return 0.5 * (lo + hi)
 
 
@@ -348,10 +335,15 @@ def sgap_from_expansion(digits, length: int | None = None) -> SGapSpec:
 
 
 def expansion_from_sgap(spec: SGapSpec, length: int) -> str:
-    """Indicator digit word of a gap set: digit j is one iff j - 1 is a member."""
+    """Indicator digit word of a gap set: digit j is one iff j - 1 is a member.
+
+    The digits are the set's characteristic bits, the preperiod followed by
+    the cycled period, read straight off the description.
+    """
     if length < 1:
         raise ValueError("length must be >= 1")
-    return "".join("1" if spec.contains(j - 1) else "0" for j in range(1, length + 1))
+    bits = islice(chain(spec.preperiod, cycle(spec.period)), length)
+    return "".join(map(str, bits))
 
 
 def spec_from_prefix(prefix: ExpansionPrefix) -> SGapSpec:
@@ -361,6 +353,10 @@ def spec_from_prefix(prefix: ExpansionPrefix) -> SGapSpec:
         pre_len, period = prefix.periodicity
         return sgap_from_expansion((word[:pre_len], word[pre_len : pre_len + period]))
     return sgap_from_expansion(word)
+
+
+# Orbit points this close count as one point of a cycle.
+_RECURRENCE_TOL = 1e-9
 
 
 def _detect_orbit_recurrence(
@@ -374,9 +370,7 @@ def _detect_orbit_recurrence(
     return None
 
 
-def spec_construction_lazy(
-    ctx: BetaContext, depth: int, recurrence_tol: float = 1e-9
-) -> ExpansionPrefix:
+def spec_construction_lazy(ctx: BetaContext, depth: int) -> ExpansionPrefix:
     """Expansion of 1 with two leading ones and bounded zero runs.
 
     Valid for bases at or above the golden ratio: after the two forced-or-
@@ -402,7 +396,7 @@ def spec_construction_lazy(
     orbit.extend(tail.orbit)
     flags.extend(tail.flags)
     periodicity = None
-    rec = _detect_orbit_recurrence(tuple(orbit), recurrence_tol)
+    rec = _detect_orbit_recurrence(tuple(orbit), _RECURRENCE_TOL)
     if rec is not None:
         i, j = rec
         periodicity = (i + 1, j - i)
@@ -562,18 +556,13 @@ def ehj_classify(digits: str) -> EhjMatch:
 def greedy_switch_frequency(ctx: BetaContext, iterations: int) -> float:
     """Fraction of the first greedy orbit points of 1 inside the switch region.
 
-    A float-orbit diagnostic: positive frequency witnesses recurring digit
+    Reads the flags of the greedy expansion of 1: a point flagged switch or
+    ambiguous lies in the region widened by the membership tolerance.  A
+    float-orbit diagnostic: positive frequency witnesses recurring digit
     choice at this base, zero frequency over the window is consistent with
     (but does not prove) unique expansion.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    tol = ctx.membership_tol
-    y = 1.0
-    hits = 0
-    for _ in range(iterations):
-        if ctx.switch_lo - tol <= y <= ctx.switch_hi + tol:
-            hits += 1
-        digit = 1 if y >= ctx.switch_lo - tol else 0
-        y = ctx.lam * y - digit
-    return hits / iterations
+    flags = greedy_expansion(1.0, ctx, iterations).flags
+    return sum(flag in (SWITCH, AMBIGUOUS) for flag in flags) / iterations

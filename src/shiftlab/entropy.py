@@ -10,6 +10,11 @@ least two members.  Infinite sets are truncated at a depth whose geometric
 tail is certified below a tenth of the requested tolerance, so the returned
 root carries an explicit residual-plus-tail certificate.
 
+_series and _bisect are the package's one evaluation of such a series and
+its one bracket halving: beta.komornik_loreti_constant solves the series of
+the parity-doubling digits with both, and beta.ExpansionPrefix.partial_sum
+is _series over the positions of its one digits.
+
 For count tables, a shift whose block counts satisfy the bounded
 supermultiplicativity inequality with constant K pins its entropy between
 (log2 counts(n) - log2 K) / n and log2 counts(n) / n for every n.
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 
 from .blocks import BlockCountTable
@@ -26,7 +32,6 @@ from .sgap import SGapSpec
 
 DEFAULT_TOL = 1e-10
 _MAX_TRUNCATION = 2_000_000
-_MAX_BISECTIONS = 300
 _MIN_TOL = 2.0**-50
 
 
@@ -68,27 +73,21 @@ class EntropyResult:
     tail_bound: float
     iterations: int
     truncation_depth: int | None
-    log_base: float = 2.0
 
     def to_report(self) -> dict:
         return {
             "lambda": self.lam,
             "entropy": self.entropy,
-            "log_base": self.log_base,
+            "log_base": 2.0,
             "residual": self.residual,
             "tail_bound": self.tail_bound,
             "truncation_depth": self.truncation_depth,
         }
 
 
-def _entropy_of(lam: float, base: float) -> float:
-    if base == 2.0:
-        return math.log2(lam)
-    return math.log(lam) / math.log(base)
-
-
 def _series(members, lam: float) -> float:
-    # Summed smallest term first for float accuracy.
+    """sum over n in members of lam ** -(n + 1), rounded once from the
+    exact sum (fsum), so the order of the members does not matter."""
     return math.fsum(lam ** (-(n + 1)) for n in reversed(members))
 
 
@@ -96,9 +95,27 @@ def _series_derivative(members, lam: float) -> float:
     return -math.fsum((n + 1) * lam ** (-(n + 2)) for n in reversed(members))
 
 
-def solve_sgap_entropy(
-    spec: SGapSpec, tol: float = DEFAULT_TOL, log_base: float = 2.0
-) -> EntropyResult:
+def _bisect(series, lo: float, hi: float, tol: float) -> tuple[float, float, int]:
+    """Halve [lo, hi] around the root of the decreasing series(x) = 1.
+
+    lo moves only to points where the series is above 1, hi only to points
+    where it is at most 1.  Stops when the bracket is at most tol / 2 wide
+    or its ends are adjacent doubles; returns (lo, hi, halvings).
+    """
+    steps = 0
+    while hi - lo > tol / 2:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent doubles
+            break
+        if series(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+        steps += 1
+    return lo, hi, steps
+
+
+def solve_sgap_entropy(spec: SGapSpec, tol: float = DEFAULT_TOL) -> EntropyResult:
     """Solve f(lambda) = 1 for the gap set, certified to the tolerance.
 
     Bisection on the truncated series down to a bracket of width tol / 2,
@@ -115,9 +132,9 @@ def solve_sgap_entropy(
         raise EntropySolveError(f"tolerance {tol:.3e} is below the float floor 2**-50")
 
     if spec.size() == 1:
-        return EntropyResult(1.0, 0.0, 0.0, 0.0, 0, None, log_base)
+        return EntropyResult(1.0, 0.0, 0.0, 0.0, 0, None)
     if spec.is_full():
-        return EntropyResult(2.0, _entropy_of(2.0, log_base), 0.0, 0.0, 0, None, log_base)
+        return EntropyResult(2.0, 1.0, 0.0, 0.0, 0, None)
 
     if spec.is_finite():
         members = spec.members_up_to(spec.max_element())
@@ -132,23 +149,18 @@ def solve_sgap_entropy(
         tail_bound = lo ** (-depth) / (lo - 1.0)
 
     hi = 2.0
-    f_lo = _series(members, lo)
-    f_hi = _series(members, hi)
-    if not (f_lo > 1.0 >= f_hi - 1e-15):
+    if not (_series(members, lo) > 1.0 >= _series(members, hi) - 1e-15):
         raise EntropySolveError("failed to bracket the series root in [1, 2]")
 
-    iterations = 0
-    while hi - lo > tol / 2 and iterations < _MAX_BISECTIONS:
-        mid = 0.5 * (lo + hi)
-        f_mid = _series(members, mid)
-        if not f_lo > f_hi - 1e-15:
-            raise EntropySolveError("series not decreasing across the bracket")
-        if f_mid > 1.0:
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-        iterations += 1
-
+    # The bracket never stalls.  Every double in [1, 2] is a multiple of
+    # 2**-52.  While the loop runs, hi - lo > tol / 2 >= 2**-51, so the
+    # bracket is at least 3 ulps wide, and mid, within 2**-53 of the true
+    # midpoint, lies strictly inside: the adjacent-doubles stop never ends
+    # this solve.  A halving leaves at most w / 2 + 2**-53 of a width
+    # w <= 1, so at most 52 halvings run, and iterations counts them all.
+    # _bisect moves lo only where the series is > 1 and hi only where it is
+    # <= 1, so series(lo) > 1 >= series(hi) - 1e-15 holds throughout.
+    lo, hi, iterations = _bisect(partial(_series, members), lo, hi, tol)
     x = 0.5 * (lo + hi)
     for _ in range(5):
         fx = _series(members, x) - 1.0
@@ -169,12 +181,11 @@ def solve_sgap_entropy(
         )
     return EntropyResult(
         lam=x,
-        entropy=_entropy_of(x, log_base),
+        entropy=math.log2(x),
         residual=residual,
         tail_bound=tail_bound,
         iterations=iterations,
         truncation_depth=depth,
-        log_base=log_base,
     )
 
 

@@ -148,24 +148,11 @@ def bsm_estimate(table: BlockCountTable, depth: int) -> PropertyReport:
     )
 
 
-def _check_cells(
-    spec: SGapSpec, word_length_max: int, r_max: int, max_cells: int | None
-) -> None:
-    """Refuse, before any word or row is built, a window whose suffix-run
-    representatives times r_max exceed max_cells.
-
-    The representatives are the admissible '1' + zeros and all-zero words
-    up to W = word_length_max: 2 * W of them for an infinite set, and
-    min(W, q) + min(W, q - 1) for a finite one, which admits the runs below
-    q = max + 1.
-    """
-    q, p = spec.run_classes()
-    w = word_length_max
-    words = 2 * w if p else min(w, q) + min(w, q - 1)
-    if max_cells is not None and words * r_max > max_cells:
-        raise SizeGuardError(
-            f"{words * r_max} follower cells exceed the budget {max_cells}"
-        )
+def _check_cells(cells: int, max_cells: int | None) -> None:
+    """Refuse, before any row is built, a request of more than max_cells
+    follower cells."""
+    if max_cells is not None and cells > max_cells:
+        raise SizeGuardError(f"{cells} follower cells exceed the budget {max_cells}")
 
 
 def _class_starts(spec: SGapSpec, word_length_max: int) -> list[tuple[bool, int]]:
@@ -234,15 +221,15 @@ def balanced_estimate(
     """Smallest observed follower density over suffix-run representatives.
 
     Only the first representative of each follower class is read, so the
-    cost is O((q + p) * r_max) whatever word_length_max is.  The verdict
-    flags decay when the running minimum drops by a factor of 4 or more
-    between half depth and full depth; otherwise the data is consistent
-    with a uniform lower bound.
+    cost is O((q + p) * r_max) whatever word_length_max is, and max_cells
+    caps those classes times r_max.  The verdict flags decay when the
+    running minimum drops by a factor of 4 or more between half depth and
+    full depth; otherwise the data is consistent with a uniform lower bound.
     """
     if r_max < 1 or word_length_max < 1:
         raise ValueError("window sizes must be >= 1")
-    _check_cells(spec, word_length_max, r_max, max_cells)
     starts = _class_starts(spec, word_length_max)
+    _check_cells(len(starts) * r_max, max_cells)
     counts, *profiles = _follower_profiles(spec, [_EMPTY, *starts], r_max)
     return _min_density(starts, profiles, counts, r_max)
 
@@ -365,7 +352,13 @@ def gibbs_diagnostics(
     if depth < 2:
         raise ValueError("depth must be >= 2")
     window = depth // 2
-    _check_cells(spec, window, window, max_cells)
+    # Every admissible '1' + zeros and all-zero word up to the window gets
+    # its cells: 2 * window words for an infinite set, and
+    # min(window, q) + min(window, q - 1) for a finite one, which admits
+    # the runs below q = max + 1.
+    q, p = spec.run_classes()
+    words = 2 * window if p else min(window, q) + min(window, q - 1)
+    _check_cells(words * window, max_cells)
     starts = _class_starts(spec, window)
     # Sorted representatives: all-zero words, then '1' + zeros.
     runs = [(False, run) for run in range(1, window + 1) if spec.tail_allows(run)]

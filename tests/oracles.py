@@ -198,6 +198,27 @@ def bisect_decreasing(f, lo: float, hi: float, target: float, tol: float) -> flo
     return 0.5 * (lo + hi)
 
 
+def greedy_orbit_of_one(lam: float, tol: float, steps: int) -> list[str]:
+    """Where each of the first steps points of the greedy orbit of 1 in
+    base lam lies against the switch region [1/lam, 1/(lam*(lam-1))]:
+    'near' within tol of an endpoint, else 'inside' or 'outside'.
+
+    A digit d maps y to lam*y - d; the greedy digit is 1 whenever
+    lam*y - 1 >= 0, i.e. y >= 1/lam, and near that endpoint the closed
+    endpoint's digit 1 is kept.
+    """
+    lo, hi = 1.0 / lam, 1.0 / (lam * (lam - 1.0))
+    y, out = 1.0, []
+    for _ in range(steps):
+        near_lo = abs(y - lo) <= tol
+        if near_lo or abs(y - hi) <= tol:
+            out.append("near")
+        else:
+            out.append("inside" if lo <= y <= hi else "outside")
+        y = lam * y - (1 if y >= lo or near_lo else 0)
+    return out
+
+
 def random_spec(rng: random.Random):
     kind = rng.choice(("explicit", "cofinite", "periodic"))
     if kind == "explicit":

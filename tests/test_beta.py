@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,6 +186,47 @@ def test_komornik_loreti_residual():
     assert residual < 1e-9
 
 
+@pytest.mark.parametrize(
+    "tol, lam",
+    [
+        (1.0, 1.75),
+        (0.1, 1.796875),
+        (1e-6, 1.787231683731079),
+        (1e-12, 1.7872316501827754),
+        (1e-15, 1.7872316501829657),
+        (4e-16, 1.787231650182966),
+        (1e-300, 1.787231650182966),
+        (5e-324, 1.787231650182966),
+    ],
+)
+def test_komornik_loreti_exact_values(tol, lam):
+    # Exact doubles: the bracket stops at tol / 2 or, from 4e-16 down, at
+    # adjacent doubles.
+    assert komornik_loreti_constant(tol) == lam
+
+
+@pytest.mark.parametrize(
+    "lam, residuals",
+    [
+        (PHI, (0.0, 6.827871601444713e-14, 3.4139358007223564e-14, 3.419486915845482e-14)),
+        (1.787231650182966, (1.1102230246251565e-16, 1.1102230246251565e-16, 0.0, 0.0)),
+        (1.3, (2.6810830444645717e-08, 1.428615579168735e-07, 1.2710872909771354e-09,
+               1.346980778027529e-07)),
+        (1.9, (0.0, 0.0, 0.0, 0.0)),
+    ],
+)
+def test_prefix_residual_exact_values(lam, residuals):
+    # residual() of greedy and lazy prefixes of 1 and of 0.5 at depth 64,
+    # pinned as exact doubles.
+    ctx = BetaContext(lam)
+    got = tuple(
+        expand(x, ctx, 64).residual()
+        for x in (1.0, 0.5)
+        for expand in (greedy_expansion, lazy_expansion)
+    )
+    assert got == residuals
+
+
 def test_sgap_from_expansion_words():
     assert sgap_from_expansion("11000000").render() == "{0,1}"
     assert sgap_from_expansion(("0", "1")).render() == "co{0}"
@@ -196,6 +238,16 @@ def test_sgap_from_expansion_words():
 def test_expansion_from_sgap_words():
     assert expansion_from_sgap(parse_sgap_spec("{0,2}"), 4) == "1010"
     assert expansion_from_sgap(parse_sgap_spec("co{0}"), 5) == "01111"
+
+
+def test_expansion_from_sgap_is_membership(corpus):
+    # The word is read off the description's bits; it must agree with
+    # membership at every position, also for lengths inside the preperiod.
+    for spec in corpus + oracles.random_specs(40, 17):
+        q, p = len(spec.preperiod), len(spec.period)
+        for length in (1, 2, max(1, q - 1), q + 2 * p + 3):
+            expected = "".join(str(int(spec.contains(n))) for n in range(length))
+            assert expansion_from_sgap(spec, length) == expected, (spec, length)
 
 
 def test_bridge_round_trip(corpus):
@@ -319,6 +371,32 @@ def test_ehj_compatible_field():
     match = ehj_classify("10101")
     assert (PERIODIC_10, None) in match.compatible
     assert (FAMILY_11_ZEROS, 2) in match.compatible
+
+
+# The named bases and, to keep the runtime near a second, a seeded sample
+# of 200 of the 996 bases 1 + i/997 for each of five membership
+# tolerances (the whole 5005-point grid agrees too, in about 5 s).
+_NAMED_BASES = [PHI, KL_REF, 1.3, 1.7, 1.9]
+
+
+@pytest.mark.parametrize("seed, tol", enumerate([0.0, 1e-12, 1e-9, 1e-6, 1e-3]))
+def test_orbit_readings_match_direct_walk(seed, tol):
+    # univoque_check and greedy_switch_frequency read the flags of the
+    # greedy expansion of 1; a direct walk of the orbit, written from the
+    # definitions, must give the first choice and the share of choices.
+    grid = random.Random(seed).sample(range(1, 997), 200)
+    for lam in _NAMED_BASES + [1 + i / 997 for i in grid]:
+        ctx = BetaContext(lam, membership_tol=tol)
+        where = oracles.greedy_orbit_of_one(lam, tol, 500)
+        first = next((k for k, w in enumerate(where[:60], 1) if w != "outside"), None)
+        if first is None:
+            expected = (UNIQUE_UP_TO_DEPTH, None)
+        else:
+            expected = (BRANCH_AT if where[first - 1] == "inside" else AMBIGUOUS_AT, first)
+        report = univoque_check(ctx, 60)
+        assert (report.kind, report.step) == expected, (lam, tol)
+        share = sum(w != "outside" for w in where) / 500
+        assert greedy_switch_frequency(ctx, 500) == share, (lam, tol)
 
 
 def test_switch_frequency_golden_positive():

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import sys
+import time
 from importlib import resources
 
 import jsonschema
@@ -301,6 +302,34 @@ def test_tolerance_below_float_floor_fails_before_solving(monkeypatch, argv):
     assert code == 3
     assert_one_line_failure(out, err)
     assert "below the float floor" in err
+
+
+@pytest.mark.parametrize("word_max, r_max", [("100001", "1"), ("1000000000", "10")])
+def test_check_balanced_budget_counts_follower_classes(monkeypatch, word_max, r_max):
+    # co{0} has three follower classes whatever the window, so a window of
+    # any width reads 3 * r_max cells, far below the default budget.
+    monkeypatch.delenv("SHIFTLAB_MAX_CELLS", raising=False)
+    start = time.perf_counter()
+    code, out, err = call(
+        ["check-balanced", "--s", "co{0}", "--word-max", word_max, "--r-max", r_max]
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["depth_tested"] == int(r_max)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("budget, code", [("69", 4), ("70", 0)])
+def test_check_balanced_budget_boundary(monkeypatch, budget, code):
+    # co{0,1,4} has q = 5 and p = 1: six classes after a one and one
+    # all-zero class, so 7 * 10 = 70 cells at any window of 6 or more.
+    monkeypatch.setenv("SHIFTLAB_MAX_CELLS", budget)
+    got, out, err = call(
+        ["check-balanced", "--s", "co{0,1,4}", "--word-max", "100", "--r-max", "10"]
+    )
+    assert got == code
+    if code:
+        assert_one_line_failure(out, err)
+        assert err == f"shiftlab: budget exceeded: 70 follower cells exceed the budget {budget}\n"
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -1,10 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftlab.blocks import automaton_count_table, even_shift_automaton, sgap_count_table
 from shiftlab.entropy import (
     EntropySolveError,
+    _bisect,
     entropy_bounds_from_counts,
     entropy_slope_diagnostic,
     log2_int,
@@ -14,6 +16,7 @@ from shiftlab.props import bsm_estimate
 from shiftlab.sgap import parse_sgap_spec
 
 import oracles
+from conftest import CORPUS_STRINGS
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -62,6 +65,68 @@ def test_solver_matches_closed_form_series(corpus):
             lambda x: oracles.closed_series(spec, x), 1.0 + 1e-9, 2.0, 1.0, 1e-13
         )
         assert abs(res.lam - target) < 5e-11, spec
+
+
+# (lambda, entropy, iterations) of every corpus set, as exact doubles, at
+# the default tolerance and at the float floor 2**-50.
+_EXACT = {
+    1e-10: [
+        (1.0, 0.0, 0),
+        (1.618033988749895, 0.6942419136306174, 34),
+        (1.5384965922131477, 0.6215212480896332, 34),
+        (1.272019649514069, 0.3471209568153087, 35),
+        (1.89203625544194, 0.919939734050007, 34),
+        (2.0, 1.0, 0),
+        (1.6180339887498831, 0.6942419136306068, 34),
+        (1.9331849818995204, 0.9509796922312425, 34),
+        (1.4219750143068974, 0.5078961154128689, 35),
+        (1.4142135623730951, 0.5000000000000001, 35),
+        (1.8019377358048383, 0.8495491610973281, 34),
+        (1.5589798779816466, 0.6406023070456801, 34),
+    ],
+    2.0**-50: [
+        (1.0, 0.0, 0),
+        (1.6180339887498947, 0.6942419136306172, 50),
+        (1.5384965922131475, 0.6215212480896329, 50),
+        (1.2720196495140688, 0.3471209568153084, 51),
+        (1.8920362554419399, 0.9199397340500068, 50),
+        (2.0, 1.0, 0),
+        (1.6180339887498947, 0.6942419136306172, 50),
+        (1.9331849818995204, 0.9509796922312425, 50),
+        (1.4219750143068974, 0.5078961154128689, 51),
+        (1.4142135623730951, 0.5000000000000001, 51),
+        (1.8019377358048383, 0.8495491610973281, 50),
+        (1.558979877981751, 0.6406023070457766, 50),
+    ],
+}
+
+
+@pytest.mark.parametrize("tol", sorted(_EXACT))
+def test_solver_exact_values(tol):
+    for text, expected in zip(CORPUS_STRINGS, _EXACT[tol], strict=True):
+        res = solve_sgap_entropy(parse_sgap_spec(text), tol)
+        assert (res.lam, res.entropy, res.iterations) == expected, text
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(1.0, 1.5, exclude_min=True),
+    st.floats(0.0, 1.0),
+    st.floats(2.0**-50, 1.0),
+)
+def test_bisect_reaches_half_tolerance(lo, frac, tol):
+    # With tol >= 2**-50 inside [1, 2] the bracket always narrows to tol / 2,
+    # so the adjacent-doubles stop never ends an entropy solve.
+    root = lo + frac * (2.0 - lo)
+
+    def series(x):
+        return root / x
+
+    a, b, steps = _bisect(series, lo, 2.0, tol)
+    assert lo <= a < b <= 2.0 and b - a <= tol / 2
+    assert steps <= 52
+    assert a == lo or series(a) > 1.0
+    assert b == 2.0 or series(b) <= 1.0
 
 
 def test_monotone_in_the_gap_set():

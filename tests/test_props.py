@@ -7,6 +7,7 @@ import pytest
 
 from shiftlab.blocks import (
     BlockCountTable,
+    _follower_profiles,
     automaton_count_table,
     build_sft_automaton,
     even_shift_automaton,
@@ -332,19 +333,33 @@ def test_balanced_first_class_words_match_every_word(text):
     assert (rep.b_estimate, rep.witness) == _first_minimum_density(spec, 200, 12)
 
 
+def _representatives(spec, word_max):
+    """Every admissible '1' + zeros and all-zero word of the window, as
+    (holds a one, trailing run)."""
+    reps = [(True, k) for k in range(word_max) if oracles.tail_ok(spec, k)]
+    return reps + [(False, k) for k in range(1, word_max + 1) if oracles.tail_ok(spec, k)]
+
+
 def test_cell_budget_counts_every_representative(corpus):
-    # The budget counts all admissible '1' + zeros and all-zero words of the
-    # window, without building them: a budget one cell short refuses it.
+    # gibbs builds every cell, so its budget counts all admissible '1' +
+    # zeros and all-zero words of the window, without building them: a
+    # budget one cell short refuses it.
+    for spec in corpus + oracles.random_specs(20, 8081):
+        for word_max in (2, 5, 17, 40):
+            cells = len(_representatives(spec, word_max)) * word_max
+            gibbs_diagnostics(spec, 1.0, 2 * word_max + 1, max_cells=cells)
+            with pytest.raises(SizeGuardError, match=f"^{cells} follower cells"):
+                gibbs_diagnostics(spec, 1.0, 2 * word_max, max_cells=cells - 1)
+
+
+def test_balanced_cell_budget_counts_follower_rows(corpus):
+    # check-balanced reads one row per follower class, so its budget counts
+    # the distinct rows the kernel builds for every representative of the
+    # window, times r_max: a budget one cell short refuses it.
     for spec in corpus + oracles.random_specs(20, 8081):
         for word_max in (1, 2, 5, 17, 40):
-            reps = [k for k in range(word_max) if oracles.tail_ok(spec, k)]
-            reps += [k for k in range(1, word_max + 1) if oracles.tail_ok(spec, k)]
-            cells = len(reps) * 3
+            rows = _follower_profiles(spec, _representatives(spec, word_max), 3)
+            cells = len({id(row) for row in rows}) * 3
             balanced_estimate(spec, word_max, 3, max_cells=cells)
             with pytest.raises(SizeGuardError, match=f"^{cells} follower cells exceed"):
                 balanced_estimate(spec, word_max, 3, max_cells=cells - 1)
-            if word_max >= 2:
-                cells = len(reps) * word_max
-                gibbs_diagnostics(spec, 1.0, 2 * word_max + 1, max_cells=cells)
-                with pytest.raises(SizeGuardError, match=f"^{cells} follower cells"):
-                    gibbs_diagnostics(spec, 1.0, 2 * word_max, max_cells=cells - 1)

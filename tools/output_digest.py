@@ -5,13 +5,14 @@
 Builds the request lists of every workload in ``perfbench/workloads.py``
 (taken from the checkout this script sits in) for each seed, adds a
 ``--format csv`` variant of every blocks and gibbs request that lacks one,
-and runs each argv in-process through ``shiftlab.cli.main`` imported from
-``ROOT/src``.  It prints one ``command NAME argvs N sha256 HEX`` line per
-subcommand, in name order, and last the line ``argvs N sha256 HEX`` over
-all of them: the number of argvs and one SHA-256 over their exit codes,
-standard output and standard error.  Two checkouts print the same line
-exactly when those outputs are byte-identical, so a mismatch in the last
-line is named by the command lines above it.  Standard library only.
+appends the fixed float-edge argvs of ``EDGE_ARGVS`` once, and runs each
+argv in-process through ``shiftlab.cli.main`` imported from ``ROOT/src``.
+It prints one ``command NAME argvs N sha256 HEX`` line per subcommand, in
+name order, and last the line ``argvs N sha256 HEX`` over all of them:
+the number of argvs and one SHA-256 over their exit codes, standard output
+and standard error.  Two checkouts print the same line exactly when those
+outputs are byte-identical, so a mismatch in the last line is named by the
+command lines above it.  Standard library only.
 """
 
 from __future__ import annotations
@@ -28,6 +29,33 @@ from pathlib import Path
 OWN_CHECKOUT = Path(__file__).resolve().parent.parent
 CSV_COMMANDS = ("blocks", "gibbs")
 
+# Float edges of the shared series and bisection: kl down to adjacent
+# doubles, the entropy floor 2**-50 and the double just below it, long
+# greedy and lazy orbits, and the digit tree near the golden ratio and the
+# smallest univoque base.
+_FLOOR, _BELOW_FLOOR = "8.881784197001252e-16", "8.881784197001251e-16"
+_GOLDEN, _KL = "1.618033988749895", "1.787231650182966"
+EDGE_ARGVS = [
+    *(["kl", "--tol", tol] for tol in ("1", "1e-15", "4e-16", "1e-300", "5e-324")),
+    *(
+        [*argv, "--tol", tol]
+        for tol in (_FLOOR, _BELOW_FLOOR)
+        for argv in (
+            ["entropy", "--s", "{0,1}"],
+            ["entropy", "--s", "co{0}"],
+            ["entropy", "--s", "ep:pre=;pat=0,1"],
+            ["bridge", "--digits", "0110100110010110"],
+            ["gibbs", "--s", "co{0}"],
+        )
+    ),
+    *(
+        ["expand", "--lambda", lam, "--x", "1.0", "--mode", mode, "--depth", "300"]
+        for lam in (_GOLDEN, _KL, "1.3")
+        for mode in ("greedy", "lazy")
+    ),
+    *(["enumerate-one", "--lambda", lam, "--depth", "24"] for lam in (_GOLDEN, _KL)),
+]
+
 
 def argvs(seeds) -> list[list[str]]:
     sys.path.insert(0, str(OWN_CHECKOUT / "perfbench"))
@@ -40,7 +68,7 @@ def argvs(seeds) -> list[list[str]]:
                 out.append(request.argv)
                 if request.command in CSV_COMMANDS and "csv" not in request.argv:
                     out.append([*request.argv, "--format", "csv"])
-    return out
+    return out + EDGE_ARGVS
 
 
 def run(main, argv) -> tuple[int, str, str]:
