@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, cycle, islice
 
 from . import sgap
@@ -55,15 +55,16 @@ class BetaContext:
         if self.membership_tol < 0.0:
             raise ValueError("membership tolerance must be >= 0")
 
-    @property
+    # Computed on first read and kept: region_of reads them on every step.
+    @cached_property
     def interval_right(self) -> float:
         return 1.0 / (self.lam - 1.0)
 
-    @property
+    @cached_property
     def switch_lo(self) -> float:
         return 1.0 / self.lam
 
-    @property
+    @cached_property
     def switch_hi(self) -> float:
         return 1.0 / (self.lam * (self.lam - 1.0))
 
@@ -141,15 +142,14 @@ def _expand(x: float, ctx: BetaContext, depth: int, greedy: bool) -> ExpansionPr
     ctx.require_in_interval(x)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    tol = ctx.membership_tol
     digits, orbit, flags = [], [], []
     y = x
     for _ in range(depth):
-        flags.append(ctx.region_of(y))
-        if greedy:
-            digit = 1 if y >= ctx.switch_lo - tol else 0
-        else:
-            digit = 1 if y > ctx.switch_hi + tol else 0
+        flag = ctx.region_of(y)
+        flags.append(flag)
+        # The flag decides the digit: greedy takes 1 unless forced to 0,
+        # lazy takes 0 unless forced to 1.
+        digit = int(flag != FORCED0 if greedy else flag == FORCED1)
         y = ctx.lam * y - digit
         digits.append(digit)
         orbit.append(y)

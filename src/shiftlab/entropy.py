@@ -5,15 +5,38 @@ of the strictly decreasing series
 
     f(x) = sum over n in S of x ** -(n + 1) ,
 
-since f(2) <= 1 always and f(x) -> |S| > 1 as x -> 1+ whenever S has at
-least two members.  Infinite sets are truncated at a depth whose geometric
-tail is certified below a tenth of the requested tolerance, so the returned
-root carries an explicit residual-plus-tail certificate.
+since f(2) <= 1 always (a sum of distinct powers of 1/2) and f(x) -> |S| > 1
+as x -> 1+ whenever S has at least two members.  The root is the base in
+which the digit word of S expands 1 (Parry's beta-expansion of 1).
 
-_series and _bisect are the package's one evaluation of such a series and
-its one bracket halving: beta.komornik_loreti_constant solves the series of
-the parity-doubling digits with both, and beta.ExpansionPrefix.partial_sum
-is _series over the positions of its one digits.
+For S = (preperiod, period) with q = len(preperiod) and p = len(period) the
+series has the closed form
+
+    f(x) = A(1/x) + x ** -q * B(1/x) / (1 - x ** -p) ,
+
+where A(y) sums y ** (n + 1) over the preperiod members and B(y) sums
+y ** (j + 1) over the period members (B = 0 for a finite set).  One float
+evaluation costs O(members of the description), whatever the tolerance and
+however close the root lies to 1, and the solver bisects on it in floats.
+
+The final bracket is certified exactly.  With y = 1/x,
+
+    P(y) = (A(y) - 1) * (1 - y ** p) + y ** q * B(y)     (P = A - 1 if finite)
+
+has integer coefficients and, for y in (0, 1), the sign of f - 1.  Its
+constant term is -1, so a rational root of P is 1/b for an integer b: no
+double in (1, 2) is a root, and the sign of P at a bracket end is decided by
+fixed-point interval arithmetic whose working precision doubles, from 128
+bits, until the interval excludes 0.  A precision above
+_MAX_PRECISION_BITS raises SizeGuardError (CLI exit 4).  Bisection steps
+whose float value lies within its rounding bound of 1 take the same exact
+sign, so the float bisection never leaves the exact bracket.
+
+_series and _bisect are the package's one evaluation of such a series term
+by term and its one bracket halving: the closed form sums its two parts
+with _series, beta.komornik_loreti_constant solves the series of the
+parity-doubling digits with both, and beta.ExpansionPrefix.partial_sum is
+_series over the positions of its one digits.
 
 For count tables, a shift whose block counts satisfy the bounded
 supermultiplicativity inequality with constant K pins its entropy between
@@ -24,15 +47,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from fractions import Fraction
+from functools import partial
+from itertools import compress
+from typing import NamedTuple
 
 from .blocks import BlockCountTable
-from .sgap import SGapSpec
+from .sgap import SGapSpec, SizeGuardError
 
 DEFAULT_TOL = 1e-10
-_MAX_TRUNCATION = 2_000_000
 _MIN_TOL = 2.0**-50
+# Where f <= 2, the float closed form is off by at most 2**-48 / (1 - x**-p)
+# (1 for a finite set): each power and each fsum is within an ulp, 2**-52
+# relative, and the denominator 1 - x**-p scales the error of x**-p by
+# x**-p / (1 - x**-p).  A value farther than twice that from 1 has the sign
+# of f - 1; nearer ones are decided exactly.
+_FLOAT_MARGIN = 2.0**-47
+_START_PRECISION_BITS = 128
+_MAX_PRECISION_BITS = 1 << 16
 
 
 class EntropySolveError(ArithmeticError):
@@ -59,29 +91,27 @@ def _log2_real(value) -> float:
 
 @dataclass(frozen=True)
 class EntropyResult:
-    """Root of the gap series with its numeric certificate.
+    """Root of the gap series with its exact bracket.
 
-    residual is |f(lambda) - 1| over the truncated series at the returned
-    lambda; tail_bound bounds the truncation error of the series over the
-    whole bracket; residual + tail_bound stays below the requested
-    tolerance.
+    f(lambda_lo) > 1 >= f(lambda_hi), both signs decided exactly, so the
+    root lies in [lambda_lo, lambda_hi], which is at most the requested
+    tolerance wide; lam is the double at its midpoint.  A singleton set
+    (root 1) and the full set (root 2) report the root as both ends.
     """
 
     lam: float
     entropy: float
-    residual: float
-    tail_bound: float
+    lambda_lo: float
+    lambda_hi: float
     iterations: int
-    truncation_depth: int | None
 
     def to_report(self) -> dict:
         return {
             "lambda": self.lam,
             "entropy": self.entropy,
             "log_base": 2.0,
-            "residual": self.residual,
-            "tail_bound": self.tail_bound,
-            "truncation_depth": self.truncation_depth,
+            "lambda_lo": self.lambda_lo,
+            "lambda_hi": self.lambda_hi,
         }
 
 
@@ -91,125 +121,157 @@ def _series(members, lam: float) -> float:
     return math.fsum(lam ** (-(n + 1)) for n in reversed(members))
 
 
-def _series_derivative(members, lam: float) -> float:
-    return -math.fsum((n + 1) * lam ** (-(n + 2)) for n in reversed(members))
+def _float_above(_, value: float) -> bool:
+    return value > 1.0
 
 
-def _bisect(series, lo: float, hi: float, tol: float) -> tuple[float, float, int]:
+def _bisect(
+    series, lo: float, hi: float, tol: float, above=_float_above, f_lo=None, f_hi=None
+) -> tuple[float, float, int]:
     """Halve [lo, hi] around the root of the decreasing series(x) = 1.
 
-    lo moves only to points where the series is above 1, hi only to points
-    where it is at most 1.  Stops when the bracket is at most tol / 2 wide
-    or its ends are adjacent doubles; returns (lo, hi, halvings).
+    above(x, value) says whether series(x), evaluated as value, exceeds 1;
+    lo moves only to such points, hi only to the others.  Stops when the
+    bracket is at most tol / 2 wide and, if f_lo and f_hi (the series at lo
+    and at hi) are given, they differ by at most tol; or when the ends are
+    adjacent doubles.  Returns (lo, hi, halvings).
     """
+    spread = f_lo is not None
     steps = 0
-    while hi - lo > tol / 2:
+    while hi - lo > tol / 2 or spread and f_lo - f_hi > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # lo and hi are adjacent doubles
             break
-        if series(mid) > 1.0:
-            lo = mid
+        value = series(mid)
+        if above(mid, value):
+            lo, f_lo = mid, value
         else:
-            hi = mid
+            hi, f_hi = mid, value
         steps += 1
     return lo, hi, steps
 
 
-def solve_sgap_entropy(spec: SGapSpec, tol: float = DEFAULT_TOL) -> EntropyResult:
-    """Solve f(lambda) = 1 for the gap set, certified to the tolerance.
+class _GapTerms(NamedTuple):
+    """Members of a description: head in the preperiod, cycle in the first
+    period copy (empty for a finite set), and the period length p."""
 
-    Bisection on the truncated series down to a bracket of width tol / 2,
-    then up to five Newton steps clamped inside the bracket.  A singleton
-    set has its root exactly at 1 (entropy zero) and is returned directly;
-    the full set of naturals has its root exactly at 2.  A tolerance below
-    2**-50, four ulps at 1, raises EntropySolveError before any work.
+    head: list[int]
+    cycle: list[int]
+    p: int
+
+
+def _gap_terms(spec: SGapSpec) -> _GapTerms:
+    q, p = len(spec.preperiod), len(spec.period)
+    head = list(compress(range(q), spec.preperiod))
+    cycle = [] if spec.is_finite() else list(compress(range(q, q + p), spec.period))
+    return _GapTerms(head, cycle, p)
+
+
+def _closed_series(terms: _GapTerms, lam: float) -> float:
+    """f(lam) from the closed form, in floats."""
+    value = _series(terms.head, lam)
+    if terms.cycle:
+        value += _series(terms.cycle, lam) / (1.0 - lam**-terms.p)
+    return value
+
+
+def _mul(a: tuple[int, int], b: tuple[int, int], w: int) -> tuple[int, int]:
+    """Product of two nonnegative fixed-point intervals with w fractional
+    bits, its lower end rounded down and its upper end up."""
+    return a[0] * b[0] >> w, -(-a[1] * b[1] >> w)
+
+
+def _power(y: tuple[int, int], k: int, w: int) -> tuple[int, int]:
+    result = (1 << w, 1 << w)
+    while k:
+        if k & 1:
+            result = _mul(result, y, w)
+        k >>= 1
+        if k:
+            y = _mul(y, y, w)
+    return result
+
+
+def _sign_interval(terms: _GapTerms, lam: float, w: int) -> tuple[int, int]:
+    """An integer interval holding P(1/lam) * 2**(2w)."""
+    num, den = lam.as_integer_ratio()
+    one = 1 << w
+    y = ((den << w) // num, -(-(den << w) // num))
+    # y ** (n + 1) for the members in increasing order, each from the last
+    # times y to the gap, and the head and cycle sums of them.
+    gaps: dict[int, tuple[int, int]] = {}
+    power, exponent, sums = (one, one), 0, []
+    for members in (terms.head, terms.cycle):
+        low = high = 0
+        for n in members:
+            gap = n + 1 - exponent
+            if gap not in gaps:
+                gaps[gap] = _power(y, gap, w)
+            power, exponent = _mul(power, gaps[gap], w), n + 1
+            low, high = low + power[0], high + power[1]
+        sums.append((low, high))
+    (a_lo, a_hi), (c_lo, c_hi) = sums
+    if not terms.cycle:
+        return (a_lo - one) << w, (a_hi - one) << w
+    s_lo, s_hi = _power(y, terms.p, w)
+    ends = [x * z for x in (a_lo - one, a_hi - one) for z in (one - s_hi, one - s_lo)]
+    return min(ends) + (c_lo << w), max(ends) + (c_hi << w)
+
+
+def _exact_sign(terms: _GapTerms, lam: float) -> int:
+    """The sign of f(lam) - 1, +1 or -1, for a double lam in (1, 2)."""
+    w = _START_PRECISION_BITS
+    while w <= _MAX_PRECISION_BITS:
+        low, high = _sign_interval(terms, lam, w)
+        if low > 0 or high < 0:
+            return 1 if low > 0 else -1
+        w *= 2
+    raise SizeGuardError(
+        f"the sign of the gap series at {lam!r} needs more than "
+        f"{_MAX_PRECISION_BITS} bits of precision"
+    )
+
+
+def solve_sgap_entropy(spec: SGapSpec, tol: float = DEFAULT_TOL) -> EntropyResult:
+    """Solve f(lambda) = 1 for the gap set, with an exact bracket.
+
+    Bisects [1, 2] on the closed form until the bracket is at most tol / 2
+    wide and the float values of f at its ends differ by at most tol, or
+    its ends are adjacent doubles; then checks the sign of f - 1 at both
+    ends exactly.  A singleton set has its root exactly at 1 (entropy zero)
+    and the full set of naturals at 2; both are returned directly.  A
+    tolerance below 2**-50, four ulps at 1, raises EntropySolveError before
+    any evaluation.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    # The residual is a float near 1, so it carries rounding error of a few
-    # ulps at 1 (2**-52 each); below _MIN_TOL it cannot certify anything.
+    # Doubles in [1, 2) lie 2**-52 apart and float values of f near 1 are a
+    # few ulps of 1 off, so below _MIN_TOL neither stop can be promised.
     if tol < _MIN_TOL:
         raise EntropySolveError(f"tolerance {tol:.3e} is below the float floor 2**-50")
 
     if spec.size() == 1:
-        return EntropyResult(1.0, 0.0, 0.0, 0.0, 0, None)
+        return EntropyResult(1.0, 0.0, 1.0, 1.0, 0)
     if spec.is_full():
-        return EntropyResult(2.0, 1.0, 0.0, 0.0, 0, None)
+        return EntropyResult(2.0, 1.0, 2.0, 2.0, 0)
 
-    if spec.is_finite():
-        members = spec.members_up_to(spec.max_element())
-        depth = None
-        tail_bound = 0.0
-        lo = _shrink_lower_bracket(members, 1.5)
-    else:
-        probe = spec.members_up_to(512)
-        lo = _shrink_lower_bracket(probe, 1.5)
-        depth = _truncation_depth(lo, tol)
-        members = spec.members_up_to(depth - 1) if depth - 1 >= 0 else []
-        tail_bound = lo ** (-depth) / (lo - 1.0)
+    terms = _gap_terms(spec)
+    series = partial(_closed_series, terms)
 
-    hi = 2.0
-    if not (_series(members, lo) > 1.0 >= _series(members, hi) - 1e-15):
-        raise EntropySolveError("failed to bracket the series root in [1, 2]")
+    def above(lam: float, value: float) -> bool:
+        margin = _FLOAT_MARGIN / (1.0 - lam**-terms.p if terms.cycle else 1.0)
+        if abs(value - 1.0) > margin:
+            return value > 1.0
+        return _exact_sign(terms, lam) > 0
 
-    # The bracket never stalls.  Every double in [1, 2] is a multiple of
-    # 2**-52.  While the loop runs, hi - lo > tol / 2 >= 2**-51, so the
-    # bracket is at least 3 ulps wide, and mid, within 2**-53 of the true
-    # midpoint, lies strictly inside: the adjacent-doubles stop never ends
-    # this solve.  A halving leaves at most w / 2 + 2**-53 of a width
-    # w <= 1, so at most 52 halvings run, and iterations counts them all.
-    # _bisect moves lo only where the series is > 1 and hi only where it is
-    # <= 1, so series(lo) > 1 >= series(hi) - 1e-15 holds throughout.
-    lo, hi, iterations = _bisect(partial(_series, members), lo, hi, tol)
-    x = 0.5 * (lo + hi)
-    for _ in range(5):
-        fx = _series(members, x) - 1.0
-        if abs(fx) < 1e-15:
-            break
-        dfx = _series_derivative(members, x)
-        if dfx == 0.0:
-            break
-        step = x - fx / dfx
-        if not (lo <= step <= hi):
-            break
-        x = step
-
-    residual = abs(_series(members, x) - 1.0)
-    if residual + tail_bound >= tol:
-        raise EntropySolveError(
-            f"certificate {residual + tail_bound:.3e} not below tolerance {tol:.3e}"
-        )
-    return EntropyResult(
-        lam=x,
-        entropy=math.log2(x),
-        residual=residual,
-        tail_bound=tail_bound,
-        iterations=iterations,
-        truncation_depth=depth,
-    )
-
-
-def _shrink_lower_bracket(members, start: float) -> float:
-    """Largest probed lambda with partial series certifiably above one.
-
-    The partial sum is a lower bound of the full series, so its exceeding
-    one certifies the bracket for the infinite set as well.
-    """
-    lo = start
-    while _series(members, lo) <= 1.0:
-        lo = 1.0 + (lo - 1.0) / 4.0
-        if lo - 1.0 < 1e-15:
-            raise EntropySolveError("root is indistinguishable from 1 at float precision")
-    return lo
-
-
-def _truncation_depth(lo: float, tol: float) -> int:
-    """Smallest depth N with lo**-N / (lo - 1) below tol / 10."""
-    target = tol / 10.0 * (lo - 1.0)
-    depth = max(8, math.ceil(-math.log(target) / math.log(lo)) + 1)
-    if depth > _MAX_TRUNCATION:
-        raise EntropySolveError("truncation depth exceeds budget; root too close to 1")
-    return depth
+    # f tends to |S| >= 2 or to infinity as x -> 1+, so lo = 1 starts above
+    # the root; f_lo = inf keeps the bisection going until lo has moved.
+    lo, hi, iterations = _bisect(series, 1.0, 2.0, tol, above, math.inf, series(2.0))
+    # f(2) <= 1 for every gap set, so hi = 2 needs no check.
+    if _exact_sign(terms, lo) < 0 or hi < 2.0 and _exact_sign(terms, hi) > 0:
+        raise EntropySolveError(f"bracket [{lo!r}, {hi!r}] failed its exact sign check")
+    lam = 0.5 * (lo + hi)
+    return EntropyResult(lam, math.log2(lam), lo, hi, iterations)
 
 
 def entropy_bounds_from_counts(

@@ -2,14 +2,18 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import shiftlab
 from shiftlab.cli import _build_parser, main
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -292,16 +296,63 @@ def assert_one_line_failure(out, err):
     [["entropy", "--s", "{0,2,5}"], ["entropy", "--s", "co{0}"], ["gibbs", "--s", "co{0}"]],
 )
 def test_tolerance_below_float_floor_fails_before_solving(monkeypatch, argv):
-    # A float residual near 1 cannot certify 1e-300, so the solver must not
-    # evaluate the series at all, let alone report residual 0.0.
+    # The bisection decides on float values of the series near 1, which
+    # cannot meet 1e-300, so the solver must not evaluate the series at all.
     def no_series(*_):
         raise AssertionError("series evaluated")
 
-    monkeypatch.setattr("shiftlab.entropy._series", no_series)
+    monkeypatch.setattr("shiftlab.entropy._closed_series", no_series)
+    monkeypatch.setattr("shiftlab.entropy._exact_sign", no_series)
     code, out, err = call([*argv, "--tol", "1e-300"])
     assert code == 3
     assert_one_line_failure(out, err)
     assert "below the float floor" in err
+
+
+def test_precision_cap_is_a_budget_error(monkeypatch):
+    # Below the starting precision every sign check exceeds the cap.
+    monkeypatch.setattr("shiftlab.entropy._MAX_PRECISION_BITS", 64)
+    code, out, err = call(["entropy", "--s", "{0,2,5}"])
+    assert code == 4
+    assert_one_line_failure(out, err)
+    assert err.startswith("shiftlab: budget exceeded: ")
+
+
+def test_entropy_cost_follows_the_description():
+    # One member per period of 100000: the series closes in O(1) terms.
+    spec = "ep:pre=;pat=" + "0," * 99999 + "1"
+    start = time.perf_counter()
+    code, out, err = call(["entropy", "--s", spec])
+    assert time.perf_counter() - start < 0.5
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert result["lambda_lo"] <= 2.0 ** (1 / 100000) <= result["lambda_hi"]
+    # As a subprocess too.  A 200 kB argument exceeds the limit on one exec
+    # argument (128 KiB on Linux), so the child reads it from stdin.
+    script = "import sys; from shiftlab.cli import main; "
+    script += "sys.exit(main(['entropy', '--s', sys.stdin.read()]))"
+    src = str(Path(shiftlab.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", script], input=spec.encode(), capture_output=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert child.returncode == 0 and json.loads(child.stdout)["result"] == result
+
+
+def test_expand_digit_follows_its_flag(capsys):
+    # x sits just below fl(switch_lo - tol): flagged forced0, it must take 0.
+    lam, x, tol = 1.5, 0.6666666666636666, 3e-12
+    result = run_json(
+        capsys, "expand", "--lambda", str(lam), "--x", repr(x), "--tol", repr(tol),
+        "--depth", "3",
+    )["result"]
+    y = x
+    for digit, flag in zip(result["digits"], result["branch_flags"], strict=True):
+        assert flag != "forced0" or digit == "0"
+        assert flag != "forced1" or digit == "1"
+        y = lam * y - int(digit)
+        assert -tol <= y <= 1 / (lam - 1) + tol
+    assert result["digits"] == "010"
 
 
 @pytest.mark.parametrize("word_max, r_max", [("100001", "1"), ("1000000000", "10")])

@@ -1,12 +1,17 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shiftlab.beta import BetaContext, spec_construction_lazy, spec_from_prefix
 from shiftlab.blocks import automaton_count_table, even_shift_automaton, sgap_count_table
 from shiftlab.entropy import (
     EntropySolveError,
     _bisect,
+    _exact_sign,
+    _gap_terms,
+    _sign_interval,
     entropy_bounds_from_counts,
     entropy_slope_diagnostic,
     log2_int,
@@ -19,6 +24,11 @@ import oracles
 from conftest import CORPUS_STRINGS
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def assert_bracket(res, tol):
+    assert res.lambda_lo <= res.lam <= res.lambda_hi
+    assert res.lambda_hi - res.lambda_lo <= tol
 
 
 def test_full_shift_exact():
@@ -35,8 +45,7 @@ def test_singleton_exact():
 def test_positive_gaps_give_golden_ratio():
     res = solve_sgap_entropy(parse_sgap_spec("co{0}"), tol=1e-10)
     assert abs(res.lam - PHI) < 1e-9
-    assert res.residual + res.tail_bound < 1e-10
-    assert res.truncation_depth is not None
+    assert_bracket(res, 1e-10)
 
 
 def test_golden_mean_set():
@@ -68,35 +77,38 @@ def test_solver_matches_closed_form_series(corpus):
 
 
 # (lambda, entropy, iterations) of every corpus set, as exact doubles, at
-# the default tolerance and at the float floor 2**-50.
+# the default tolerance and at the float floor 2**-50.  The solver bisects
+# [1, 2] on the closed form of the series and reports the midpoint of its
+# exact bracket; the earlier pins were roots of a truncated series, Newton
+# polished, so every value here moved by up to the tolerance.
 _EXACT = {
     1e-10: [
         (1.0, 0.0, 0),
-        (1.618033988749895, 0.6942419136306174, 34),
-        (1.5384965922131477, 0.6215212480896332, 34),
-        (1.272019649514069, 0.3471209568153087, 35),
-        (1.89203625544194, 0.919939734050007, 34),
+        (1.6180339887359878, 0.6942419136182173, 35),
+        (1.5384965922130505, 0.6215212480895419, 35),
+        (1.2720196495210985, 0.34712095682328137, 35),
+        (1.8920362554345047, 0.9199397340443375, 35),
         (2.0, 1.0, 0),
-        (1.6180339887498831, 0.6942419136306068, 34),
-        (1.9331849818995204, 0.9509796922312425, 34),
-        (1.4219750143068974, 0.5078961154128689, 35),
-        (1.4142135623730951, 0.5000000000000001, 35),
-        (1.8019377358048383, 0.8495491610973281, 34),
-        (1.5589798779816466, 0.6406023070456801, 34),
+        (1.6180339887359878, 0.6942419136182173, 35),
+        (1.933184981913655, 0.9509796922417909, 35),
+        (1.4219750143020065, 0.5078961154079067, 36),
+        (1.4142135623696959, 0.4999999999965324, 35),
+        (1.8019377357995836, 0.8495491610931211, 35),
+        (1.558979877983802, 0.6406023070476746, 35),
     ],
     2.0**-50: [
         (1.0, 0.0, 0),
-        (1.6180339887498947, 0.6942419136306172, 50),
-        (1.5384965922131475, 0.6215212480896329, 50),
+        (1.6180339887498947, 0.6942419136306172, 51),
+        (1.538496592213148, 0.6215212480896334, 51),
         (1.2720196495140688, 0.3471209568153084, 51),
-        (1.8920362554419399, 0.9199397340500068, 50),
+        (1.8920362554419399, 0.9199397340500068, 51),
         (2.0, 1.0, 0),
-        (1.6180339887498947, 0.6942419136306172, 50),
-        (1.9331849818995204, 0.9509796922312425, 50),
-        (1.4219750143068974, 0.5078961154128689, 51),
-        (1.4142135623730951, 0.5000000000000001, 51),
-        (1.8019377358048383, 0.8495491610973281, 50),
-        (1.558979877981751, 0.6406023070457766, 50),
+        (1.618033988749895, 0.6942419136306174, 52),
+        (1.9331849818995204, 0.9509796922312425, 51),
+        (1.4219750143068977, 0.5078961154128692, 52),
+        (1.414213562373095, 0.4999999999999999, 52),
+        (1.8019377358048383, 0.8495491610973281, 51),
+        (1.5589798779817508, 0.6406023070457765, 52),
     ],
 }
 
@@ -106,6 +118,7 @@ def test_solver_exact_values(tol):
     for text, expected in zip(CORPUS_STRINGS, _EXACT[tol], strict=True):
         res = solve_sgap_entropy(parse_sgap_spec(text), tol)
         assert (res.lam, res.entropy, res.iterations) == expected, text
+        assert res.lambda_lo <= expected[0] <= res.lambda_hi, text
 
 
 @settings(max_examples=200, deadline=None)
@@ -129,6 +142,85 @@ def test_bisect_reaches_half_tolerance(lo, frac, tol):
     assert b == 2.0 or series(b) <= 1.0
 
 
+# Each gap set with a polynomial in lambda, negative below its root and
+# positive above it; the certified ends must straddle that root exactly.
+# One member per period p has the root 2**(1/p).
+_ROOT_POLYNOMIALS = [
+    pytest.param("{0,1}", lambda x: x * x - x - 1, id="{0,1}"),
+    pytest.param("co{0}", lambda x: x * x - x - 1, id="co{0}"),
+    # The float series reads 1 + 2**-52 at 1.3802775690976141, above the root.
+    pytest.param("co{0,1,2}", lambda x: x**4 - x**3 - 1, id="co{0,1,2}"),
+    *(
+        pytest.param(
+            "ep:pre=;pat=" + "0," * (p - 1) + "1", lambda x, p=p: x**p - 2, id=f"period{p}"
+        )
+        for p in (2, 256, 257, 300, 400)
+    ),
+]
+
+
+@pytest.mark.parametrize("tol", [1e-10, 2.0**-50])
+@pytest.mark.parametrize("text, poly", _ROOT_POLYNOMIALS)
+def test_certified_ends_straddle_the_root_exactly(text, poly, tol):
+    spec = parse_sgap_spec(text)
+    res = solve_sgap_entropy(spec, tol)
+    assert poly(Fraction(res.lambda_lo)) < 0 < poly(Fraction(res.lambda_hi))
+    assert_bracket(res, tol)
+    # The series is steep near 1 (slope -2p at 2**(1/p)), so a bracket
+    # tol/2 wide is not enough: the series at lambda is within tol of 1.
+    assert abs(oracles.closed_series(spec, res.lam) - 1.0) <= tol + 1e-12
+
+
+@pytest.mark.parametrize("text, poly", _ROOT_POLYNOMIALS)
+def test_exact_sign_at_the_doubles_around_the_root(text, poly):
+    # The last double below the root, found with the polynomial alone, and
+    # three doubles on each side of it.  Near the root the float series can
+    # round to exactly 1 (at 1.6180339887498947 for {0,1}), so only an exact
+    # sign gets all of them right.
+    lo, hi = 1.0, 2.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if poly(Fraction(mid)) < 0 else (lo, mid)
+    terms = _gap_terms(parse_sgap_spec(text))
+    x = lo
+    for _ in range(3):
+        x = math.nextafter(x, 0.0)
+    for _ in range(7):
+        assert _exact_sign(terms, x) == (1 if poly(Fraction(x)) < 0 else -1), x
+        x = math.nextafter(x, 2.0)
+
+
+@pytest.mark.parametrize("w", [8, 16, 128])
+@pytest.mark.parametrize("lam", [1.3, 1.5, 1.7, 1.9])
+@pytest.mark.parametrize("text", ["{0,1}", "{0,2,5}", "{0,1,2,4,8,16,32}"])
+def test_sign_interval_holds_the_finite_series(text, lam, w):
+    # For a finite set the interval holds (f(lam) - 1) * 2**(2w), with f
+    # summed exactly: its ends are rounded outward at every product.
+    spec = parse_sgap_spec(text)
+    exact = sum(Fraction(lam) ** -(n + 1) for n in spec.members_up_to(spec.max_element()))
+    low, high = _sign_interval(_gap_terms(spec), lam, w)
+    assert low <= (exact - 1) * 2 ** (2 * w) <= high
+
+
+def test_bracket_of_the_lazy_construction_holds_its_base():
+    # The 50-digit prefix expands 1 in base 1.8 up to its tail, at most
+    # 1.8**-50 / 0.8.  Its series falls by at least 1.8**-2 per unit of
+    # base up to 1.8 (its first digit is 1), so its root lies within
+    # err = 1.8**-50 / 0.8 * 1.8**2 of 1.8.
+    lam = 1.8
+    spec = spec_from_prefix(spec_construction_lazy(BetaContext(lam), 50))
+    assert spec.is_finite()
+    members = spec.members_up_to(spec.max_element())
+    res = solve_sgap_entropy(spec, tol=1e-12)
+    # The ends bracket the root of the prefix's own series, summed exactly.
+    def series(x):
+        return sum(Fraction(x) ** -(n + 1) for n in members)
+
+    assert series(res.lambda_lo) > 1 >= series(res.lambda_hi)
+    err = lam**-50 / (lam - 1) * lam**2
+    assert res.lambda_lo - err <= lam <= res.lambda_hi + err
+    assert_bracket(res, 1e-12)
+
+
 def test_monotone_in_the_gap_set():
     nested = ["{0}", "{0,1}", "{0,1,2}", "{0,1,2,3}", "{0,1,2,3,4}"]
     lams = [solve_sgap_entropy(parse_sgap_spec(s), 1e-12).lam for s in nested]
@@ -139,7 +231,7 @@ def test_entropy_result_certificate(corpus):
     for spec in corpus:
         res = solve_sgap_entropy(spec, tol=1e-9)
         assert 1.0 <= res.lam <= 2.0
-        assert res.residual + res.tail_bound < 1e-9
+        assert_bracket(res, 1e-9)
         assert res.entropy == pytest.approx(math.log2(res.lam), abs=1e-15)
 
 

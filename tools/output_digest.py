@@ -30,9 +30,11 @@ OWN_CHECKOUT = Path(__file__).resolve().parent.parent
 CSV_COMMANDS = ("blocks", "gibbs")
 
 # Float edges of the shared series and bisection: kl down to adjacent
-# doubles, the entropy floor 2**-50 and the double just below it, long
-# greedy and lazy orbits, and the digit tree near the golden ratio and the
-# smallest univoque base.
+# doubles, the entropy floor 2**-50 and the double just below it, entropy
+# on sparse periods whose roots crowd 1 (one member per period p, root
+# 2**(1/p)), long greedy and lazy orbits, and the digit tree near the
+# golden ratio and the smallest univoque base.  No argv is known to reach
+# the entropy solver's precision cap.
 _FLOOR, _BELOW_FLOOR = "8.881784197001252e-16", "8.881784197001251e-16"
 _GOLDEN, _KL = "1.618033988749895", "1.787231650182966"
 EDGE_ARGVS = [
@@ -47,6 +49,10 @@ EDGE_ARGVS = [
             ["bridge", "--digits", "0110100110010110"],
             ["gibbs", "--s", "co{0}"],
         )
+    ),
+    *(
+        ["entropy", "--s", "ep:pre=;pat=" + "0," * (p - 1) + "1"]
+        for p in (256, 257, 300, 400, 100000)
     ),
     *(
         ["expand", "--lambda", lam, "--x", "1.0", "--mode", mode, "--depth", "300"]
