@@ -46,13 +46,11 @@ from .beta import (  # noqa: F401
     BetaContext,
     ExpansionPrefix,
     LeafBudgetError,
-    apply_map,
     continuum_navigator,
     ehj_classify,
     enumerate_expansions_of_one,
     expansion_from_sgap,
     greedy_expansion,
-    greedy_switch_frequency,
     komornik_loreti_constant,
     lazy_expansion,
     max_zero_run_bound,
@@ -60,5 +58,4 @@ from .beta import (  # noqa: F401
     spec_construction_lazy,
     spec_from_prefix,
     thue_morse,
-    univoque_check,
 )

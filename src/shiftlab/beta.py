@@ -87,13 +87,6 @@ class BetaContext:
             )
 
 
-def apply_map(digit: int, x: float, ctx: BetaContext) -> float:
-    """One digit action: lambda * x - digit."""
-    if digit not in (0, 1):
-        raise ValueError("digit must be 0 or 1")
-    return ctx.lam * x - digit
-
-
 @dataclass(frozen=True)
 class ExpansionPrefix:
     """A finite digit word with its orbit and per-step branch annotations.
@@ -206,6 +199,8 @@ def enumerate_expansions_of_one(
     """
     if not (1 <= depth <= 64):
         raise ValueError("depth must be in 1..64")
+    if max_leaves < 1:
+        raise ValueError("max_leaves must be >= 1")
     slack = max(8.0 * ctx.membership_tol, 1e-10)
     right = ctx.interval_right
     leaves: list[ExpansionPrefix] = []
@@ -249,36 +244,6 @@ def enumerate_expansions_of_one(
     return leaves
 
 
-UNIQUE_UP_TO_DEPTH = "unique_up_to_depth"
-BRANCH_AT = "branch_at"
-AMBIGUOUS_AT = "ambiguous_at"
-
-
-@dataclass(frozen=True)
-class UnivoqueReport:
-    kind: str
-    step: int | None
-
-
-def univoque_check(ctx: BetaContext, depth: int) -> UnivoqueReport:
-    """Report the first digit choice on the forced orbit of 1.
-
-    Reads the flags of the greedy expansion of 1, which up to the first
-    choice is the only expansion.  Strict switch-region entry reports a
-    branch; an orbit point within tolerance of a region endpoint reports
-    ambiguity (floating point cannot decide the side); no choice in depth
-    steps reports uniqueness up to the depth.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    for step, flag in enumerate(greedy_expansion(1.0, ctx, depth).flags, 1):
-        if flag == SWITCH:
-            return UnivoqueReport(BRANCH_AT, step)
-        if flag == AMBIGUOUS:
-            return UnivoqueReport(AMBIGUOUS_AT, step)
-    return UnivoqueReport(UNIQUE_UP_TO_DEPTH, None)
-
-
 def thue_morse(n: int) -> int:
     """n-th bit of the parity-doubling sequence: t(2i) = t(i), t(2i+1) = 1 - t(i)."""
     if n < 0:
@@ -318,17 +283,16 @@ def sgap_from_expansion(digits, length: int | None = None) -> SGapSpec:
     digits is either a finite 0/1 word (optionally truncated to length) or
     a (preperiod, period) pair of 0/1 words for an eventually periodic
     sequence.  Because members are digit positions shifted down by one, the
-    characteristic bits of the set are the digit word itself.
+    characteristic bits of the set are the digit word itself.  Every word
+    is checked to be binary before any digit is read.
     """
-    if isinstance(digits, tuple):
-        pre, pat = digits
-        return sgap.periodic_gaps([int(b) for b in pre], [int(b) for b in pat])
-    word = str(digits)
-    if length is not None:
-        word = word[:length]
-    if any(ch not in "01" for ch in word):
+    pair = isinstance(digits, tuple)
+    words = digits if pair else (str(digits)[:length],)
+    if any(ch not in "01" for word in words for ch in word):
         raise ValueError("digit word must be binary")
-    members = [j - 1 for j, ch in enumerate(word, start=1) if ch == "1"]
+    if pair:
+        return sgap.periodic_gaps(*words)
+    members = [j - 1 for j, ch in enumerate(words[0], start=1) if ch == "1"]
     if not members:
         raise sgap.EmptySetError("digit word with no ones encodes the empty set")
     return sgap.explicit_gaps(members)
@@ -355,7 +319,9 @@ def spec_from_prefix(prefix: ExpansionPrefix) -> SGapSpec:
     return sgap_from_expansion(word)
 
 
-# Orbit points this close count as one point of a cycle.
+# Orbit points this close count as one point of a cycle.  The cycle is what
+# keeps a construction exact where rounding moves its float orbit: at the
+# golden base the depth-200 digit word alone reads {0,1,77,79,81,...}.
 _RECURRENCE_TOL = 1e-9
 
 
@@ -552,17 +518,3 @@ def ehj_classify(digits: str) -> EhjMatch:
             return EhjMatch(FAMILY_01_ONES, n, tuple(compatible))
     return EhjMatch(NOT_A_PREFIX, None, tuple(compatible))
 
-
-def greedy_switch_frequency(ctx: BetaContext, iterations: int) -> float:
-    """Fraction of the first greedy orbit points of 1 inside the switch region.
-
-    Reads the flags of the greedy expansion of 1: a point flagged switch or
-    ambiguous lies in the region widened by the membership tolerance.  A
-    float-orbit diagnostic: positive frequency witnesses recurring digit
-    choice at this base, zero frequency over the window is consistent with
-    (but does not prove) unique expansion.
-    """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    flags = greedy_expansion(1.0, ctx, iterations).flags
-    return sum(flag in (SWITCH, AMBIGUOUS) for flag in flags) / iterations

@@ -45,34 +45,21 @@ def _cell_budget() -> int:
     return value
 
 
-def _spec_source(args) -> tuple[str, object]:
-    """Resolve --s / --sft / --even-shift into a counting source."""
-    picked = [
-        name
-        for name, present in (
-            ("--s", args.s is not None),
-            ("--sft", getattr(args, "sft", None) is not None),
-            ("--even-shift", getattr(args, "even_shift", False)),
-        )
-        if present
-    ]
-    if len(picked) != 1:
+def _table_builder(args) -> Callable[[int], blocks.BlockCountTable]:
+    """Resolve --s / --sft / --even-shift into the count-table builder of
+    that source, which takes the largest length."""
+    if sum((args.s is not None, args.sft is not None, args.even_shift)) != 1:
         raise sgap.SpecSyntaxError("exactly one of --s, --sft, --even-shift is required")
     if args.s is not None:
-        return "sgap", sgap.parse_sgap_spec(args.s)
-    if getattr(args, "even_shift", False):
-        return "automaton", blocks.even_shift_automaton()
-    if not getattr(args, "alphabet", None):
-        raise sgap.SpecSyntaxError("--sft requires --alphabet")
-    forbidden = [w for w in args.sft.split(",") if w]
-    aut = blocks.build_sft_automaton(args.alphabet, forbidden)
-    return "automaton", aut
-
-
-def _count_table(kind, source, n_max) -> blocks.BlockCountTable:
-    if kind == "sgap":
-        return blocks.sgap_count_table(source, n_max)
-    return blocks.automaton_count_table(source, n_max)
+        return functools.partial(blocks.sgap_count_table, sgap.parse_sgap_spec(args.s))
+    if args.even_shift:
+        aut = blocks.even_shift_automaton()
+    else:
+        if not args.alphabet:
+            raise sgap.SpecSyntaxError("--sft requires --alphabet")
+        forbidden = [w for w in args.sft.split(",") if w]
+        aut = blocks.build_sft_automaton(args.alphabet, forbidden)
+    return functools.partial(blocks.automaton_count_table, aut)
 
 
 def _emit(args, report: dict, to_csv: Callable[[], str] | None = None) -> None:
@@ -151,8 +138,7 @@ def _require_printable(flag: str, value: int, what: str, numbers) -> None:
 
 def cmd_blocks(args) -> None:
     _require_positive("--n", args.n)
-    kind, source = _spec_source(args)
-    table = _count_table(kind, source, args.n)
+    table = _table_builder(args)(args.n)
     _require_printable("--n", args.n, "count", table.counts.values())
     result = {
         "n": args.n,
@@ -170,8 +156,7 @@ def cmd_blocks(args) -> None:
 
 def cmd_check_bsm(args) -> None:
     _require_positive("--depth", args.depth)
-    kind, source = _spec_source(args)
-    table = _count_table(kind, source, 2 * args.depth)
+    table = _table_builder(args)(2 * args.depth)
     report = props.bsm_estimate(table, args.depth)
     k = report.k_estimate
     _require_printable("--depth", args.depth, "K_estimate part", (k.numerator, k.denominator))
@@ -221,6 +206,7 @@ def cmd_expand(args) -> None:
 def cmd_enumerate_one(args) -> None:
     ctx = beta.BetaContext(args.lam, membership_tol=args.tol)
     max_leaves = args.max_leaves if args.max_leaves is not None else _cell_budget()
+    _require_positive("--max-leaves", max_leaves)
     leaves = beta.enumerate_expansions_of_one(ctx, args.depth, max_leaves=max_leaves)
     result = {
         "leaf_count": len(leaves),

@@ -13,6 +13,14 @@ follower class share one follower row (blocks._follower_profiles), and a
 repeated row never holds a strictly smaller density, so the minimum reads
 only the first word of each class: O((q + p) * r_max) work for any window.
 
+The suffix-run representatives up to a window w are derived once, by
+_suffix_runs, as two ranges of trailing runs: '1' + 0^k for k in range(w)
+and 0^k for k in range(1, w + 1), each cut to the runs below q = max + 1
+for a finite set.  The Gibbs cell budget is their total length times w,
+checked before anything is built; the class starts are the first q + p
+runs after a one and the first all-zero word (every all-zero word when
+p = 0); the Gibbs rows are all of them, all-zero words first.
+
 bsm_estimate takes log2 of every count once and, before forming any
 big-integer product, scores each pair (m, n) by the float
 log2 counts(m) + log2 counts(n) - log2 counts(m + n).  Pairs scoring below
@@ -155,20 +163,28 @@ def _check_cells(cells: int, max_cells: int | None) -> None:
         raise SizeGuardError(f"{cells} follower cells exceed the budget {max_cells}")
 
 
-def _class_starts(spec: SGapSpec, word_length_max: int) -> list[tuple[bool, int]]:
-    """The first suffix-run representative of each follower class, as
-    (holds a one, trailing run), in representative order: every '1' +
-    zeros before every all-zero word, shorter first.
+def _suffix_runs(spec: SGapSpec, w: int) -> tuple[range, range]:
+    """The suffix-run representatives up to length w: the trailing runs k
+    of the words '1' + 0^k (ones) and of the all-zero words 0^k (zeros).
 
-    Runs past q + p fold onto earlier classes after a one, and all-zero
-    words share one class when p > 0; the runs a finite set admits are
-    those below q.
+    A finite set admits only the runs below q = max + 1.  The ranges
+    allocate nothing, so a budget can be checked on their lengths first.
     """
     q, p = spec.run_classes()
-    w = word_length_max
-    ones = [(True, run) for run in range(min(w, q + p))]
-    zeros = [(False, 1)] if p else [(False, run) for run in range(1, min(w + 1, q))]
-    return ones + zeros
+    return range(w if p else min(w, q)), range(1, w + 1 if p else min(w + 1, q))
+
+
+def _class_starts(spec: SGapSpec, ones: range, zeros: range) -> list[tuple[bool, int]]:
+    """The first of the _suffix_runs representatives of each follower
+    class, as (holds a one, trailing run), in representative order: every
+    '1' + zeros before every all-zero word, shorter first.
+
+    Runs past q + p fold onto earlier classes after a one, and all-zero
+    words share one class when p > 0.
+    """
+    q, p = spec.run_classes()
+    starts = [(True, run) for run in ones[: q + p]]
+    return starts + [(False, run) for run in (zeros[:1] if p else zeros)]
 
 
 def _min_density(starts, profiles, counts, r_max: int) -> PropertyReport:
@@ -228,7 +244,7 @@ def balanced_estimate(
     """
     if r_max < 1 or word_length_max < 1:
         raise ValueError("window sizes must be >= 1")
-    starts = _class_starts(spec, word_length_max)
+    starts = _class_starts(spec, *_suffix_runs(spec, word_length_max))
     _check_cells(len(starts) * r_max, max_cells)
     counts, *profiles = _follower_profiles(spec, [_EMPTY, *starts], r_max)
     return _min_density(starts, profiles, counts, r_max)
@@ -353,16 +369,12 @@ def gibbs_diagnostics(
         raise ValueError("depth must be >= 2")
     window = depth // 2
     # Every admissible '1' + zeros and all-zero word up to the window gets
-    # its cells: 2 * window words for an infinite set, and
-    # min(window, q) + min(window, q - 1) for a finite one, which admits
-    # the runs below q = max + 1.
-    q, p = spec.run_classes()
-    words = 2 * window if p else min(window, q) + min(window, q - 1)
-    _check_cells(words * window, max_cells)
-    starts = _class_starts(spec, window)
+    # its cells; the ranges are sized before any row is built.
+    ones, zeros = _suffix_runs(spec, window)
+    _check_cells((len(ones) + len(zeros)) * window, max_cells)
+    starts = _class_starts(spec, ones, zeros)
     # Sorted representatives: all-zero words, then '1' + zeros.
-    runs = [(False, run) for run in range(1, window + 1) if spec.tail_allows(run)]
-    runs += [(True, run) for run in range(window) if spec.tail_allows(run)]
+    runs = [(False, run) for run in zeros] + [(True, run) for run in ones]
     counts, *rows = _follower_profiles(spec, [_EMPTY, *starts, *runs], depth)
     table = BlockCountTable(counts=dict(enumerate(counts[1:], start=1)))
 

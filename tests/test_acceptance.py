@@ -13,7 +13,6 @@ import tracemalloc
 from fractions import Fraction
 
 from shiftlab.beta import (
-    BRANCH_AT,
     NOT_A_PREFIX,
     BetaContext,
     ehj_classify,

@@ -6,23 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 from shiftlab.beta import (
     AMBIGUOUS,
-    AMBIGUOUS_AT,
-    BRANCH_AT,
     FAMILY_01_ONES,
     FAMILY_11_ZEROS,
+    FORCED0,
+    FORCED1,
     NOT_A_PREFIX,
     PERIODIC_10,
     SWITCH,
-    UNIQUE_UP_TO_DEPTH,
     BetaContext,
     LeafBudgetError,
-    apply_map,
     continuum_navigator,
     ehj_classify,
     enumerate_expansions_of_one,
     expansion_from_sgap,
     greedy_expansion,
-    greedy_switch_frequency,
     komornik_loreti_constant,
     lazy_expansion,
     max_zero_run_bound,
@@ -30,7 +27,6 @@ from shiftlab.beta import (
     spec_construction_lazy,
     spec_from_prefix,
     thue_morse,
-    univoque_check,
 )
 from shiftlab.entropy import solve_sgap_entropy
 from shiftlab.sgap import EmptySetError, classify, parse_sgap_spec
@@ -44,12 +40,14 @@ lam_strategy = st.floats(min_value=1.05, max_value=1.95)
 
 
 def test_apply_map_fixed_points():
+    # The first orbit point of a one-digit walk is the digit action
+    # lambda * x - digit: 0 and the right end are fixed by their forced digit.
     ctx = BetaContext(1.7)
-    assert apply_map(0, 0.0, ctx) == 0.0
+    assert lazy_expansion(0.0, ctx, 1).orbit[0] == 0.0
     top = ctx.interval_right
-    assert apply_map(1, top, ctx) == pytest.approx(top, abs=1e-12)
+    assert greedy_expansion(top, ctx, 1).orbit[0] == pytest.approx(top, abs=1e-12)
     phi_ctx = BetaContext(PHI)
-    assert apply_map(1, 1.0, phi_ctx) == pytest.approx(PHI - 1.0, abs=1e-12)
+    assert greedy_expansion(1.0, phi_ctx, 1).orbit[0] == pytest.approx(PHI - 1.0, abs=1e-12)
 
 
 def test_context_geometry():
@@ -126,6 +124,10 @@ def test_enumerate_budget_error_carries_partial():
     with pytest.raises(LeafBudgetError) as err:
         enumerate_expansions_of_one(BetaContext(PHI), 12, max_leaves=3)
     assert len(err.value.partial) == 3
+    # A budget below one leaf is a bad argument, not an exhausted budget.
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="max_leaves"):
+            enumerate_expansions_of_one(BetaContext(PHI), 12, max_leaves=budget)
 
 
 def test_enumerate_leaf_sums_approximate_one():
@@ -138,28 +140,37 @@ def test_enumerate_leaf_sums_approximate_one():
             assert abs(1.0 - leaf.partial_sum()) <= tolerance
 
 
+def _first_choice(ctx, depth):
+    """(step, flag) of the first digit choice on the greedy orbit of 1, or
+    (None, None) when depth steps are all forced.  Up to its first choice
+    the greedy expansion of 1 is its only expansion."""
+    flags = greedy_expansion(1.0, ctx, depth).flags
+    return next(
+        ((k, f) for k, f in enumerate(flags, 1) if f not in (FORCED0, FORCED1)),
+        (None, None),
+    )
+
+
 def test_univoque_golden():
     # Default tolerance reads the exact endpoint hits as ambiguous; with a
     # zero band the strict branch shows at step 2.
-    soft = univoque_check(BetaContext(PHI), 40)
-    assert soft.kind in (BRANCH_AT, AMBIGUOUS_AT) and soft.step <= 2
-    hard = univoque_check(BetaContext(PHI, membership_tol=0.0), 40)
-    assert hard.kind == BRANCH_AT and hard.step == 2
+    step, flag = _first_choice(BetaContext(PHI), 40)
+    assert flag in (SWITCH, AMBIGUOUS) and step <= 2
+    assert _first_choice(BetaContext(PHI, membership_tol=0.0), 40) == (2, SWITCH)
 
 
 def test_univoque_below_kl_branches():
-    assert univoque_check(BetaContext(1.3), 40).kind == BRANCH_AT
-    assert univoque_check(BetaContext(1.7), 40).kind == BRANCH_AT
+    assert _first_choice(BetaContext(1.3), 40)[1] == SWITCH
+    assert _first_choice(BetaContext(1.7), 40)[1] == SWITCH
 
 
 def test_univoque_at_kl_never_strictly_branches():
     # Orbit margins shrink like lam**-(2**k) at steps 2**k, so a wide
     # ambiguity band is the honest reading; a strict branch must not occur.
-    result = univoque_check(BetaContext(KL_REF, membership_tol=1e-6), 40)
-    assert result.kind != BRANCH_AT
-    assert result.kind in (UNIQUE_UP_TO_DEPTH, AMBIGUOUS_AT)
-    shallow = univoque_check(BetaContext(KL_REF), 28)
-    assert shallow.kind == UNIQUE_UP_TO_DEPTH
+    flag = _first_choice(BetaContext(KL_REF, membership_tol=1e-6), 40)[1]
+    assert flag != SWITCH
+    assert flag in (None, AMBIGUOUS)
+    assert _first_choice(BetaContext(KL_REF), 28) == (None, None)
 
 
 def test_thue_morse_recurrence_start():
@@ -233,6 +244,11 @@ def test_sgap_from_expansion_words():
     assert sgap_from_expansion("10101", length=3).render() == "{0,2}"
     with pytest.raises(EmptySetError):
         sgap_from_expansion("0000")
+    # Both words of a pair are checked like a single word, before any digit
+    # is read: periodic_gaps alone would read 2 as a one.
+    for digits in ("012", ("1", "2"), ("1,0", "1")):
+        with pytest.raises(ValueError, match="digit word must be binary"):
+            sgap_from_expansion(digits)
 
 
 def test_expansion_from_sgap_words():
@@ -286,6 +302,11 @@ def test_construction_golden():
     assert set(prefix.digits[2:]) == {0}
     assert prefix.periodicity == (2, 1)
     assert spec_from_prefix(prefix).render() == "{0,1}"
+    # Deeper, rounding lifts the float orbit off 0 and the plain digit word
+    # gains ones ({0,1,77,79,81,...}); the detected period keeps {0,1}.
+    deep = spec_construction_lazy(BetaContext(PHI), 200)
+    assert deep.periodicity == (2, 1)
+    assert spec_from_prefix(deep).render() == "{0,1}"
 
 
 def test_construction_above_golden():
@@ -379,36 +400,38 @@ def test_ehj_compatible_field():
 _NAMED_BASES = [PHI, KL_REF, 1.3, 1.7, 1.9]
 
 
+# How a direct walk's reading of each orbit point appears among the flags.
+_ORACLE_FLAGS = {"near": (AMBIGUOUS,), "inside": (SWITCH,), "outside": (FORCED0, FORCED1)}
+
+
 @pytest.mark.parametrize("seed, tol", enumerate([0.0, 1e-12, 1e-9, 1e-6, 1e-3]))
 def test_orbit_readings_match_direct_walk(seed, tol):
-    # univoque_check and greedy_switch_frequency read the flags of the
-    # greedy expansion of 1; a direct walk of the orbit, written from the
-    # definitions, must give the first choice and the share of choices.
+    # Every flag of the greedy expansion of 1 must agree with a direct walk
+    # of the orbit written from the definitions, so the first choice and the
+    # share of choices read off the flags are those of the walk.
     grid = random.Random(seed).sample(range(1, 997), 200)
     for lam in _NAMED_BASES + [1 + i / 997 for i in grid]:
         ctx = BetaContext(lam, membership_tol=tol)
         where = oracles.greedy_orbit_of_one(lam, tol, 500)
-        first = next((k for k, w in enumerate(where[:60], 1) if w != "outside"), None)
-        if first is None:
-            expected = (UNIQUE_UP_TO_DEPTH, None)
-        else:
-            expected = (BRANCH_AT if where[first - 1] == "inside" else AMBIGUOUS_AT, first)
-        report = univoque_check(ctx, 60)
-        assert (report.kind, report.step) == expected, (lam, tol)
-        share = sum(w != "outside" for w in where) / 500
-        assert greedy_switch_frequency(ctx, 500) == share, (lam, tol)
+        flags = greedy_expansion(1.0, ctx, 500).flags
+        assert len(flags) == len(where) == 500
+        for k, (w, flag) in enumerate(zip(where, flags), 1):
+            assert flag in _ORACLE_FLAGS[w], (lam, tol, k)
 
 
 def test_switch_frequency_golden_positive():
-    assert greedy_switch_frequency(BetaContext(PHI), 200) > 0.0
+    flags = greedy_expansion(1.0, BetaContext(PHI), 200).flags
+    assert sum(f in (SWITCH, AMBIGUOUS) for f in flags) / 200 > 0.0
 
 
 def test_switch_frequency_kl_zero_over_window():
-    assert greedy_switch_frequency(BetaContext(KL_REF), 30) == 0.0
+    flags = greedy_expansion(1.0, BetaContext(KL_REF), 30).flags
+    assert sum(f in (SWITCH, AMBIGUOUS) for f in flags) / 30 == 0.0
 
 
 def test_switch_frequency_high_base_regression():
-    freq = greedy_switch_frequency(BetaContext(1.9), 100_000)
+    flags = greedy_expansion(1.0, BetaContext(1.9), 100_000).flags
+    freq = sum(f in (SWITCH, AMBIGUOUS) for f in flags) / 100_000
     assert 0.04 < freq < 0.09
 
 

@@ -106,6 +106,8 @@ def test_blocks_csv_format(capsys):
         ["blocks", "--even-shift", "--n", "-3"],
         ["check-bsm", "--s", "co{0}", "--depth", "0"],
         ["check-bsm", "--sft", "ac,ad", "--alphabet", "abcd", "--depth", "-1"],
+        ["enumerate-one", "--lambda", "1.5", "--max-leaves", "0"],
+        ["enumerate-one", "--lambda", "1.5", "--max-leaves", "-3"],
     ],
 )
 def test_nonpositive_sizes_are_usage_errors(capsys, monkeypatch, argv):
@@ -229,6 +231,21 @@ def test_bridge_both_directions(capsys):
     assert rep["result"]["digits"] == "1010"
     code, _ = run(capsys, "bridge", "--digits", "11", "--s", "{0}")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bridge", "--digits", "012"],
+        ["bridge", "--pre", "1", "--pat", "2"],
+        ["bridge", "--pre", "1,0", "--pat", "1"],
+    ],
+)
+def test_non_binary_digit_words_are_usage_errors(argv):
+    code, out, err = call(argv)
+    assert code == 2
+    assert_one_line_failure(out, err)
+    assert err == "shiftlab: digit word must be binary\n"
 
 
 def test_empty_shift_reported_distinctly(capsys):

@@ -34,7 +34,8 @@ CSV_COMMANDS = ("blocks", "gibbs")
 # on sparse periods whose roots crowd 1 (one member per period p, root
 # 2**(1/p)), long greedy and lazy orbits, and the digit tree near the
 # golden ratio and the smallest univoque base.  No argv is known to reach
-# the entropy solver's precision cap.
+# the entropy solver's precision cap.  Last, fixed usage contracts: a
+# non-binary --pre/--pat word and a leaf budget below one exit 2.
 _FLOOR, _BELOW_FLOOR = "8.881784197001252e-16", "8.881784197001251e-16"
 _GOLDEN, _KL = "1.618033988749895", "1.787231650182966"
 EDGE_ARGVS = [
@@ -60,6 +61,9 @@ EDGE_ARGVS = [
         for mode in ("greedy", "lazy")
     ),
     *(["enumerate-one", "--lambda", lam, "--depth", "24"] for lam in (_GOLDEN, _KL)),
+    ["bridge", "--pre", "1", "--pat", "2"],
+    ["bridge", "--pre", "1,0", "--pat", "1"],
+    ["enumerate-one", "--lambda", "1.5", "--max-leaves", "0"],
 ]
 
 
