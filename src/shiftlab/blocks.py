@@ -13,8 +13,10 @@ followers of the empty word.  All counts are exact Python integers.
 Finite-type shifts given by forbidden blocks are presented as higher-block
 automata, and sofic presentations such as the even shift are counted by
 determinising the label action over subsets of states; one pass of that
-construction yields the counts of every length up to n, in
-O(n * subsets * letters) steps.
+construction yields the counts of every length up to n.  Each subset's
+letter images are computed once, on the step after it is found, as integer
+(source, target) edges; each length then costs O(edges) big-integer
+additions.  write_csv rows end in CRLF.
 
 Word admissibility here is the factor language of a closed shift: every
 interior maximal zero run (flanked by ones) must lie in the gap set, while a
@@ -24,7 +26,6 @@ of length n needs some member >= n.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from itertools import accumulate, product
 from operator import sub
@@ -303,12 +304,12 @@ class BlockCountTable:
     def write_csv(self, fileobj) -> None:
         from .entropy import log2_int  # local import to avoid a cycle
 
-        writer = csv.writer(fileobj)
-        writer.writerow(["n", "count", "log2_count", "log2_count_over_n"])
+        rows = ["n,count,log2_count,log2_count_over_n\r\n"]
         for n in sorted(self.counts):
             c = self.counts[n]
             l2 = log2_int(c)
-            writer.writerow([n, c, f"{l2:.12g}", f"{l2 / n:.12g}"])
+            rows.append(f"{n},{c},{l2:.12g},{l2 / n:.12g}\r\n")
+        fileobj.write("".join(rows))
 
 
 def sgap_count_table(spec: SGapSpec, n_max: int) -> BlockCountTable:
@@ -321,34 +322,40 @@ def automaton_count_table(aut: ShiftAutomaton, n_max: int) -> BlockCountTable:
 
     Reading from several start states makes the presentation effectively
     nondeterministic, so words are deduplicated by walking the subset
-    construction; layer n holds how many words lead to each subset, and the
-    number of discovered subsets is budget-limited.
+    construction.  Subsets are numbered as they are found, and each one's
+    letter images become integer (source, target) edges on the step after
+    it is found, so discovery proceeds layer by layer and the subset budget
+    trips at the first length whose layers exceed it.  Layer n holds how
+    many words lead to each subset; it is advanced over the edge list.
     """
     start = frozenset(aut.states)
-    step_cache: dict[tuple[frozenset, str], frozenset] = {}
-    seen_subsets = {start}
-    layer = {start: 1} if start else {}
+    subsets = [start] if start else []
+    index = {subset: i for i, subset in enumerate(subsets)}
+    edges: list[tuple[int, int]] = []
+    layer = [1] * len(subsets)
+    expanded = 0
     counts = {}
     for n in range(1, n_max + 1):
-        nxt: dict[frozenset, int] = {}
-        for subset, cnt in layer.items():
+        found = len(subsets)
+        for source in range(expanded, found):
+            subset = subsets[source]
             for a in aut.alphabet:
-                key = (subset, a)
-                target = step_cache.get(key)
-                if target is None:
-                    target = frozenset(
-                        aut.transitions[(q, a)]
-                        for q in subset
-                        if (q, a) in aut.transitions
-                    )
-                    step_cache[key] = target
+                target = frozenset(
+                    aut.transitions[(q, a)] for q in subset if (q, a) in aut.transitions
+                )
                 if not target:
                     continue
-                if target not in seen_subsets:
-                    seen_subsets.add(target)
-                    if len(seen_subsets) > SUBSET_STATE_LIMIT:
+                t = index.get(target)
+                if t is None:
+                    t = index[target] = len(subsets)
+                    subsets.append(target)
+                    if len(subsets) > SUBSET_STATE_LIMIT:
                         raise SizeGuardError("determinisation exceeded subset budget")
-                nxt[target] = nxt.get(target, 0) + cnt
+                edges.append((source, t))
+        expanded = found
+        nxt = [0] * len(subsets)
+        for source, t in edges:
+            nxt[t] += layer[source]
         layer = nxt
-        counts[n] = sum(layer.values())
+        counts[n] = sum(layer)
     return BlockCountTable(counts=counts)

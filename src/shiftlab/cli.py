@@ -242,6 +242,10 @@ def cmd_bridge(args) -> None:
         raise sgap.SpecSyntaxError(
             "bridge needs exactly one of --digits, --pre/--pat, or --s"
         )
+    if args.length is not None:
+        if args.s is None and args.digits is None:
+            raise sgap.SpecSyntaxError("--length applies to --digits and --s, not --pre/--pat")
+        _require_positive("--length", args.length)
     if args.s is not None:
         if args.length is None:
             raise sgap.SpecSyntaxError("--s direction requires --length")

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import pytest
@@ -17,7 +18,8 @@ from shiftlab.blocks import (
     sgap_count_table,
     word_is_admissible,
 )
-from shiftlab.sgap import parse_sgap_spec
+from shiftlab.entropy import log2_int
+from shiftlab.sgap import SizeGuardError, parse_sgap_spec
 
 import oracles
 
@@ -270,3 +272,55 @@ def test_even_shift_table_matches_even_gap_dp():
     counts = automaton_count_table(even_shift_automaton(), 300).counts
     reference = oracles.run_length_counts(parse_sgap_spec("ep:pre=;pat=1,0"), 300)
     assert [counts[n] for n in range(1, 301)] == reference[1:]
+
+
+def test_subset_budget_trips_at_the_first_layer_past_it(monkeypatch):
+    # Start included, this presentation's subset construction has found 3, 7
+    # and 15 subsets after lengths 1, 2 and 3.  A budget of 7 must admit a
+    # table to length 2 and refuse one to length 3, which pins discovery to
+    # one layer per length rather than the whole closure up front.
+    aut = build_sft_automaton("01", ["0000", "1111"])
+    monkeypatch.setattr("shiftlab.blocks.SUBSET_STATE_LIMIT", 7)
+    assert automaton_count_table(aut, 2).counts == {1: 2, 2: 4}
+    with pytest.raises(SizeGuardError):
+        automaton_count_table(aut, 3)
+
+
+def _csv_writer_oracle(table) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["n", "count", "log2_count", "log2_count_over_n"])
+    for n in sorted(table.counts):
+        l2 = log2_int(table.counts[n])
+        writer.writerow([n, table.counts[n], f"{l2:.12g}", f"{l2 / n:.12g}"])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: sgap_count_table(parse_sgap_spec("{0,1,3,4,7}"), n),
+        lambda n: automaton_count_table(even_shift_automaton(), n),
+        lambda n: automaton_count_table(build_sft_automaton("01", ["11"]), n),
+        lambda n: automaton_count_table(build_sft_automaton("abc", ["aa", "bc"]), n),
+        lambda n: automaton_count_table(build_sft_automaton("abcd", EX31_FORBIDDEN), n),
+    ],
+    ids=["gap-set", "even", "golden", "sft3", "sft4"],
+)
+def test_csv_export_matches_csv_writer_bytes(build):
+    table = build(1500)
+    buf = io.StringIO(newline="")
+    table.write_csv(buf)
+    text = buf.getvalue()
+    assert text == _csv_writer_oracle(table)
+    assert text.count("\r\n") == 1501 and text.endswith("\r\n")
+
+
+@pytest.mark.parametrize(
+    "alphabet, forbidden, s",
+    [("01", ["11"], "co{0}"), ("01", ["000"], "{0,1,2}"), ("01", ["11", "0000"], "{1,2,3}")],
+)
+def test_long_sft_tables_match_gap_dp(alphabet, forbidden, s):
+    aut = build_sft_automaton(alphabet, forbidden)
+    table = automaton_count_table(aut, 300)
+    assert table.counts == sgap_count_table(parse_sgap_spec(s), 300).counts

@@ -248,6 +248,23 @@ def test_non_binary_digit_words_are_usage_errors(argv):
     assert err == "shiftlab: digit word must be binary\n"
 
 
+@pytest.mark.parametrize("length", ["0", "-1"])
+@pytest.mark.parametrize("source", [["--digits", "101"], ["--s", "{0,2}"]])
+def test_bridge_length_below_one_is_a_usage_error(source, length):
+    # A negative --length once sliced digits off the end of the word.
+    code, out, err = call(["bridge", *source, f"--length={length}"])
+    assert code == 2
+    assert_one_line_failure(out, err)
+    assert err == f"shiftlab: --length must be >= 1, got {length}\n"
+
+
+def test_bridge_length_with_periodic_input_is_a_usage_error():
+    code, out, err = call(["bridge", "--pre", "1", "--pat", "0", "--length", "3"])
+    assert code == 2
+    assert_one_line_failure(out, err)
+    assert "--pre/--pat" in err
+
+
 def test_empty_shift_reported_distinctly(capsys):
     code = main(["blocks", "--sft", "00,01,10,11", "--alphabet", "01", "--n", "2"])
     err = capsys.readouterr().err
