@@ -8,16 +8,20 @@ the smallest.
 
 Floating point cannot decide membership at the region's endpoints, so every
 branch test is three-way: strictly inside, strictly outside, or within
-membership_tol of an endpoint.  Near-endpoint steps are carried out with
-the mathematically closed-endpoint digit (greedy keeps 1, lazy keeps 0) and
-flagged as ambiguous rather than silently resolved; tree enumeration
-explores both digits there and lets impossible branches die when their
-orbit leaves the interval.
+membership_tol of an endpoint.  One table, _DIGITS, maps each reading to
+the digits it admits: greedy takes its last entry, lazy its first, and tree
+enumeration explores all of them.  Near-endpoint steps therefore keep the
+mathematically closed-endpoint digit (greedy 1, lazy 0) and are flagged as
+ambiguous rather than silently resolved, while the tree lets impossible
+branches die when their orbit leaves the interval.  Every single-path
+expansion (greedy, lazy, the constructions) is one walk, _walk, that reads
+the flag, asks a pick function for the digit and maps y to lambda * y - d.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, cycle, islice
@@ -32,6 +36,9 @@ FORCED0 = "forced0"
 FORCED1 = "forced1"
 SWITCH = "switch"
 AMBIGUOUS = "ambiguous"
+
+# The digits each switch-region reading admits, smallest first.
+_DIGITS = {FORCED0: (0,), FORCED1: (1,), SWITCH: (0, 1), AMBIGUOUS: (0, 1)}
 
 
 class LeafBudgetError(RuntimeError):
@@ -131,38 +138,47 @@ class ExpansionPrefix:
         }
 
 
-def _expand(x: float, ctx: BetaContext, depth: int, greedy: bool) -> ExpansionPrefix:
-    ctx.require_in_interval(x)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+def _walk(
+    ctx: BetaContext, y: float, depth: int, pick: Callable[[float, str], int | None]
+) -> ExpansionPrefix:
+    """Up to depth steps from y: pick(y, flag) names each digit, and a None
+    digit stops the walk early and flags the prefix incomplete."""
+    start = y
     digits, orbit, flags = [], [], []
-    y = x
     for _ in range(depth):
         flag = ctx.region_of(y)
-        flags.append(flag)
-        # The flag decides the digit: greedy takes 1 unless forced to 0,
-        # lazy takes 0 unless forced to 1.
-        digit = int(flag != FORCED0 if greedy else flag == FORCED1)
+        digit = pick(y, flag)
+        if digit is None:
+            break
         y = ctx.lam * y - digit
         digits.append(digit)
         orbit.append(y)
+        flags.append(flag)
     return ExpansionPrefix(
         lam=ctx.lam,
-        start=x,
+        start=start,
         digits=tuple(digits),
         orbit=tuple(orbit),
         flags=tuple(flags),
+        flagged_incomplete=len(digits) < depth,
     )
+
+
+def _expand(x: float, ctx: BetaContext, depth: int, end: int) -> ExpansionPrefix:
+    ctx.require_in_interval(x)
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    return _walk(ctx, x, depth, lambda y, flag: _DIGITS[flag][end])
 
 
 def greedy_expansion(x: float, ctx: BetaContext, depth: int) -> ExpansionPrefix:
     """Largest-digit expansion: digit 1 whenever the point allows it."""
-    return _expand(x, ctx, depth, greedy=True)
+    return _expand(x, ctx, depth, -1)
 
 
 def lazy_expansion(x: float, ctx: BetaContext, depth: int) -> ExpansionPrefix:
     """Smallest-digit expansion: digit 0 whenever the point allows it."""
-    return _expand(x, ctx, depth, greedy=False)
+    return _expand(x, ctx, depth, 0)
 
 
 def max_zero_run_bound(delta: float, ctx: BetaContext) -> int:
@@ -195,7 +211,8 @@ def enumerate_expansions_of_one(
     near-endpoint steps mark the prefix ambiguous.  Children whose orbit
     leaves the interval beyond a small slack are dropped, which is how
     spurious ambiguous branches die out.  Leaves come back in digit
-    lexicographic order.
+    lexicographic order, so the first is the lazy expansion of 1 and the
+    last the greedy one.
     """
     if not (1 <= depth <= 64):
         raise ValueError("depth must be in 1..64")
@@ -205,53 +222,30 @@ def enumerate_expansions_of_one(
     right = ctx.interval_right
     leaves: list[ExpansionPrefix] = []
 
-    def walk(y: float, digits: list[int], orbit: list[float], flags: list[str]):
+    def grow(y: float, digits: tuple, orbit: tuple, flags: tuple):
         if len(digits) == depth:
             if len(leaves) >= max_leaves:
                 raise LeafBudgetError(
                     f"leaf budget {max_leaves} exhausted", leaves
                 )
-            leaves.append(
-                ExpansionPrefix(
-                    lam=ctx.lam,
-                    start=1.0,
-                    digits=tuple(digits),
-                    orbit=tuple(orbit),
-                    flags=tuple(flags),
-                )
-            )
+            leaves.append(ExpansionPrefix(ctx.lam, 1.0, digits, orbit, flags))
             return
-        region = ctx.region_of(y)
-        options = {
-            FORCED0: (0,),
-            FORCED1: (1,),
-            SWITCH: (0, 1),
-            AMBIGUOUS: (0, 1),
-        }[region]
-        for digit in options:
+        flag = ctx.region_of(y)
+        for digit in _DIGITS[flag]:
             child = ctx.lam * y - digit
-            if child < -slack or child > right + slack:
-                continue
-            digits.append(digit)
-            orbit.append(child)
-            flags.append(region)
-            walk(child, digits, orbit, flags)
-            digits.pop()
-            orbit.pop()
-            flags.pop()
+            if -slack <= child <= right + slack:
+                grow(child, digits + (digit,), orbit + (child,), flags + (flag,))
 
-    walk(1.0, [], [], [])
+    grow(1.0, (), (), ())
     return leaves
 
 
 def thue_morse(n: int) -> int:
-    """n-th bit of the parity-doubling sequence: t(2i) = t(i), t(2i+1) = 1 - t(i)."""
+    """n-th bit of the parity-doubling sequence, t(2i) = t(i) and
+    t(2i+1) = 1 - t(i): the parity of the ones in the binary digits of n."""
     if n < 0:
         raise ValueError("index must be a natural")
-    if n == 0:
-        return 0
-    bit = thue_morse(n >> 1)
-    return bit if n % 2 == 0 else 1 - bit
+    return bin(n).count("1") & 1
 
 
 _KL_SERIES_TERMS = 256
@@ -350,29 +344,19 @@ def spec_construction_lazy(ctx: BetaContext, depth: int) -> ExpansionPrefix:
         raise ValueError("depth must be >= 3")
     if ctx.lam < GOLDEN - 1e-12:
         raise ValueError("construction needs a base at or above the golden ratio")
-    digits, orbit, flags = [], [], []
-    y = 1.0
-    for _ in range(2):
-        flags.append(ctx.region_of(y))
-        y = ctx.lam * y - 1
-        digits.append(1)
-        orbit.append(y)
-    tail = lazy_expansion(max(y, 0.0), ctx, depth - 2)
-    digits.extend(tail.digits)
-    orbit.extend(tail.orbit)
-    flags.extend(tail.flags)
-    periodicity = None
-    rec = _detect_orbit_recurrence(tuple(orbit), _RECURRENCE_TOL)
-    if rec is not None:
-        i, j = rec
-        periodicity = (i + 1, j - i)
+    # Two leading ones.  Just below the golden ratio the second orbit point
+    # lies a hair below 0, where the lazy tail would refuse it: clamp it.
+    head = _walk(ctx, 1.0, 2, lambda y, flag: 1)
+    tail = lazy_expansion(max(head.orbit[-1], 0.0), ctx, depth - 2)
+    orbit = head.orbit + tail.orbit
+    rec = _detect_orbit_recurrence(orbit, _RECURRENCE_TOL)
     return ExpansionPrefix(
         lam=ctx.lam,
         start=1.0,
-        digits=tuple(digits),
-        orbit=tuple(orbit),
-        flags=tuple(flags),
-        periodicity=periodicity,
+        digits=head.digits + tail.digits,
+        orbit=orbit,
+        flags=head.flags + tail.flags,
+        periodicity=None if rec is None else (rec[0] + 1, rec[1] - rec[0]),
     )
 
 
@@ -401,46 +385,25 @@ def continuum_navigator(
     if not (ctx.switch_lo < trap_lo and trap_hi < ctx.switch_hi):
         raise ArithmeticError("trap interval escaped the switch region")
 
-    digits, orbit, flags = [], [], []
-    incomplete = False
-    choice_iter = iter(choices)
-    y = 1.0
-
-    def emit(digit: int):
-        nonlocal y
-        flags.append(ctx.region_of(y))
-        y = ctx.lam * y - digit
-        digits.append(digit)
-        orbit.append(y)
-
-    # Zeros until the orbit clears the trap from above, then two ones.
-    while y <= trap_hi and len(digits) < depth:
-        emit(0)
-    for _ in range(2):
-        if len(digits) < depth:
-            emit(1)
-
     tol = ctx.membership_tol
-    while len(digits) < depth:
+    choice_iter = iter(choices)
+    leading_ones = 0
+
+    def pick(y: float, flag: str) -> int | None:
+        # Zeros until the orbit clears the trap from above, then two ones,
+        # then back into the trap, where each arrival reads one choice.
+        nonlocal leading_ones
+        if leading_ones < 2:
+            if leading_ones == 0 and y <= trap_hi:
+                return 0
+            leading_ones += 1
+            return 1
         if trap_lo - tol <= y <= trap_hi + tol:
             bit = next(choice_iter, None)
-            if bit is None:
-                incomplete = True
-                break
-            emit(int(bit))
-        elif y < trap_lo:
-            emit(0)
-        else:
-            emit(1)
+            return None if bit is None else int(bit)
+        return 0 if y < trap_lo else 1
 
-    return ExpansionPrefix(
-        lam=ctx.lam,
-        start=1.0,
-        digits=tuple(digits),
-        orbit=tuple(orbit),
-        flags=tuple(flags),
-        flagged_incomplete=incomplete,
-    )
+    return _walk(ctx, 1.0, depth, pick)
 
 
 PERIODIC_10 = "Periodic10"
@@ -482,8 +445,10 @@ def ehj_classify(digits: str) -> EhjMatch:
 
     The three families are the alternation (10)* forever, (10)^n 11 then
     zeros forever, and (10)^n 0 then ones forever.  A word pins one of the
-    latter two exactly where it first deviates from the alternation; a word
-    that never deviates is the alternation prefix.
+    latter two exactly where it first deviates from the alternation, so it
+    begins at most one of their members; a word that never deviates is the
+    alternation prefix, listed first among its compatible entries.  family
+    is therefore the first compatible entry, or NotAPrefix without one.
     """
     word = str(digits)
     if not word or any(ch not in "01" for ch in word):
@@ -498,23 +463,5 @@ def ehj_classify(digits: str) -> EhjMatch:
         if word == _family_word(FAMILY_01_ONES, n, len(word)):
             compatible.append((FAMILY_01_ONES, n))
 
-    deviation = next(
-        (
-            i
-            for i, ch in enumerate(word)
-            if ch != ("1" if i % 2 == 0 else "0")
-        ),
-        None,
-    )
-    if deviation is None:
-        return EhjMatch(PERIODIC_10, None, tuple(compatible))
-    if deviation % 2 == 1 and word[deviation] == "1":
-        n = (deviation - 1) // 2
-        if all(ch == "0" for ch in word[deviation + 1 :]):
-            return EhjMatch(FAMILY_11_ZEROS, n, tuple(compatible))
-    if deviation % 2 == 0 and word[deviation] == "0":
-        n = deviation // 2
-        if all(ch == "1" for ch in word[deviation + 1 :]):
-            return EhjMatch(FAMILY_01_ONES, n, tuple(compatible))
-    return EhjMatch(NOT_A_PREFIX, None, tuple(compatible))
-
+    family, n = compatible[0] if compatible else (NOT_A_PREFIX, None)
+    return EhjMatch(family, n, tuple(compatible))

@@ -26,6 +26,7 @@ of length n needs some member >= n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate, product
 from operator import sub
@@ -37,6 +38,16 @@ Word = str
 SUBSET_STATE_LIMIT = 1 << 20
 # The _suffix_run of the empty word, whose followers are the block counts.
 _EMPTY = (False, 0)
+
+
+def log2_int(x: int) -> float:
+    """log2 of a positive integer of any size."""
+    if x <= 0:
+        raise ValueError("log2_int needs a positive integer")
+    if x.bit_length() <= 512:
+        return math.log2(x)
+    shift = x.bit_length() - 64
+    return math.log2(x >> shift) + shift
 
 
 class EmptyShiftError(ValueError):
@@ -187,6 +198,8 @@ class ShiftAutomaton:
     transitions: dict[tuple[str, str], str]
 
     def __post_init__(self):
+        if not self.states:
+            raise ValueError("an automaton needs at least one state")
         for (src, letter), dst in self.transitions.items():
             if src not in self.states or dst not in self.states:
                 raise ValueError("transition endpoints must be states")
@@ -302,8 +315,6 @@ class BlockCountTable:
             raise ValueError(f"table missing counts for lengths {missing}")
 
     def write_csv(self, fileobj) -> None:
-        from .entropy import log2_int  # local import to avoid a cycle
-
         rows = ["n,count,log2_count,log2_count_over_n\r\n"]
         for n in sorted(self.counts):
             c = self.counts[n]
@@ -328,11 +339,10 @@ def automaton_count_table(aut: ShiftAutomaton, n_max: int) -> BlockCountTable:
     trips at the first length whose layers exceed it.  Layer n holds how
     many words lead to each subset; it is advanced over the edge list.
     """
-    start = frozenset(aut.states)
-    subsets = [start] if start else []
-    index = {subset: i for i, subset in enumerate(subsets)}
+    subsets = [frozenset(aut.states)]
+    index = {subsets[0]: 0}
     edges: list[tuple[int, int]] = []
-    layer = [1] * len(subsets)
+    layer = [1]
     expanded = 0
     counts = {}
     for n in range(1, n_max + 1):

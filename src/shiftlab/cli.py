@@ -15,6 +15,7 @@ Argument errors are usage errors like any other: one line and exit code 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import io
 import json
@@ -62,15 +63,25 @@ def _table_builder(args) -> Callable[[int], blocks.BlockCountTable]:
     return functools.partial(blocks.automaton_count_table, aut)
 
 
-def _emit(args, report: dict, to_csv: Callable[[], str] | None = None) -> None:
-    """Write the report as JSON, or as the text to_csv builds under --format csv."""
+def _emit(args, result: dict, to_csv: Callable[[], str] | None = None) -> None:
+    """Write the report of args.command, its set flags and result as JSON,
+    or the text to_csv builds under --format csv."""
     if args.format == "csv":
         if to_csv is None:
             raise sgap.SpecSyntaxError(
-                f"command {report['command']!r} has no CSV form; use --format json"
+                f"command {args.command!r} has no CSV form; use --format json"
             )
         payload = to_csv()
     else:
+        report = {
+            "tool": "shiftlab",
+            "version": __version__,
+            "command": args.command,
+            "config": {
+                k: v for k, v in vars(args).items() if k != "command" and v is not None
+            },
+            "result": result,
+        }
         payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         try:
@@ -82,36 +93,15 @@ def _emit(args, report: dict, to_csv: Callable[[], str] | None = None) -> None:
         sys.stdout.write(payload)
 
 
-def _report(command: str, config: dict, result: dict) -> dict:
-    clean = {k: v for k, v in config.items() if v is not None}
-    return {
-        "tool": "shiftlab",
-        "version": __version__,
-        "command": command,
-        "config": clean,
-        "result": result,
-    }
-
-
 def cmd_entropy(args) -> None:
     spec = sgap.parse_sgap_spec(args.s)
     res = entropy.solve_sgap_entropy(spec, tol=args.tol)
-    _emit(args, _report("entropy", _config(args), res.to_report()))
+    _emit(args, res.to_report())
 
 
 def cmd_classify(args) -> None:
     spec = sgap.parse_sgap_spec(args.s)
-    c = sgap.classify(spec)
-    result = {
-        "spec": spec.render(),
-        "is_sft": c.is_sft,
-        "is_almost_specified": c.is_almost_specified,
-        "is_mixing": c.is_mixing,
-        "has_specification": c.has_specification,
-        "gap_sup": c.gap_sup,
-        "gcd_value": c.gcd_value,
-    }
-    _emit(args, _report("classify", _config(args), result))
+    _emit(args, {"spec": spec.render(), **dataclasses.asdict(sgap.classify(spec))})
 
 
 def _require_positive(flag: str, value: int) -> None:
@@ -151,7 +141,7 @@ def cmd_blocks(args) -> None:
         table.write_csv(buf)
         return buf.getvalue()
 
-    _emit(args, _report("blocks", _config(args), result), to_csv)
+    _emit(args, result, to_csv)
 
 
 def cmd_check_bsm(args) -> None:
@@ -160,7 +150,7 @@ def cmd_check_bsm(args) -> None:
     report = props.bsm_estimate(table, args.depth)
     k = report.k_estimate
     _require_printable("--depth", args.depth, "K_estimate part", (k.numerator, k.denominator))
-    _emit(args, _report("check-bsm", _config(args), report.to_report()))
+    _emit(args, report.to_report())
 
 
 def cmd_check_balanced(args) -> None:
@@ -168,7 +158,7 @@ def cmd_check_balanced(args) -> None:
     report = props.balanced_estimate(
         spec, args.word_max, args.r_max, max_cells=_cell_budget()
     )
-    _emit(args, _report("check-balanced", _config(args), report.to_report()))
+    _emit(args, report.to_report())
 
 
 def cmd_gibbs(args) -> None:
@@ -193,14 +183,14 @@ def cmd_gibbs(args) -> None:
             )
         return "\n".join(lines) + "\n"
 
-    _emit(args, _report("gibbs", _config(args), result), to_csv)
+    _emit(args, result, to_csv)
 
 
 def cmd_expand(args) -> None:
     ctx = beta.BetaContext(args.lam, membership_tol=args.tol)
     expander = beta.greedy_expansion if args.mode == "greedy" else beta.lazy_expansion
     prefix = expander(args.x, ctx, args.depth)
-    _emit(args, _report("expand", _config(args), prefix.to_report()))
+    _emit(args, prefix.to_report())
 
 
 def cmd_enumerate_one(args) -> None:
@@ -219,7 +209,7 @@ def cmd_enumerate_one(args) -> None:
             for leaf in leaves
         ],
     }
-    _emit(args, _report("enumerate-one", _config(args), result))
+    _emit(args, result)
 
 
 def cmd_kl(args) -> None:
@@ -229,7 +219,7 @@ def cmd_kl(args) -> None:
         "log2_lambda_kl": math.log2(lam),
         "ln_lambda_kl": math.log(lam),
     }
-    _emit(args, _report("kl", _config(args), result))
+    _emit(args, result)
 
 
 def cmd_bridge(args) -> None:
@@ -269,11 +259,7 @@ def cmd_bridge(args) -> None:
             "lambda": res.lam,
             "entropy": res.entropy,
         }
-    _emit(args, _report("bridge", _config(args), result))
-
-
-def _config(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "command"}
+    _emit(args, result)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -52,7 +52,7 @@ from functools import partial
 from itertools import compress
 from typing import NamedTuple
 
-from .blocks import BlockCountTable
+from .blocks import BlockCountTable, log2_int
 from .sgap import SGapSpec, SizeGuardError
 
 DEFAULT_TOL = 1e-10
@@ -69,16 +69,6 @@ _MAX_PRECISION_BITS = 1 << 16
 
 class EntropySolveError(ArithmeticError):
     """The requested tolerance could not be certified."""
-
-
-def log2_int(x: int) -> float:
-    """log2 of a positive integer of any size."""
-    if x <= 0:
-        raise ValueError("log2_int needs a positive integer")
-    if x.bit_length() <= 512:
-        return math.log2(x)
-    shift = x.bit_length() - 64
-    return math.log2(x >> shift) + shift
 
 
 def _log2_real(value) -> float:

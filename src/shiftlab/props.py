@@ -52,7 +52,7 @@ from operator import le, mul, sub
 from .blocks import _EMPTY, BlockCountTable, SizeGuardError, _follower_profiles
 # A private name, so the benchmark tracer (which wraps public names) charges
 # the 2 * depth calls per bsm_estimate to bsm_estimate itself.
-from .entropy import log2_int as _log2_int
+from .blocks import log2_int as _log2_int
 from .sgap import SGapSpec
 
 VERDICT_BSM = "ConsistentWithBSM"

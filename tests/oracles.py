@@ -239,3 +239,19 @@ def random_specs(count: int, seed: int) -> list:
 
 def max_zero_run(word: str) -> int:
     return max((len(chunk) for chunk in word.split("1")), default=0)
+
+
+def golden_family(word: str) -> tuple[str, int | None]:
+    """(family, n) of the golden-base expansion of 1 that word begins, from
+    the definitions: the alternation 1010... first, then (10)^n 11 000...
+    and (10)^n 0 111... for each n.  A larger n than len(word) / 2 only
+    repeats the alternation prefix."""
+    length = len(word)
+    if word == ("10" * length)[:length]:
+        return "Periodic10", None
+    for n in range(length):
+        if word == ("10" * n + "11" + "0" * length)[:length]:
+            return "Family11ZerosTail", n
+        if word == ("10" * n + "0" + "1" * length)[:length]:
+            return "Family01OnesTail", n
+    return "NotAPrefix", None

@@ -130,6 +130,31 @@ def test_enumerate_budget_error_carries_partial():
             enumerate_expansions_of_one(BetaContext(PHI), 12, max_leaves=budget)
 
 
+# phi, the smallest univoque base and a seeded sample of 298 of the bases
+# 1 + i/997 in (1, 2).
+_LEAF_END_BASES = [PHI, KL_REF] + [
+    1 + i / 997 for i in random.Random(13).sample(range(1, 997), 298)
+]
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-6])
+def test_tree_end_leaves_are_greedy_and_lazy(tol):
+    # Greedy takes the largest admissible digit at every step and lazy the
+    # smallest, so in a tree listed in digit order they are the last and
+    # the first leaf: same digits, same orbit, same flags.
+    for lam in _LEAF_END_BASES:
+        ctx = BetaContext(lam, membership_tol=tol)
+        for depth in (8, 16):
+            leaves = enumerate_expansions_of_one(ctx, depth, max_leaves=1 << 16)
+            for leaf, walk in ((leaves[-1], greedy_expansion), (leaves[0], lazy_expansion)):
+                expected = walk(1.0, ctx, depth)
+                assert (leaf.digits, leaf.orbit, leaf.flags) == (
+                    expected.digits,
+                    expected.orbit,
+                    expected.flags,
+                ), (lam, tol, depth, walk.__name__)
+
+
 def test_enumerate_leaf_sums_approximate_one():
     for lam in (PHI, 1.42, 1.76):
         ctx = BetaContext(lam)
@@ -373,6 +398,29 @@ def test_navigator_choice_exhaustion_flagged():
     assert len(prefix.digits) < 40
 
 
+def test_walks_are_incomplete_only_when_cut_short():
+    # Every walk that reaches its depth is complete; a navigator that runs
+    # out of choices before it stops short of its depth, and says so.
+    depth = 60
+    walks = [
+        greedy_expansion(1.0, BetaContext(1.3), depth),
+        lazy_expansion(0.5, BetaContext(1.9, membership_tol=0.0), depth),
+        spec_construction_lazy(BetaContext(PHI), depth),
+        spec_construction_lazy(BetaContext(1.8), depth),
+        *enumerate_expansions_of_one(BetaContext(1.7), 12),
+    ]
+    for lam in (1.2, 1.4, 1.6):
+        walks.append(continuum_navigator(BetaContext(lam), "01" * depth, depth))
+    for prefix in walks:
+        assert not prefix.flagged_incomplete
+        assert len(prefix.digits) == len(prefix.orbit) == len(prefix.flags)
+    for lam in (1.2, 1.4, 1.6):
+        for choices in ("", "1", "0110"):
+            prefix = continuum_navigator(BetaContext(lam), choices, depth)
+            assert prefix.flagged_incomplete, (lam, choices)
+            assert len(prefix.digits) == len(prefix.orbit) == len(prefix.flags) < depth
+
+
 def test_navigator_rejects_large_base():
     with pytest.raises(ValueError):
         continuum_navigator(BetaContext(1.7), "0101", 20)
@@ -386,6 +434,14 @@ def test_ehj_examples():
     assert ehj_classify("01111").family == FAMILY_01_ONES
     assert ehj_classify("01111").n == 0
     assert ehj_classify("1100000").family == FAMILY_11_ZEROS
+
+
+def test_ehj_family_matches_definition_on_every_short_word():
+    for length in range(1, 15):
+        for bits in range(1 << length):
+            word = format(bits, f"0{length}b")
+            match = ehj_classify(word)
+            assert (match.family, match.n) == oracles.golden_family(word), word
 
 
 def test_ehj_compatible_field():

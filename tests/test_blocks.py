@@ -6,6 +6,7 @@ import pytest
 from shiftlab.blocks import (
     EmptyShiftError,
     InadmissibleWordError,
+    ShiftAutomaton,
     _follower_profiles,
     _suffix_run,
     automaton_count_table,
@@ -249,6 +250,13 @@ def test_csv_export():
     assert lines[0] == "n,count,log2_count,log2_count_over_n"
     assert lines[1] == "1,2,1,1"
     assert lines[4].startswith("4,16,4,")
+
+
+def test_automaton_without_states_is_refused():
+    # Every word is read from some state, so a stateless presentation has
+    # no count table to export: refuse it where it is built.
+    with pytest.raises(ValueError, match="at least one state"):
+        ShiftAutomaton((), ("0",), {})
 
 
 def test_automaton_table_builder():

@@ -34,11 +34,15 @@ CSV_COMMANDS = ("blocks", "gibbs")
 # on sparse periods whose roots crowd 1 (one member per period p, root
 # 2**(1/p)), long greedy and lazy orbits, and the digit tree near the
 # golden ratio and the smallest univoque base.  No argv is known to reach
-# the entropy solver's precision cap.  Then the 15-subset construction of
-# the shift avoiding 0000 and 1111, where every benchmark automaton has at
-# most 5.  Last, fixed usage contracts: a non-binary --pre/--pat word, a
-# leaf budget below one, a --length below one and a --length given with
-# --pre/--pat exit 2.
+# the entropy solver's precision cap.  Then the edge rows of beta's digit
+# table under a zero ambiguity band: greedy and lazy expansions started
+# exactly on a switch-region endpoint for lambda = 1.8 (1/lambda and
+# 1/(lambda(lambda-1))), whose flag reads ambiguous, and the digit tree at
+# the golden ratio and the smallest univoque base.  Then the 15-subset
+# construction of the shift avoiding 0000 and 1111, where every benchmark
+# automaton has at most 5.  Last, fixed usage contracts: a non-binary
+# --pre/--pat word, a leaf budget below one, a --length below one and a
+# --length given with --pre/--pat exit 2.
 _FLOOR, _BELOW_FLOOR = "8.881784197001252e-16", "8.881784197001251e-16"
 _GOLDEN, _KL = "1.618033988749895", "1.787231650182966"
 EDGE_ARGVS = [
@@ -64,6 +68,12 @@ EDGE_ARGVS = [
         for mode in ("greedy", "lazy")
     ),
     *(["enumerate-one", "--lambda", lam, "--depth", "24"] for lam in (_GOLDEN, _KL)),
+    ["expand", "--lambda", "1.8", "--x", "0.5555555555555556", "--tol", "0"],
+    ["expand", "--lambda", "1.8", "--x", "0.6944444444444443", "--mode", "lazy", "--tol", "0"],
+    *(
+        ["enumerate-one", "--lambda", lam, "--tol", "0", "--depth", "20"]
+        for lam in (_GOLDEN, _KL)
+    ),
     ["blocks", "--sft", "0000,1111", "--alphabet", "01", "--n", "400", "--format", "csv"],
     ["check-bsm", "--sft", "0000,1111", "--alphabet", "01", "--depth", "200"],
     ["bridge", "--pre", "1", "--pat", "2"],
