@@ -58,25 +58,18 @@ class InadmissibleWordError(ValueError):
     """A word that is not in the factor language was supplied."""
 
 
-def _zero_run_profile(word: Word) -> tuple[int, list[int], int, bool]:
-    """Return (prefix run, interior runs, suffix run, is_all_zero)."""
-    ones = [i for i, ch in enumerate(word) if ch == "1"]
-    if not ones:
-        return len(word), [], len(word), True
-    interior = [b - a - 1 for a, b in zip(ones, ones[1:])]
-    return ones[0], interior, len(word) - 1 - ones[-1], False
-
-
 def word_is_admissible(spec: SGapSpec, word: Word) -> bool:
     """Factor-language membership for a binary word, checked directly."""
     if any(ch not in "01" for ch in word):
         raise ValueError("gap-shift words are binary")
-    prefix, interior, suffix, all_zero = _zero_run_profile(word)
-    if all_zero:
-        return spec.tail_allows(len(word))
-    if not spec.tail_allows(prefix) or not spec.tail_allows(suffix):
-        return False
-    return all(spec.contains(r) for r in interior)
+    # Runs before, between and after the ones; with no one, one run is both ends.
+    ones = [i for i, ch in enumerate(word) if ch == "1"]
+    runs = [b - a - 1 for a, b in zip([-1, *ones], [*ones, len(word)])]
+    return (
+        spec.tail_allows(runs[0])
+        and spec.tail_allows(runs[-1])
+        and all(map(spec.contains, runs[1:-1]))
+    )
 
 
 def _suffix_run(word: Word) -> tuple[bool, int]:
@@ -251,12 +244,10 @@ def build_sft_automaton(alphabet, forbidden) -> ShiftAutomaton:
         for a in letters:
             extended = u + a
             # u is already clean, so only factors ending at the new letter
-            # need checking, i.e. the suffixes of u + a.
-            if any(extended[-L:] in bad_set for L in range(1, m + 1)):
-                continue
-            v = extended[1:]
-            if v in states:
-                edges[(u, a)] = v
+            # need checking, i.e. the suffixes of u + a; a clean u + a ends
+            # in a clean (m - 1)-word, which is a state.
+            if not any(extended[-L:] in bad_set for L in range(1, m + 1)):
+                edges[(u, a)] = extended[1:]
 
     # Prune to the essential part: states on bi-infinite paths.
     while True:

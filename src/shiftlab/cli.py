@@ -115,11 +115,11 @@ def _require_printable(flag: str, value: int, what: str, numbers) -> None:
     0 for none).  The limit is process-wide and belongs to whoever runs
     the interpreter, so it is read here and never changed."""
     limit = sys.get_int_max_str_digits()
-    top = max(numbers, key=int.bit_length)
+    top = max(map(abs, numbers))
     # A b-bit integer has at most b * log10(2) + 1 decimal digits.
     if limit == 0 or top.bit_length() * 0.30103 < limit - 1:
         return
-    if abs(top) >= 10**limit:
+    if top >= 10**limit:
         raise blocks.SizeGuardError(
             f"{flag} {value} gives a {what} of {top.bit_length()} bits, more than "
             f"the {limit} decimal digits the interpreter converts to text"
@@ -148,8 +148,8 @@ def cmd_check_bsm(args) -> None:
     _require_positive("--depth", args.depth)
     table = _table_builder(args)(2 * args.depth)
     report = props.bsm_estimate(table, args.depth)
-    k = report.k_estimate
-    _require_printable("--depth", args.depth, "K_estimate part", (k.numerator, k.denominator))
+    k = report.k_estimate.as_integer_ratio()
+    _require_printable("--depth", args.depth, "K_estimate part", k)
     _emit(args, report.to_report())
 
 
@@ -158,6 +158,8 @@ def cmd_check_balanced(args) -> None:
     report = props.balanced_estimate(
         spec, args.word_max, args.r_max, max_cells=_cell_budget()
     )
+    b = report.b_estimate.as_integer_ratio()
+    _require_printable("--r-max", args.r_max, "B_estimate part", b)
     _emit(args, report.to_report())
 
 
@@ -165,6 +167,8 @@ def cmd_gibbs(args) -> None:
     spec = sgap.parse_sgap_spec(args.s)
     h = entropy.solve_sgap_entropy(spec, tol=args.tol).entropy
     diag = props.gibbs_diagnostics(spec, h, args.depth, max_cells=_cell_budget())
+    band = (*diag.c1.as_integer_ratio(), *diag.c2.as_integer_ratio())
+    _require_printable("--depth", args.depth, "Gibbs band constant part", band)
     result = {
         "entropy": h,
         "c1": str(diag.c1),
@@ -236,6 +240,8 @@ def cmd_bridge(args) -> None:
         if args.s is None and args.digits is None:
             raise sgap.SpecSyntaxError("--length applies to --digits and --s, not --pre/--pat")
         _require_positive("--length", args.length)
+    if args.tol <= 0:  # the --s direction never reaches the entropy solver
+        raise ValueError("tolerance must be positive")
     if args.s is not None:
         if args.length is None:
             raise sgap.SpecSyntaxError("--s direction requires --length")

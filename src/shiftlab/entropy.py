@@ -153,7 +153,7 @@ class _GapTerms(NamedTuple):
 def _gap_terms(spec: SGapSpec) -> _GapTerms:
     q, p = len(spec.preperiod), len(spec.period)
     head = list(compress(range(q), spec.preperiod))
-    cycle = [] if spec.is_finite() else list(compress(range(q, q + p), spec.period))
+    cycle = list(compress(range(q, q + p), spec.period))
     return _GapTerms(head, cycle, p)
 
 

@@ -19,7 +19,7 @@ and 0^k for k in range(1, w + 1), each cut to the runs below q = max + 1
 for a finite set.  The Gibbs cell budget is their total length times w,
 checked before anything is built; the class starts are the first q + p
 runs after a one and the first all-zero word (every all-zero word when
-p = 0); the Gibbs rows are all of them, all-zero words first.
+p = 0); Gibbs reads all of them, and the count table, in one kernel pass.
 
 bsm_estimate takes log2 of every count once and, before forming any
 big-integer product, scores each pair (m, n) by the float
@@ -281,15 +281,15 @@ class GibbsCell:
 class GibbsDiagnostics:
     """Finite-level cylinder-measure diagnostics.
 
-    ratios holds 2 ** (n * h) / counts(n); each cell (omega, k), with
-    1 <= k <= window, compares the level measure
+    ratios holds 2 ** (n * h) / counts(n), finite at any depth; each cell
+    (omega, k), with 1 <= k <= window, compares the level measure
     follower(omega, k) / counts(r + k) of the cylinder of omega
     (|omega| = r) against the band [c1 / counts(r), c2 / counts(r)] built
     from the observed balance and supermultiplicativity constants.  reps
     holds every suffix-run representative up to the window in sorted order
     (all-zero words, then '1' + zeros, shorter first) and profiles their
-    follower counts for lengths 0..window; words of one follower class
-    share one profile list.
+    follower counts for lengths 0..depth as the kernel returns them: words
+    of one follower class share one list; cells read lengths 1..window.
     """
 
     ratios: dict[int, float]
@@ -361,6 +361,14 @@ class GibbsCells(Sequence):
             yield GibbsCell(omega, r, k, mu, lower, upper)
 
 
+def _ratio(nh: float, count: int) -> float:
+    """2 ** nh / count, through logarithms only where a double overflows."""
+    try:
+        return 2.0**nh / count
+    except OverflowError:
+        return 2.0 ** (nh - _log2_int(count))
+
+
 def gibbs_diagnostics(
     spec: SGapSpec, h: float, depth: int, max_cells: int | None = None
 ) -> GibbsDiagnostics:
@@ -375,24 +383,15 @@ def gibbs_diagnostics(
     starts = _class_starts(spec, ones, zeros)
     # Sorted representatives: all-zero words, then '1' + zeros.
     runs = [(False, run) for run in zeros] + [(True, run) for run in ones]
-    counts, *rows = _follower_profiles(spec, [_EMPTY, *starts, *runs], depth)
+    counts, *rows = _follower_profiles(spec, [_EMPTY, *runs], depth)
     table = BlockCountTable(counts=dict(enumerate(counts[1:], start=1)))
-
-    ratios = {n: 2.0 ** (n * h) / counts[n] for n in range(1, depth + 1)}
-    c2 = bsm_estimate(table, window).k_estimate
-    c1 = _min_density(starts, rows, counts, window).b_estimate
-
-    # Rows run to depth for the count table; cut each shared one once.
-    cut = {}
-    for row in rows[len(starts) :]:
-        if id(row) not in cut:
-            cut[id(row)] = row[: window + 1]
+    row_of = dict(zip(runs, rows))  # every class start is one of the runs
     return GibbsDiagnostics(
-        ratios=ratios,
-        c1=c1,
-        c2=c2,
+        ratios={n: _ratio(n * h, counts[n]) for n in range(1, depth + 1)},
+        c2=bsm_estimate(table, window).k_estimate,
+        c1=_min_density(starts, map(row_of.get, starts), counts, window).b_estimate,
         window=window,
         reps=["1" * has_one + "0" * run for has_one, run in runs],
-        profiles=[cut[id(row)] for row in rows[len(starts) :]],
+        profiles=rows,
         table=table,
     )

@@ -1,8 +1,9 @@
 """Independent oracles used by the tests.
 
 Everything here recomputes answers from definitions, without touching the
-counting DPs, the subset-construction word counter, or the truncated-series
-solver it is checking.
+counting DPs, the subset-construction word counter, or the entropy solver
+it is checking: a bisection on the closed form of the gap series whose
+bracket ends get the exact sign of an integer polynomial.
 """
 
 from __future__ import annotations

@@ -438,6 +438,14 @@ def test_count_past_int_to_text_limit_is_a_budget_error(fmt):
         (0, ["blocks", "--s", "co{}", "--n", "14"], 0),  # 0: no limit
         (4, ["check-bsm", "--even-shift", "--depth", "10"], 0),  # 3364/1791
         (3, ["check-bsm", "--even-shift", "--depth", "10"], 4),
+        # B is 5473/14328: the denominator alone passes the limit.
+        (5, ["check-balanced", "--s", "ep:pre=;pat=1,0", "--word-max", "4", "--r-max", "20"], 0),
+        (4, ["check-balanced", "--s", "ep:pre=;pat=1,0", "--word-max", "4", "--r-max", "20"], 4),
+        (4, ["gibbs", "--s", "ep:pre=;pat=1,0", "--depth", "20"], 0),  # c2 is 3364/1791
+        (3, ["gibbs", "--s", "ep:pre=;pat=1,0", "--depth", "20"], 4),
+        # 75025 and 121393 both have 17 bits; only the larger has 6 digits.
+        (5, ["blocks", "--s", "co{0}", "--n", "23"], 0),
+        (5, ["blocks", "--s", "co{0}", "--n", "24"], 4),
     ],
 )
 def test_int_to_text_limit_boundary(monkeypatch, limit, argv, code):
@@ -460,12 +468,29 @@ def test_int_to_text_limit_boundary(monkeypatch, limit, argv, code):
         [],
         ["kl", "--bogus", "1"],
         ["expand", "--lambda", "1.5", "--x", "0.5", "--mode", "sideways"],
+        ["bridge", "--s", "{0}", "--length", "3", "--tol", "0"],
+        ["bridge", "--s", "{0}", "--length", "3", "--tol=-1"],
     ],
 )
 def test_argument_errors_are_one_line_usage_errors(argv):
     code, out, err = call(argv)
     assert code == 2
     assert_one_line_failure(out, err)
+
+
+def test_gibbs_ratios_stay_finite_past_the_double_range(capsys):
+    # 2.0 ** (n * h) overflows from n = 1475 on for {0,1}; the ratios up to
+    # there are that expression divided by the count, bit for bit, and past
+    # it their successive quotients are those of the counts.
+    report = run_json(capsys, "gibbs", "--s", "{0,1}", "--depth", "1500")["result"]
+    h, ratios = report["entropy"], {int(n): r for n, r in report["ratios"].items()}
+    counts = shiftlab.blocks.sgap_count_table(shiftlab.parse_sgap_spec("{0,1}"), 1500).counts
+    assert sorted(ratios) == list(range(1, 1501))
+    for n in range(1, 1475):
+        assert ratios[n] == 2.0 ** (n * h) / counts[n], n
+    for n in range(1475, 1501):
+        expected = 2**h * (counts[n - 1] / counts[n])
+        assert ratios[n] / ratios[n - 1] == pytest.approx(expected, rel=1e-12, abs=0), n
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["blocks", "--help"]])

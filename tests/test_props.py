@@ -265,6 +265,31 @@ def test_gibbs_cell_values_match_follower_counts():
         assert cell.mu_value == expected
 
 
+def test_gibbs_reads_every_row_from_one_kernel_pass(monkeypatch, corpus):
+    # One pass over distinct starts serves the count table, c1 and every
+    # cell, and the diagnostics keep the rows that pass returned.
+    calls = []
+
+    def recording(spec, starts, r_max):
+        rows = _follower_profiles(spec, starts, r_max)
+        calls.append((list(starts), rows))
+        return rows
+
+    monkeypatch.setattr("shiftlab.props._follower_profiles", recording)
+    for spec in corpus + oracles.random_specs(20, 3301):
+        for depth in (2, 7, 30):
+            calls.clear()
+            diag = gibbs_diagnostics(spec, 1.0, depth)
+            assert len(calls) == 1, (spec, depth)
+            starts, rows = calls[0]
+            assert len(set(starts)) == len(starts), (spec, depth)
+            assert all(got is row for got, row in zip(diag.profiles, rows[1:], strict=True))
+            assert all(len(row) == depth + 1 for row in diag.profiles)
+            window = depth // 2
+            expected = balanced_estimate(spec, window, window).b_estimate
+            assert diag.c1 == expected, (spec, depth)
+
+
 def _band_readings(diag):
     """all_cells_pass() and the reading of the Fraction cells, which must agree."""
     return diag.all_cells_pass(), all(c.passes() for c in diag.finite_level_cells)

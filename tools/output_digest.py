@@ -40,9 +40,13 @@ CSV_COMMANDS = ("blocks", "gibbs")
 # 1/(lambda(lambda-1))), whose flag reads ambiguous, and the digit tree at
 # the golden ratio and the smallest univoque base.  Then the 15-subset
 # construction of the shift avoiding 0000 and 1111, where every benchmark
-# automaton has at most 5.  Last, fixed usage contracts: a non-binary
+# automaton has at most 5.  Then fixed usage contracts: a non-binary
 # --pre/--pat word, a leaf budget below one, a --length below one and a
-# --length given with --pre/--pat exit 2.
+# --length given with --pre/--pat exit 2.  Last, the Gibbs rows: {0,1} at
+# depth 1475, the first whose ratio 2**(n*h) overflows a double, a single
+# representative ({0}, whose CSV cells come from one row) and co{}, whose
+# all-zero rows share the count table's class; and a --tol of 0 for the
+# bridge --s direction, which exits 2 as in every other direction.
 _FLOOR, _BELOW_FLOOR = "8.881784197001252e-16", "8.881784197001251e-16"
 _GOLDEN, _KL = "1.618033988749895", "1.787231650182966"
 EDGE_ARGVS = [
@@ -81,6 +85,10 @@ EDGE_ARGVS = [
     ["enumerate-one", "--lambda", "1.5", "--max-leaves", "0"],
     ["bridge", "--digits", "101", "--length=-1"],
     ["bridge", "--pre", "1", "--pat", "0", "--length", "3"],
+    ["gibbs", "--s", "{0,1}", "--depth", "1475"],
+    ["gibbs", "--s", "{0}", "--depth", "2", "--format", "csv"],
+    ["gibbs", "--s", "co{}", "--depth", "4"],
+    ["bridge", "--s", "{0}", "--length", "3", "--tol", "0"],
 ]
 
 
