@@ -24,7 +24,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, cycle, islice
+from itertools import chain, compress, count, cycle, islice
 
 from . import sgap
 from .entropy import _bisect, _series
@@ -118,13 +118,12 @@ class ExpansionPrefix:
         return AMBIGUOUS in self.flags
 
     def digit_word(self) -> str:
-        return "".join(str(d) for d in self.digits)
+        return "".join(map(str, self.digits))
 
     def partial_sum(self, upto: int | None = None) -> float:
         """sum of digit j * lam ** -j over the first upto digits (all by
         default): the gap series of the positions of the one digits."""
-        k = len(self.digits) if upto is None else upto
-        return _series([j for j, d in enumerate(self.digits[:k]) if d], self.lam)
+        return _series(list(compress(count(), self.digits[:upto])), self.lam)
 
     def residual(self) -> float:
         return abs(self.start - self.partial_sum())
@@ -221,22 +220,33 @@ def enumerate_expansions_of_one(
     slack = max(8.0 * ctx.membership_tol, 1e-10)
     right = ctx.interval_right
     leaves: list[ExpansionPrefix] = []
+    # The path from the root, one stack each: pushed on the way down,
+    # popped on the way back and copied into tuples only at a leaf.
+    digits, orbit, flags = [], [], []
 
-    def grow(y: float, digits: tuple, orbit: tuple, flags: tuple):
+    def grow(y: float):
         if len(digits) == depth:
             if len(leaves) >= max_leaves:
                 raise LeafBudgetError(
                     f"leaf budget {max_leaves} exhausted", leaves
                 )
-            leaves.append(ExpansionPrefix(ctx.lam, 1.0, digits, orbit, flags))
+            leaves.append(
+                ExpansionPrefix(ctx.lam, 1.0, tuple(digits), tuple(orbit), tuple(flags))
+            )
             return
         flag = ctx.region_of(y)
         for digit in _DIGITS[flag]:
             child = ctx.lam * y - digit
             if -slack <= child <= right + slack:
-                grow(child, digits + (digit,), orbit + (child,), flags + (flag,))
+                digits.append(digit)
+                orbit.append(child)
+                flags.append(flag)
+                grow(child)
+                digits.pop()
+                orbit.pop()
+                flags.pop()
 
-    grow(1.0, (), (), ())
+    grow(1.0)
     return leaves
 
 

@@ -10,6 +10,11 @@ The argument parser is built once per process, on the first main() call, and
 reused by every later call; main() looks up the cmd_* handler of the chosen
 subcommand by name each time, so rebinding a handler takes effect at once.
 Argument errors are usage errors like any other: one line and exit code 2.
+
+JSON reports are written by _dumps, which gives the bytes of
+json.dumps(report, indent=2, sort_keys=True) without the standard
+library's pure-Python indenting encoder: containers are joined from lists
+and each scalar is converted by the C or builtin function of its exact type.
 """
 
 from __future__ import annotations
@@ -18,11 +23,11 @@ import argparse
 import dataclasses
 import functools
 import io
-import json
 import math
 import os
 import sys
 from collections.abc import Callable
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, beta, blocks, entropy, props, sgap
 
@@ -63,6 +68,48 @@ def _table_builder(args) -> Callable[[int], blocks.BlockCountTable]:
     return functools.partial(blocks.automaton_count_table, aut)
 
 
+# json.dumps spells these three floats unlike float.__repr__.
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_WORDS.get(text, text)
+
+
+# The text of each scalar type a report holds, looked up by exact type.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _dumps(value, indent: str = "\n") -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it, byte
+    for byte, for dicts with str keys, lists, tuples and the scalars of
+    _SCALAR_TEXT; indent is the line break and indent of value's own line.
+    Any other key or value type raises TypeError."""
+    kind = type(value)
+    if kind is dict or kind is list or kind is tuple:
+        if not value:
+            return "{}" if kind is dict else "[]"
+        inner = indent + "  "
+        if kind is not dict:
+            items = [_dumps(v, inner) for v in value]
+            return "[" + inner + ("," + inner).join(items) + indent + "]"
+        if set(map(type, value)) != {str}:
+            raise TypeError("report keys must be str")
+        items = [encode_basestring_ascii(k) + ": " + _dumps(value[k], inner) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    text = _SCALAR_TEXT.get(kind)
+    if text is None:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return text(value)
+
+
 def _emit(args, result: dict, to_csv: Callable[[], str] | None = None) -> None:
     """Write the report of args.command, its set flags and result as JSON,
     or the text to_csv builds under --format csv."""
@@ -82,7 +129,7 @@ def _emit(args, result: dict, to_csv: Callable[[], str] | None = None) -> None:
             },
             "result": result,
         }
-        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        payload = _dumps(report) + "\n"
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -179,8 +226,12 @@ def cmd_gibbs(args) -> None:
     }
 
     def to_csv() -> str:
+        cells = list(diag.finite_level_cells)
+        fractions = [f for c in cells for f in (c.mu_value, c.lower, c.upper)]
+        parts = [n for f in fractions for n in f.as_integer_ratio()]
+        _require_printable("--depth", args.depth, "Gibbs cell part", parts)
         lines = ["omega,r,k,mu_value,lower,upper,passes"]
-        for cell in diag.finite_level_cells:
+        for cell in cells:
             lines.append(
                 f"{cell.omega},{cell.r},{cell.k},{cell.mu_value},"
                 f"{cell.lower},{cell.upper},{cell.passes()}"

@@ -130,6 +130,34 @@ def test_enumerate_budget_error_carries_partial():
             enumerate_expansions_of_one(BetaContext(PHI), 12, max_leaves=budget)
 
 
+def test_enumerate_leaves_keep_their_own_paths():
+    # Each leaf holds tuples of its own root-to-leaf path, so the stack the
+    # walk pushes and pops after taking a leaf never shows in an earlier one.
+    ctx = BetaContext(1.442418082864579)
+    leaves = enumerate_expansions_of_one(ctx, 18)
+    assert len(leaves) == 592
+    assert len({leaf.digits for leaf in leaves}) == len(leaves)
+    for leaf in leaves:
+        assert {type(leaf.digits), type(leaf.orbit), type(leaf.flags)} == {tuple}
+        assert len(leaf.digits) == len(leaf.orbit) == len(leaf.flags) == 18
+        y = 1.0
+        for digit, point, flag in zip(leaf.digits, leaf.orbit, leaf.flags):
+            assert digit in {FORCED0: (0,), FORCED1: (1,)}.get(flag, (0, 1))
+            y = ctx.lam * y - digit
+            assert point == y
+
+
+@pytest.mark.parametrize("lam, depth", [(PHI, 12), (1.442418082864579, 10)])
+def test_enumerate_budget_partial_is_the_unbounded_prefix(lam, depth):
+    ctx = BetaContext(lam)
+    leaves = enumerate_expansions_of_one(ctx, depth)
+    for budget in range(1, len(leaves)):
+        with pytest.raises(LeafBudgetError) as err:
+            enumerate_expansions_of_one(ctx, depth, max_leaves=budget)
+        assert err.value.partial == leaves[:budget]
+    assert enumerate_expansions_of_one(ctx, depth, max_leaves=len(leaves)) == leaves
+
+
 # phi, the smallest univoque base and a seeded sample of 298 of the bases
 # 1 + i/997 in (1, 2).
 _LEAF_END_BASES = [PHI, KL_REF] + [

@@ -1,11 +1,14 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -14,7 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shiftlab
-from shiftlab.cli import _build_parser, main
+from shiftlab import cli
+from shiftlab.cli import _build_parser, _dumps, main
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -446,6 +450,10 @@ def test_count_past_int_to_text_limit_is_a_budget_error(fmt):
         # 75025 and 121393 both have 17 bits; only the larger has 6 digits.
         (5, ["blocks", "--s", "co{0}", "--n", "23"], 0),
         (5, ["blocks", "--s", "co{0}", "--n", "24"], 4),
+        # The largest CSV cell part is 377 (after reduction); c1 and c2 are
+        # 1/2 and 4/3, so only the cell guard decides these two.
+        (3, ["gibbs", "--s", "{0,1}", "--format", "csv", "--depth", "20"], 0),
+        (2, ["gibbs", "--s", "{0,1}", "--format", "csv", "--depth", "20"], 4),
     ],
 )
 def test_int_to_text_limit_boundary(monkeypatch, limit, argv, code):
@@ -457,6 +465,22 @@ def test_int_to_text_limit_boundary(monkeypatch, limit, argv, code):
     if code:
         assert_one_line_failure(out, err)
         assert f"{argv[-2]} {argv[-1]} gives a " in err
+
+
+def test_gibbs_csv_past_the_real_int_to_text_limit_is_a_budget_error():
+    # The JSON form prints only c1, c2 and float ratios and exits 0; the CSV
+    # cells' fractions reach about 2**2431 at this depth.
+    src = str(Path(shiftlab.__file__).resolve().parents[1])
+    argv = ["gibbs", "--s", "{0,1}", "--depth", "7000"]
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONINTMAXSTRDIGITS": "640"}
+    for fmt, code in [("json", 0), ("csv", 4)]:
+        child = subprocess.run(
+            [sys.executable, "-m", "shiftlab", *argv, "--format", fmt],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert child.returncode == code, child.stderr
+    assert_one_line_failure(child.stdout, child.stderr)
+    assert child.stderr.startswith("shiftlab: budget exceeded: --depth 7000 gives a ")
 
 
 @pytest.mark.parametrize(
@@ -546,6 +570,64 @@ def test_handler_rebinding_takes_effect_after_first_call(monkeypatch):
     monkeypatch.setattr("shiftlab.cli.cmd_kl", seen.append)
     assert call(["kl", "--tol", "1e-6"]) == (0, "", "")
     assert [args.tol for args in seen] == [1e-6]
+
+
+def _stdlib_json(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+_JSON_SCALARS = [
+    "", "plain", "caf\u00e9 \u2603 \U0001d11e", "\x00\x1f\x7f\"\\/\n\t\u2028",
+    True, False, None, 0, 1, -1, 2**200, -(3**150),
+    0.0, -0.0, 0.1, -2.5, 5e-324, 1e308, -1e308, 1e16, math.nan, math.inf, -math.inf,
+]
+_JSON_KEYS = ["", "a", "b", "B", "\u00e9", "\x01", "\"q\"", "10", "9", "\U0001d11e"]
+
+
+def _json_value(rng, depth):
+    """A seeded nested value of dicts, lists and tuples over _JSON_SCALARS."""
+    kind = rng.randrange(4) if depth else 0
+    size = rng.randrange(5)  # 0 gives the empty containers
+    if kind == 1:
+        return {rng.choice(_JSON_KEYS): _json_value(rng, depth - 1) for _ in range(size)}
+    if kind in (2, 3):
+        items = [_json_value(rng, depth - 1) for _ in range(size)]
+        return items if kind == 2 else tuple(items)
+    return rng.choice(_JSON_SCALARS)
+
+
+def test_report_writer_matches_json_dumps():
+    rng = random.Random(7)
+    nested = [_json_value(rng, 4) for _ in range(500)]
+    for value in [*_JSON_SCALARS, {}, [], (), {"": []}, [{}], *nested]:
+        assert _dumps(value) == _stdlib_json(value), value
+
+
+def test_report_writer_matches_json_dumps_on_edge_results(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    results, emit = [], cli._emit
+
+    def record(args, result, to_csv=None):
+        results.append(result)
+        emit(args, result, to_csv)
+
+    monkeypatch.setattr(cli, "_emit", record)
+    for argv in digest.EDGE_ARGVS:
+        call(argv)
+    assert len(results) > len(digest.EDGE_ARGVS) // 2
+    for result in results:
+        assert _dumps(result) == _stdlib_json(result)
+
+
+@pytest.mark.parametrize(
+    "value", [{1: "a"}, {None: 0}, {"a": Fraction(1, 3)}, [Fraction(1, 2)], {"a", "b"}]
+)
+def test_report_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _dumps(value)
 
 
 # For each subcommand, the sets of flags that make a complete request.

@@ -1,9 +1,13 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
 from shiftlab.sgap import (
+    DESCRIPTION_BIT_LIMIT,
     EmptySetError,
     SGapSpec,
+    SizeGuardError,
     SpecSyntaxError,
     classify,
     cofinite_gaps,
@@ -54,6 +58,34 @@ def test_periodic_degenerate_forms_normalise():
         spec = parse_sgap_spec(typed)
         assert spec == parse_sgap_spec(short)
         assert spec.render() == short
+
+
+def _outcome(build, *args):
+    """The spec build(*args) returns, or the type of what it raises."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_parse_periodic_matches_int_lists():
+    # Every ep: text of at most 8 bits, against periodic_gaps on int lists.
+    for bits in range(1, 9):
+        for word in product((0, 1), repeat=bits):
+            for cut in range(bits):
+                pre, pat = list(word[:cut]), list(word[cut:])
+                text = f"ep:pre={','.join(map(str, pre))};pat={','.join(map(str, pat))}"
+                expected = _outcome(periodic_gaps, pre, pat)
+                assert _outcome(parse_sgap_spec, text) == expected, text
+
+
+def test_parse_periodic_size_guard_boundary():
+    ones = "1," * (DESCRIPTION_BIT_LIMIT - 2)
+    spec = parse_sgap_spec(f"ep:pre={ones}0;pat=1")
+    assert len(spec.preperiod) + len(spec.period) == DESCRIPTION_BIT_LIMIT
+    assert spec == periodic_gaps([1] * (DESCRIPTION_BIT_LIMIT - 2) + [0], [1])
+    with pytest.raises(SizeGuardError):
+        parse_sgap_spec(f"ep:pre={ones}0;pat=1,0")
 
 
 def test_members_up_to_examples():

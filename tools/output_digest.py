@@ -46,7 +46,11 @@ CSV_COMMANDS = ("blocks", "gibbs")
 # depth 1475, the first whose ratio 2**(n*h) overflows a double, a single
 # representative ({0}, whose CSV cells come from one row) and co{}, whose
 # all-zero rows share the count table's class; and a --tol of 0 for the
-# bridge --s direction, which exits 2 as in every other direction.
+# bridge --s direction, which exits 2 as in every other direction.  Last,
+# the byte-level parse of ep: bit lists: a constant period that leaves a
+# finite set, one that leaves co{} and one that leaves the empty set
+# (exit 2), classify on the period-400 sparse set, and the largest digit
+# tree of the benchmark's bases, 592 leaves at depth 18.
 _FLOOR, _BELOW_FLOOR = "8.881784197001252e-16", "8.881784197001251e-16"
 _GOLDEN, _KL = "1.618033988749895", "1.787231650182966"
 EDGE_ARGVS = [
@@ -89,6 +93,12 @@ EDGE_ARGVS = [
     ["gibbs", "--s", "{0}", "--depth", "2", "--format", "csv"],
     ["gibbs", "--s", "co{}", "--depth", "4"],
     ["bridge", "--s", "{0}", "--length", "3", "--tol", "0"],
+    *(
+        ["classify", "--s", spec]
+        for spec in ("ep:pre=0,1,0;pat=0,0", "ep:pre=1,1;pat=1,1", "ep:pre=0,0;pat=0")
+    ),
+    ["classify", "--s", "ep:pre=;pat=" + "0," * 399 + "1"],
+    ["enumerate-one", "--lambda", "1.442418082864579", "--depth", "18"],
 ]
 
 
