@@ -41,7 +41,7 @@ AMBIGUOUS = "ambiguous"
 _DIGITS = {FORCED0: (0,), FORCED1: (1,), SWITCH: (0, 1), AMBIGUOUS: (0, 1)}
 
 
-class LeafBudgetError(RuntimeError):
+class LeafBudgetError(sgap.SizeGuardError):
     """Tree enumeration exhausted its leaf budget; partial leaves attached."""
 
     def __init__(self, message: str, partial: list):

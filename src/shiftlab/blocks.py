@@ -11,7 +11,11 @@ n serves any number of start words at a cost set by their classes, at most
 2(q + p) + 2, not by their number.  The block counts of length n are the
 followers of the empty word.  All counts are exact Python integers.
 Finite-type shifts given by forbidden blocks are presented as higher-block
-automata, and sofic presentations such as the even shift are counted by
+automata.  A clean word plus a letter is clean exactly when no forbidden
+block ends at that letter, so the states grow from the empty word one letter
+at a time under that suffix rule, and the edges use the same rule; the
+2^20 guard bounds |A|^(m-1), the most states the longest block m allows.
+These and sofic presentations such as the even shift are counted by
 determinising the label action over subsets of states; one pass of that
 construction yields the counts of every length up to n.  Each subset's
 letter images are computed once, on the step after it is found, as integer
@@ -27,8 +31,8 @@ of length n needs some member >= n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import accumulate, product
+from dataclasses import dataclass
+from itertools import accumulate
 from operator import sub
 
 from .sgap import SGapSpec, SizeGuardError
@@ -193,13 +197,14 @@ class ShiftAutomaton:
     def __post_init__(self):
         if not self.states:
             raise ValueError("an automaton needs at least one state")
+        known = set(self.states)
         for (src, letter), dst in self.transitions.items():
-            if src not in self.states or dst not in self.states:
+            if src not in known or dst not in known:
                 raise ValueError("transition endpoints must be states")
             if letter not in self.alphabet:
                 raise ValueError(f"letter {letter!r} not in alphabet")
         sources = {src for (src, _) in self.transitions}
-        if set(self.states) - sources:
+        if known - sources:
             raise ValueError("every state needs at least one outgoing transition")
 
     def edge_count(self) -> int:
@@ -210,9 +215,13 @@ def build_sft_automaton(alphabet, forbidden) -> ShiftAutomaton:
     """Higher-block presentation of the shift avoiding the given blocks.
 
     States are the locally admissible (m-1)-blocks, where m is the longest
-    forbidden length; states without both an incoming and an outgoing edge
-    are pruned to a fixed point so that readable words are exactly the
-    factors of bi-infinite admissible sequences.
+    forbidden length, grown from the empty word one letter at a time: a
+    word is kept, and u -a-> (u + a)[1:] is an edge, exactly when no
+    forbidden block ends at the last letter.  More than 2^20 candidate
+    states, |A|^(m-1), raise SizeGuardError before any is built.  States
+    without both an incoming and an outgoing edge are pruned to a fixed
+    point so that readable words are exactly the factors of bi-infinite
+    admissible sequences.
     """
     letters = tuple(dict.fromkeys(alphabet))
     if not letters:
@@ -228,26 +237,18 @@ def build_sft_automaton(alphabet, forbidden) -> ShiftAutomaton:
         raise ValueError("longest forbidden block must have length >= 2")
     bad_set = set(bad)
 
-    def clean(word: str) -> bool:
-        return not any(
-            word[i : i + L] in bad_set
-            for L in range(1, m + 1)
-            for i in range(len(word) - L + 1)
-        )
+    def grows(word: str) -> bool:
+        # word[:-1] is clean, so only a suffix of word can be forbidden.
+        return not any(word[-L:] in bad_set for L in range(1, m + 1))
 
     if len(letters) ** (m - 1) > SUBSET_STATE_LIMIT:
         raise SizeGuardError("state space of the higher-block presentation too large")
 
-    states = {"".join(t) for t in product(letters, repeat=m - 1) if clean("".join(t))}
-    edges = {}
-    for u in states:
-        for a in letters:
-            extended = u + a
-            # u is already clean, so only factors ending at the new letter
-            # need checking, i.e. the suffixes of u + a; a clean u + a ends
-            # in a clean (m - 1)-word, which is a state.
-            if not any(extended[-L:] in bad_set for L in range(1, m + 1)):
-                edges[(u, a)] = extended[1:]
+    states = {""}
+    for _ in range(m - 1):
+        states = {u + a for u in states for a in letters if grows(u + a)}
+    # A clean u + a ends in a clean (m - 1)-word, which is a state.
+    edges = {(u, a): (u + a)[1:] for u in states for a in letters if grows(u + a)}
 
     # Prune to the essential part: states on bi-infinite paths.
     while True:
@@ -298,7 +299,7 @@ def count_blocks_automaton(aut: ShiftAutomaton, n: int) -> int:
 class BlockCountTable:
     """Exact block counts by length."""
 
-    counts: dict[int, int] = field(default_factory=dict)
+    counts: dict[int, int]
 
     def require(self, n_max: int) -> None:
         missing = [n for n in range(1, n_max + 1) if n not in self.counts]

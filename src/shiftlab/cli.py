@@ -414,16 +414,13 @@ def main(argv=None) -> int:
             raise ValueError(f"--tol must be finite, got {args.tol}")
         globals()["cmd_" + args.command.replace("-", "_")](args)
         return 0
-    except (sgap.SpecSyntaxError, sgap.EmptySetError) as exc:
-        print(f"shiftlab: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
     except blocks.EmptyShiftError as exc:
         print(f"shiftlab: empty shift: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-    except (blocks.SizeGuardError, beta.LeafBudgetError) as exc:
+    except blocks.SizeGuardError as exc:
         print(f"shiftlab: budget exceeded: {exc}", file=sys.stderr)
         return _BUDGET_EXIT
-    except (entropy.EntropySolveError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"shiftlab: numeric failure: {exc}", file=sys.stderr)
         return _NUMERIC_EXIT
     except ValueError as exc:

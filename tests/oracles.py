@@ -167,6 +167,45 @@ def brute_count_even(n: int) -> int:
     )
 
 
+def clean_words(alphabet, forbidden, n: int) -> set[str]:
+    """The length-n words over alphabet with no factor in forbidden."""
+    words = ("".join(t) for t in product(alphabet, repeat=n))
+    return {
+        w
+        for w in words
+        if not any(w[i:j] in forbidden for i in range(n) for j in range(i + 1, n + 1))
+    }
+
+
+def higher_block_graph(alphabet, forbidden) -> tuple[tuple[str, ...], dict]:
+    """The higher-block presentation of the shift avoiding forbidden, from
+    its definition.  With m the longest block, the states are the clean
+    (m-1)-words and each clean m-word w is an edge w[:-1] -w[-1]-> w[1:];
+    states lacking an incoming or an outgoing edge are removed until none
+    is left.  Returns the sorted states and the transitions, both empty
+    when the shift is."""
+    letters = tuple(dict.fromkeys(alphabet))
+    bad = set(forbidden)
+    m = max(map(len, bad))
+    states = clean_words(letters, bad, m - 1)
+    edges = {(w[:-1], w[-1]): w[1:] for w in clean_words(letters, bad, m)}
+    while True:
+        stranded = {
+            u
+            for u in states
+            if all((u, a) not in edges for a in letters)
+            or u not in edges.values()
+        }
+        if not stranded:
+            return tuple(sorted(states)), edges
+        states -= stranded
+        edges = {
+            (u, a): v
+            for (u, a), v in edges.items()
+            if u not in stranded and v not in stranded
+        }
+
+
 def spectral_radius_2x2(a, b, c, d, iterations: int = 200) -> float:
     """Power iteration on [[a, b], [c, d]] with nonnegative entries."""
     x, y = 1.0, 1.0

@@ -1,5 +1,7 @@
 import csv
 import io
+import random
+import time
 
 import pytest
 
@@ -210,6 +212,76 @@ def test_build_sft_prunes_stranded_states():
     aut = build_sft_automaton("ab", ["ba", "bb"])
     assert aut.states == ("a",)
     assert aut.edge_count() == 1
+
+
+def _random_forbidden(rng):
+    """An alphabet of 1-4 letters and 1-6 blocks of length 1-5, the longest
+    of length at least 2."""
+    letters = "0123"[: rng.randint(1, 4)]
+    m = rng.randint(2, 5)
+    lengths = [m] + [rng.randint(1, m) for _ in range(rng.randint(0, 5))]
+    return letters, ["".join(rng.choices(letters, k=k)) for k in lengths]
+
+
+HIGHER_BLOCK_CASES = [
+    ("ab", ["ba", "bb"]),  # b is stranded
+    ("abc", ["aa", "ab", "ac", "bb", "bc"]),  # a, then b, is stranded
+    ("012", ["2", "00"]),  # a one-letter block
+    ("012", ["1", "2", "00"]),  # only one-letter blocks survive: empty
+    ("01", ["00", "01", "10", "11"]),  # empty
+    ("0", ["00"]),  # empty
+    ("012", ["20", "21"]),
+    ("01", ["0000", "1111"]),
+    ("abcd", EX31_FORBIDDEN),
+]
+
+
+def _check_higher_block_oracle(alphabet, forbidden) -> tuple[str, ...]:
+    states, edges = oracles.higher_block_graph(alphabet, forbidden)
+    if not states:
+        with pytest.raises(EmptyShiftError):
+            build_sft_automaton(alphabet, forbidden)
+        return states
+    aut = build_sft_automaton(alphabet, forbidden)
+    assert (aut.states, aut.alphabet, aut.transitions) == (
+        states,
+        tuple(dict.fromkeys(alphabet)),
+        edges,
+    )
+    return states
+
+
+@pytest.mark.parametrize(
+    "alphabet, forbidden",
+    HIGHER_BLOCK_CASES,
+    ids=[f"{a}:{','.join(f)}" for a, f in HIGHER_BLOCK_CASES],
+)
+def test_build_sft_matches_higher_block_oracle(alphabet, forbidden):
+    _check_higher_block_oracle(alphabet, forbidden)
+
+
+def test_build_sft_matches_higher_block_oracle_on_random_blocks():
+    rng = random.Random(1601)
+    empty = stranded = one_letter = 0
+    for _ in range(600):
+        alphabet, forbidden = _random_forbidden(rng)
+        states = _check_higher_block_oracle(alphabet, forbidden)
+        m = max(map(len, forbidden))
+        empty += not states
+        stranded += 0 < len(states) < len(
+            oracles.clean_words(alphabet, set(forbidden), m - 1)
+        )
+        one_letter += any(len(w) == 1 for w in forbidden)
+    assert empty and stranded and one_letter
+
+
+def test_build_sft_grows_a_large_presentation_quickly():
+    # 4**7 states and 4**8 - 1 edges: each state costs one suffix test per
+    # letter, and each endpoint one set lookup, so this takes well under 3 s.
+    start = time.perf_counter()
+    aut = build_sft_automaton("0123", ["0" * 8])
+    assert time.perf_counter() - start < 3.0
+    assert len(aut.states) == 4**7 and aut.edge_count() == 4**8 - 1
 
 
 def test_four_letter_closed_form():

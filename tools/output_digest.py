@@ -50,7 +50,11 @@ CSV_COMMANDS = ("blocks", "gibbs")
 # the byte-level parse of ep: bit lists: a constant period that leaves a
 # finite set, one that leaves co{} and one that leaves the empty set
 # (exit 2), classify on the period-400 sparse set, and the largest digit
-# tree of the benchmark's bases, 592 leaves at depth 18.
+# tree of the benchmark's bases, 592 leaves at depth 18.  Last, the
+# higher-block presentations the benchmark's length-2 blocks leave out: a
+# stranded state that pruning removes, a one-letter block, an empty shift
+# (exit 2), the reducible shift avoiding 20 and 21, and 3**6 states grown
+# from blocks of length 7.
 _FLOOR, _BELOW_FLOOR = "8.881784197001252e-16", "8.881784197001251e-16"
 _GOLDEN, _KL = "1.618033988749895", "1.787231650182966"
 EDGE_ARGVS = [
@@ -99,6 +103,11 @@ EDGE_ARGVS = [
     ),
     ["classify", "--s", "ep:pre=;pat=" + "0," * 399 + "1"],
     ["enumerate-one", "--lambda", "1.442418082864579", "--depth", "18"],
+    ["blocks", "--sft", "ba,bb", "--alphabet", "ab", "--n", "6"],
+    ["blocks", "--sft", "2,00", "--alphabet", "012", "--n", "30", "--format", "csv"],
+    ["blocks", "--sft", "00,01,10,11", "--alphabet", "01", "--n", "3"],
+    ["check-bsm", "--sft", "20,21", "--alphabet", "012", "--depth", "40"],
+    ["blocks", "--sft", "0000000", "--alphabet", "012", "--n", "40"],
 ]
 
 
