@@ -23,11 +23,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, compress, count, cycle, islice
 
 from . import sgap
-from .entropy import _bisect, _series
+from .entropy import _exact_sign, _gap_terms, _root_bracket, _series
 from .sgap import SGapSpec
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -59,7 +59,7 @@ class BetaContext:
     def __post_init__(self):
         if not (1.0 < self.lam < 2.0):
             raise ValueError("base must lie strictly between 1 and 2")
-        if self.membership_tol < 0.0:
+        if not self.membership_tol >= 0.0:
             raise ValueError("membership tolerance must be >= 0")
 
     # Computed on first read and kept: region_of reads them on every step.
@@ -264,20 +264,21 @@ _KL_SERIES_TERMS = 256
 def komornik_loreti_constant(tol: float = 1e-12) -> float:
     """Root of sum_j t(j) * lambda**-j = 1 over the parity-doubling bits.
 
-    This is the smallest base in which 1 has a unique binary expansion: the
-    root of the gap series of {j - 1 : t(j) = 1, j <= 256}, solved with the
-    entropy solver's series and bisection (entropy._series, _bisect) down to
-    tol / 2 or adjacent doubles.  With 256 terms the geometric tail is far
-    below any representable tolerance.
+    This is the smallest base in which 1 has a unique binary expansion.  The
+    digits t(1..256), read as a gap set (a digit word is its set's
+    characteristic bits), go through the entropy solver's certified
+    bisection, entropy._root_bracket, down to tol / 2 or adjacent doubles:
+    their series exceeds 1 at lo, and so does the full series, which only
+    adds terms.  At hi the set that adds every position after 256 has a
+    series above the full one, and its exact sign must be negative, or
+    ArithmeticError is raised; so the constant lies in [lo, hi].
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
-    members = [j - 1 for j in range(1, _KL_SERIES_TERMS + 1) if thue_morse(j)]
-    series = partial(_series, members)
-    lo, hi = 1.5, 2.0
-    if not (series(lo) > 1.0 > series(hi)):
-        raise ArithmeticError("failed to bracket the constant in [1.5, 2]")
-    lo, hi, _ = _bisect(series, lo, hi, tol)
+    bits = [thue_morse(j) for j in range(1, _KL_SERIES_TERMS + 1)]
+    lo, hi, _ = _root_bracket(_gap_terms(sgap.periodic_gaps(bits, [0])), tol)
+    if _exact_sign(_gap_terms(sgap.periodic_gaps(bits, [1])), hi) > 0:
+        raise ArithmeticError(f"the series tail may exceed 1 at {hi!r}")
     return 0.5 * (lo + hi)
 
 

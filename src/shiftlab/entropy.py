@@ -32,11 +32,12 @@ _MAX_PRECISION_BITS raises SizeGuardError (CLI exit 4).  Bisection steps
 whose float value lies within its rounding bound of 1 take the same exact
 sign, so the float bisection never leaves the exact bracket.
 
-_series and _bisect are the package's one evaluation of such a series term
-by term and its one bracket halving: the closed form sums its two parts
-with _series, beta.komornik_loreti_constant solves the series of the
-parity-doubling digits with both, and beta.ExpansionPrefix.partial_sum is
-_series over the positions of its one digits.
+_root_bracket is the package's one certified bisection and _series its one
+term-by-term evaluation of such a series.  solve_sgap_entropy and
+beta.komornik_loreti_constant both take their bracket from _root_bracket;
+the closed form sums its two parts with _series, and
+beta.ExpansionPrefix.partial_sum is _series over the positions of its one
+digits.
 
 For count tables, a shift whose block counts satisfy the bounded
 supermultiplicativity inequality with constant K pins its entropy between
@@ -48,7 +49,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import compress
 from typing import NamedTuple
 
@@ -109,36 +109,6 @@ def _series(members, lam: float) -> float:
     """sum over n in members of lam ** -(n + 1), rounded once from the
     exact sum (fsum), so the order of the members does not matter."""
     return math.fsum(lam ** (-(n + 1)) for n in reversed(members))
-
-
-def _float_above(_, value: float) -> bool:
-    return value > 1.0
-
-
-def _bisect(
-    series, lo: float, hi: float, tol: float, above=_float_above, f_lo=None, f_hi=None
-) -> tuple[float, float, int]:
-    """Halve [lo, hi] around the root of the decreasing series(x) = 1.
-
-    above(x, value) says whether series(x), evaluated as value, exceeds 1;
-    lo moves only to such points, hi only to the others.  Stops when the
-    bracket is at most tol / 2 wide and, if f_lo and f_hi (the series at lo
-    and at hi) are given, they differ by at most tol; or when the ends are
-    adjacent doubles.  Returns (lo, hi, halvings).
-    """
-    spread = f_lo is not None
-    steps = 0
-    while hi - lo > tol / 2 or spread and f_lo - f_hi > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # lo and hi are adjacent doubles
-            break
-        value = series(mid)
-        if above(mid, value):
-            lo, f_lo = mid, value
-        else:
-            hi, f_hi = mid, value
-        steps += 1
-    return lo, hi, steps
 
 
 class _GapTerms(NamedTuple):
@@ -209,7 +179,7 @@ def _sign_interval(terms: _GapTerms, lam: float, w: int) -> tuple[int, int]:
 
 
 def _exact_sign(terms: _GapTerms, lam: float) -> int:
-    """The sign of f(lam) - 1, +1 or -1, for a double lam in (1, 2)."""
+    """The sign of f(lam) - 1, +1 or -1, for a double lam in (1, 2]."""
     w = _START_PRECISION_BITS
     while w <= _MAX_PRECISION_BITS:
         low, high = _sign_interval(terms, lam, w)
@@ -222,18 +192,52 @@ def _exact_sign(terms: _GapTerms, lam: float) -> int:
     )
 
 
+def _root_bracket(terms: _GapTerms, tol: float) -> tuple[float, float, int]:
+    """Halve [1, 2] around the root of f = 1 and certify the final ends.
+
+    A step whose float value of f lies farther than its error bound from 1
+    takes that value's side; nearer ones take the exact sign.  Stops when
+    the bracket is at most tol / 2 wide and the float values of f at its
+    ends differ by at most tol, or when its ends are adjacent doubles.
+    Returns (lo, hi, halvings) with f(lo) > 1 >= f(hi) checked exactly, or
+    raises EntropySolveError.
+    """
+    # f tends to |S| >= 2 or to infinity as x -> 1+, so lo = 1 starts above
+    # the root; f_lo = inf keeps the bisection going until lo has moved.
+    lo, hi, f_lo, f_hi = 1.0, 2.0, math.inf, _closed_series(terms, 2.0)
+    steps = 0
+    while hi - lo > tol / 2 or f_lo - f_hi > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent doubles
+            break
+        value = _closed_series(terms, mid)
+        margin = _FLOAT_MARGIN / (1.0 - mid**-terms.p if terms.cycle else 1.0)
+        if abs(value - 1.0) > margin:
+            above = value > 1.0
+        else:
+            above = _exact_sign(terms, mid) > 0
+        if above:
+            lo, f_lo = mid, value
+        else:
+            hi, f_hi = mid, value
+        steps += 1
+    # f(2) <= 1 for every gap set, so hi = 2 needs no check.
+    if _exact_sign(terms, lo) < 0 or hi < 2.0 and _exact_sign(terms, hi) > 0:
+        raise EntropySolveError(f"bracket [{lo!r}, {hi!r}] failed its exact sign check")
+    return lo, hi, steps
+
+
 def solve_sgap_entropy(spec: SGapSpec, tol: float = DEFAULT_TOL) -> EntropyResult:
     """Solve f(lambda) = 1 for the gap set, with an exact bracket.
 
-    Bisects [1, 2] on the closed form until the bracket is at most tol / 2
-    wide and the float values of f at its ends differ by at most tol, or
-    its ends are adjacent doubles; then checks the sign of f - 1 at both
-    ends exactly.  A singleton set has its root exactly at 1 (entropy zero)
-    and the full set of naturals at 2; both are returned directly.  A
-    tolerance below 2**-50, four ulps at 1, raises EntropySolveError before
-    any evaluation.
+    The bracket is _root_bracket's on the closed form: at most tol / 2
+    wide, with both ends' signs checked exactly.  A singleton set has its
+    root exactly at 1 (entropy zero) and the full set of naturals at 2;
+    both are returned directly.  A tolerance below 2**-50, four ulps at 1,
+    raises EntropySolveError before any evaluation, and a NaN one
+    ValueError.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     # Doubles in [1, 2) lie 2**-52 apart and float values of f near 1 are a
     # few ulps of 1 off, so below _MIN_TOL neither stop can be promised.
@@ -245,21 +249,7 @@ def solve_sgap_entropy(spec: SGapSpec, tol: float = DEFAULT_TOL) -> EntropyResul
     if spec.is_full():
         return EntropyResult(2.0, 1.0, 2.0, 2.0, 0)
 
-    terms = _gap_terms(spec)
-    series = partial(_closed_series, terms)
-
-    def above(lam: float, value: float) -> bool:
-        margin = _FLOAT_MARGIN / (1.0 - lam**-terms.p if terms.cycle else 1.0)
-        if abs(value - 1.0) > margin:
-            return value > 1.0
-        return _exact_sign(terms, lam) > 0
-
-    # f tends to |S| >= 2 or to infinity as x -> 1+, so lo = 1 starts above
-    # the root; f_lo = inf keeps the bisection going until lo has moved.
-    lo, hi, iterations = _bisect(series, 1.0, 2.0, tol, above, math.inf, series(2.0))
-    # f(2) <= 1 for every gap set, so hi = 2 needs no check.
-    if _exact_sign(terms, lo) < 0 or hi < 2.0 and _exact_sign(terms, hi) > 0:
-        raise EntropySolveError(f"bracket [{lo!r}, {hi!r}] failed its exact sign check")
+    lo, hi, iterations = _root_bracket(_gap_terms(spec), tol)
     lam = 0.5 * (lo + hi)
     return EntropyResult(lam, math.log2(lam), lo, hi, iterations)
 

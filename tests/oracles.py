@@ -226,6 +226,12 @@ def closed_series(spec, lam: float) -> float:
     return head + cycle / (1.0 - lam**-p)
 
 
+def gap_series_exact(members, x) -> Fraction:
+    """sum over n in members of x**-(n+1), exactly, for a rational x."""
+    y = 1 / Fraction(x)
+    return sum((y ** (n + 1) for n in members), Fraction(0))
+
+
 def bisect_decreasing(f, lo: float, hi: float, target: float, tol: float) -> float:
     """Root of a strictly decreasing f on [lo, hi] with f(lo) > target > f(hi)."""
     assert f(lo) > target > f(hi)

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,8 +29,8 @@ from shiftlab.beta import (
     spec_from_prefix,
     thue_morse,
 )
-from shiftlab.entropy import solve_sgap_entropy
-from shiftlab.sgap import EmptySetError, classify, parse_sgap_spec
+from shiftlab.entropy import _gap_terms, _root_bracket, solve_sgap_entropy
+from shiftlab.sgap import EmptySetError, classify, parse_sgap_spec, periodic_gaps
 
 import oracles
 
@@ -257,7 +258,8 @@ def test_komornik_loreti_residual():
         (0.1, 1.796875),
         (1e-6, 1.787231683731079),
         (1e-12, 1.7872316501827754),
-        (1e-15, 1.7872316501829657),
+        (1e-15, 1.7872316501829661),
+        (2.0**-50, 1.7872316501829661),
         (4e-16, 1.787231650182966),
         (1e-300, 1.787231650182966),
         (5e-324, 1.787231650182966),
@@ -267,6 +269,34 @@ def test_komornik_loreti_exact_values(tol, lam):
     # Exact doubles: the bracket stops at tol / 2 or, from 4e-16 down, at
     # adjacent doubles.
     assert komornik_loreti_constant(tol) == lam
+
+
+@pytest.mark.parametrize("tol", [1.0, 1e-10, 1e-15, 2.0**-50, 4e-16, 5e-324])
+def test_komornik_loreti_bracket_holds_the_constant_exactly(tol):
+    # The first 256 digits' series exceeds 1 at lo, and with the tail
+    # sum_{j>256} x**-j = x**-256 / (x - 1) added it is at most 1 at hi, so
+    # the root of the infinite series lies in [lo, hi].
+    bits = [bin(j).count("1") % 2 for j in range(1, 257)]
+    members = [n for n, bit in enumerate(bits) if bit]
+    lo, hi, _ = _root_bracket(_gap_terms(periodic_gaps(bits, [0])), tol)
+    assert komornik_loreti_constant(tol) == 0.5 * (lo + hi)
+    assert oracles.gap_series_exact(members, lo) > 1
+    x = Fraction(hi)
+    assert oracles.gap_series_exact(members, x) + x**-256 / (x - 1) <= 1
+
+
+def test_nan_tolerance_is_refused():
+    # Every comparison with NaN is false, so a NaN tolerance would stop the
+    # bisection before its first step.
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        komornik_loreti_constant(math.nan)
+
+
+def test_nan_membership_tolerance_is_refused():
+    # A NaN band would fail every interval test: no digit tree child and no
+    # start point would lie in the interval.
+    with pytest.raises(ValueError, match="membership tolerance must be >= 0"):
+        BetaContext(1.5, membership_tol=math.nan)
 
 
 @pytest.mark.parametrize(

@@ -2,15 +2,15 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from shiftlab.beta import BetaContext, spec_construction_lazy, spec_from_prefix
 from shiftlab.blocks import automaton_count_table, even_shift_automaton, sgap_count_table
 from shiftlab.entropy import (
     EntropySolveError,
-    _bisect,
     _exact_sign,
     _gap_terms,
+    _root_bracket,
     _sign_interval,
     entropy_bounds_from_counts,
     entropy_slope_diagnostic,
@@ -122,24 +122,20 @@ def test_solver_exact_values(tol):
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.floats(1.0, 1.5, exclude_min=True),
-    st.floats(0.0, 1.0),
-    st.floats(2.0**-50, 1.0),
-)
-def test_bisect_reaches_half_tolerance(lo, frac, tol):
+@given(st.randoms(use_true_random=False), st.floats(2.0**-50, 1.0))
+def test_bisect_reaches_half_tolerance(rng, tol):
     # With tol >= 2**-50 inside [1, 2] the bracket always narrows to tol / 2,
-    # so the adjacent-doubles stop never ends an entropy solve.
-    root = lo + frac * (2.0 - lo)
-
-    def series(x):
-        return root / x
-
-    a, b, steps = _bisect(series, lo, 2.0, tol)
-    assert lo <= a < b <= 2.0 and b - a <= tol / 2
+    # so the adjacent-doubles stop never ends an entropy solve.  A singleton
+    # has its root at 1, where no bracket can close; the solver returns it
+    # directly.
+    spec = oracles.random_spec(rng)
+    assume(spec.size() != 1)
+    terms = _gap_terms(spec)
+    a, b, steps = _root_bracket(terms, tol)
+    assert 1.0 < a < b <= 2.0 and b - a <= tol / 2
     assert steps <= 52
-    assert a == lo or series(a) > 1.0
-    assert b == 2.0 or series(b) <= 1.0
+    assert _exact_sign(terms, a) > 0
+    assert b == 2.0 or _exact_sign(terms, b) < 0
 
 
 # Each gap set with a polynomial in lambda, negative below its root and
@@ -238,6 +234,13 @@ def test_entropy_result_certificate(corpus):
 def test_unreachable_tolerance_raises():
     with pytest.raises((EntropySolveError, ValueError)):
         solve_sgap_entropy(parse_sgap_spec("{0,1}"), tol=0.0)
+
+
+def test_nan_tolerance_is_refused():
+    # Every comparison with NaN is false, so a NaN tolerance would stop the
+    # bisection before its first step.
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        solve_sgap_entropy(parse_sgap_spec("{0,1}"), math.nan)
 
 
 def test_bounds_full_shift():

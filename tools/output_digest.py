@@ -29,12 +29,14 @@ from pathlib import Path
 OWN_CHECKOUT = Path(__file__).resolve().parent.parent
 CSV_COMMANDS = ("blocks", "gibbs")
 
-# Float edges of the shared series and bisection: kl down to adjacent
-# doubles, the entropy floor 2**-50 and the double just below it, entropy
-# on sparse periods whose roots crowd 1 (one member per period p, root
-# 2**(1/p)), long greedy and lazy orbits, and the digit tree near the
-# golden ratio and the smallest univoque base.  No argv is known to reach
-# the entropy solver's precision cap.  Then the edge rows of beta's digit
+# Float edges of the shared series and certified bisection: kl down to
+# adjacent doubles, the entropy floor 2**-50 and the double just below it
+# for entropy, bridge, gibbs and kl (kl has no floor: below it, it stops at
+# adjacent doubles where entropy exits 3), entropy on sparse periods whose
+# roots crowd 1 (one member per period p, root 2**(1/p)), long greedy and
+# lazy orbits, and the digit tree near the golden ratio and the smallest
+# univoque base.  No argv is known to reach the entropy solver's precision
+# cap.  Then the edge rows of beta's digit
 # table under a zero ambiguity band: greedy and lazy expansions started
 # exactly on a switch-region endpoint for lambda = 1.8 (1/lambda and
 # 1/(lambda(lambda-1))), whose flag reads ambiguous, and the digit tree at
@@ -68,6 +70,7 @@ EDGE_ARGVS = [
             ["entropy", "--s", "ep:pre=;pat=0,1"],
             ["bridge", "--digits", "0110100110010110"],
             ["gibbs", "--s", "co{0}"],
+            ["kl"],
         )
     ),
     *(
