@@ -16,6 +16,11 @@ ambiguous rather than silently resolved, while the tree lets impossible
 branches die when their orbit leaves the interval.  Every single-path
 expansion (greedy, lazy, the constructions) is one walk, _walk, that reads
 the flag, asks a pick function for the digit and maps y to lambda * y - d.
+
+A prefix's report costs no Python call per digit: its digit word is one
+bytes.translate of the 0/1 digits, and its partial sums fsum the one
+positions' weights out of one power table per base and length, cached, so
+that every leaf of a tree shares it.
 """
 
 from __future__ import annotations
@@ -23,11 +28,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, compress, count, cycle, islice
+from functools import cached_property, lru_cache
+from itertools import chain, compress, cycle, islice
 
 from . import sgap
-from .entropy import _exact_sign, _gap_terms, _root_bracket, _series
+from .entropy import _exact_sign, _gap_terms, _root_bracket
 from .sgap import SGapSpec
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -39,6 +44,17 @@ AMBIGUOUS = "ambiguous"
 
 # The digits each switch-region reading admits, smallest first.
 _DIGITS = {FORCED0: (0,), FORCED1: (1,), SWITCH: (0, 1), AMBIGUOUS: (0, 1)}
+# Digit bytes 0 and 1 as the characters "0" and "1".
+_DIGIT_CHARS = bytes.maketrans(b"\0\1", b"01")
+
+
+# Typed, since 1.5 == Fraction(3, 2) but the powers of one are floats and
+# of the other exact fractions, which can round differently.
+@lru_cache(maxsize=8, typed=True)
+def _powers(lam, length: int) -> tuple:
+    """lam ** -(j + 1) for j < length: the weight of each digit position,
+    shared by every prefix of one base."""
+    return tuple(lam ** -(j + 1) for j in range(length))
 
 
 class LeafBudgetError(sgap.SizeGuardError):
@@ -118,12 +134,14 @@ class ExpansionPrefix:
         return AMBIGUOUS in self.flags
 
     def digit_word(self) -> str:
-        return "".join(map(str, self.digits))
+        return bytes(self.digits).translate(_DIGIT_CHARS).decode()
 
     def partial_sum(self, upto: int | None = None) -> float:
         """sum of digit j * lam ** -j over the first upto digits (all by
-        default): the gap series of the positions of the one digits."""
-        return _series(list(compress(count(), self.digits[:upto])), self.lam)
+        default): the weights of the one positions from the base's power
+        table, rounded once from the exact sum (fsum)."""
+        table = _powers(self.lam, len(self.digits))
+        return math.fsum(compress(table, self.digits[:upto]))
 
     def residual(self) -> float:
         return abs(self.start - self.partial_sum())
@@ -218,26 +236,23 @@ def enumerate_expansions_of_one(
     if max_leaves < 1:
         raise ValueError("max_leaves must be >= 1")
     slack = max(8.0 * ctx.membership_tol, 1e-10)
-    right = ctx.interval_right
+    low, high = -slack, ctx.interval_right + slack
+    lam, region_of, last = ctx.lam, ctx.region_of, depth - 1
     leaves: list[ExpansionPrefix] = []
-    # The path from the root, one stack each: pushed on the way down,
-    # popped on the way back and copied into tuples only at a leaf.
+    # The path from the root, one stack each: pushed on the way down and
+    # popped on the way back; a leaf's tuples are the stacks plus its last
+    # step.
     digits, orbit, flags = [], [], []
 
     def grow(y: float):
-        if len(digits) == depth:
-            if len(leaves) >= max_leaves:
-                raise LeafBudgetError(
-                    f"leaf budget {max_leaves} exhausted", leaves
-                )
-            leaves.append(
-                ExpansionPrefix(ctx.lam, 1.0, tuple(digits), tuple(orbit), tuple(flags))
-            )
-            return
-        flag = ctx.region_of(y)
+        flag = region_of(y)
+        at_leaf = len(digits) == last
+        scaled = lam * y
         for digit in _DIGITS[flag]:
-            child = ctx.lam * y - digit
-            if -slack <= child <= right + slack:
+            child = scaled - digit
+            if not low <= child <= high:
+                continue
+            if not at_leaf:
                 digits.append(digit)
                 orbit.append(child)
                 flags.append(flag)
@@ -245,6 +260,11 @@ def enumerate_expansions_of_one(
                 digits.pop()
                 orbit.pop()
                 flags.pop()
+            elif len(leaves) < max_leaves:
+                leaf = ExpansionPrefix(lam, 1.0, (*digits, digit), (*orbit, child), (*flags, flag))
+                leaves.append(leaf)
+            else:
+                raise LeafBudgetError(f"leaf budget {max_leaves} exhausted", leaves)
 
     grow(1.0)
     return leaves

@@ -14,7 +14,9 @@ Argument errors are usage errors like any other: one line and exit code 2.
 JSON reports are written by _dumps, which gives the bytes of
 json.dumps(report, indent=2, sort_keys=True) without the standard
 library's pure-Python indenting encoder: containers are joined from lists
-and each scalar is converted by the C or builtin function of its exact type.
+and each scalar is converted by the C or builtin function of its exact type,
+looked up in the comprehension that joins its container, so only nested
+containers and unknown types (which raise TypeError) make a recursive call.
 """
 
 from __future__ import annotations
@@ -97,12 +99,19 @@ def _dumps(value, indent: str = "\n") -> str:
         if not value:
             return "{}" if kind is dict else "[]"
         inner = indent + "  "
+        # Scalars are written here; only containers and unknown types recurse.
+        scalar = _SCALAR_TEXT.get
         if kind is not dict:
-            items = [_dumps(v, inner) for v in value]
+            items = [text(v) if (text := scalar(type(v))) else _dumps(v, inner) for v in value]
             return "[" + inner + ("," + inner).join(items) + indent + "]"
         if set(map(type, value)) != {str}:
             raise TypeError("report keys must be str")
-        items = [encode_basestring_ascii(k) + ": " + _dumps(value[k], inner) for k in sorted(value)]
+        items = [
+            encode_basestring_ascii(k)
+            + ": "
+            + (text(v) if (text := scalar(type(v := value[k]))) else _dumps(v, inner))
+            for k in sorted(value)
+        ]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     text = _SCALAR_TEXT.get(kind)
     if text is None:

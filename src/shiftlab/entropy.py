@@ -32,12 +32,12 @@ _MAX_PRECISION_BITS raises SizeGuardError (CLI exit 4).  Bisection steps
 whose float value lies within its rounding bound of 1 take the same exact
 sign, so the float bisection never leaves the exact bracket.
 
-_root_bracket is the package's one certified bisection and _series its one
-term-by-term evaluation of such a series.  solve_sgap_entropy and
-beta.komornik_loreti_constant both take their bracket from _root_bracket;
-the closed form sums its two parts with _series, and
-beta.ExpansionPrefix.partial_sum is _series over the positions of its one
-digits.
+_root_bracket is the package's one certified bisection: solve_sgap_entropy
+and beta.komornik_loreti_constant both take their bracket from it.  The
+closed form sums its two parts with _series, which powers each member
+afresh, since every bisection step has a new base.
+beta.ExpansionPrefix.partial_sum sums the same terms lam ** -(j + 1), but
+reads them from a power table that every prefix of its base shares.
 
 For count tables, a shift whose block counts satisfy the bounded
 supermultiplicativity inequality with constant K pins its entropy between
@@ -173,7 +173,7 @@ def _sign_interval(terms: _GapTerms, lam: float, w: int) -> tuple[int, int]:
     (a_lo, a_hi), (c_lo, c_hi) = sums
     if not terms.cycle:
         return (a_lo - one) << w, (a_hi - one) << w
-    s_lo, s_hi = _power(y, terms.p, w)
+    s_lo, s_hi = gaps.get(terms.p) or _power(y, terms.p, w)
     ends = [x * z for x in (a_lo - one, a_hi - one) for z in (one - s_hi, one - s_lo)]
     return min(ends) + (c_lo << w), max(ends) + (c_hi << w)
 

@@ -165,6 +165,10 @@ def cofinite_gaps(excluded) -> SGapSpec:
     return SGapSpec(_marked(max(excl, default=-1) + 1, 1, excl), (1,))
 
 
+# Byte 0 to bit 0 and every other byte to bit 1.
+_BYTE_BITS = bytes([0]) + bytes([1]) * 255
+
+
 def periodic_gaps(preperiod, period) -> SGapSpec:
     """Eventually periodic description, normalised.
 
@@ -174,9 +178,12 @@ def periodic_gaps(preperiod, period) -> SGapSpec:
     form.  A mixed period is kept exactly as given.
     """
     _check_size(len(preperiod) + len(period))
-    # Each bit is read as a number and becomes 0 or 1; byte strings keep
-    # the per-bit work in C.
-    pre, pat = (bytes(map(bool, map(int, bits))) for bits in (preperiod, period))
+    # Each bit is read as a number and becomes 0 or 1; a byte string does
+    # so in one translate, and any other sequence bit by bit.
+    pre, pat = (
+        bits.translate(_BYTE_BITS) if isinstance(bits, bytes) else bytes(map(bool, map(int, bits)))
+        for bits in (preperiod, period)
+    )
     if not pat:
         raise SpecSyntaxError("period must be nonempty")
     if not pat.strip(pat[:1]):  # a constant period

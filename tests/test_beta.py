@@ -15,6 +15,7 @@ from shiftlab.beta import (
     PERIODIC_10,
     SWITCH,
     BetaContext,
+    ExpansionPrefix,
     LeafBudgetError,
     continuum_navigator,
     ehj_classify,
@@ -166,6 +167,30 @@ _LEAF_END_BASES = [PHI, KL_REF] + [
 ]
 
 
+# phi, the smallest univoque base and a seeded grid of bases in (1, 2).
+_TREE_BASES = [PHI, KL_REF] + [1 + i / 97 for i in random.Random(5).sample(range(1, 97), 4)]
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-6, 1e300, 1e308])
+def test_tree_matches_definition_oracle(tol):
+    # At 1e300 every step is ambiguous and every child kept, so the tree
+    # has 2**depth leaves: past depth 12 only phi runs there.  At 1e308 the
+    # slack 8 * tol is infinite.  A budget one short of the leaf count
+    # carries every leaf but the last.
+    for lam in _TREE_BASES:
+        ctx = BetaContext(lam, membership_tol=tol)
+        for depth in range(1, 17 if tol < 1 or lam == PHI else 13):
+            expected = oracles.digit_tree(lam, depth, tol)
+            leaves = enumerate_expansions_of_one(ctx, depth, max_leaves=len(expected))
+            assert [(x.digits, x.orbit, x.flags) for x in leaves] == expected, (lam, depth)
+            assert all(x.lam == lam and x.start == 1.0 for x in leaves)
+            if len(expected) > 1:
+                with pytest.raises(LeafBudgetError) as err:
+                    enumerate_expansions_of_one(ctx, depth, max_leaves=len(expected) - 1)
+                partial = [(x.digits, x.orbit, x.flags) for x in err.value.partial]
+                assert partial == expected[:-1], (lam, depth)
+
+
 @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-6])
 def test_tree_end_leaves_are_greedy_and_lazy(tol):
     # Greedy takes the largest admissible digit at every step and lazy the
@@ -182,6 +207,27 @@ def test_tree_end_leaves_are_greedy_and_lazy(tol):
                     expected.orbit,
                     expected.flags,
                 ), (lam, tol, depth, walk.__name__)
+
+
+# Words with trailing zeros.  At phi, lam ** -55 in floats and the exact
+# power rounded to a float differ, so the second word sums differently.
+_SUM_WORDS = [(1, 0, 1, 1, 0, 0), (0,) * 54 + (1,) + (0,) * 5, (1,) * 20, (0, 0)]
+
+
+def test_partial_sum_reads_the_power_table():
+    # A float base and an equal Fraction one take turns, so a power table
+    # shared between them would give one of them the other's weights.
+    def expected(lam, word, k):
+        return math.fsum(lam ** -(j + 1) for j in range(len(word))[:k] if word[j])
+
+    for lam in (PHI, Fraction(PHI), PHI, Fraction(PHI)):
+        for word in _SUM_WORDS:
+            prefix = ExpansionPrefix(lam, 1.0, word, (), ())
+            for k in [*range(len(word) + 3), None]:
+                assert prefix.partial_sum(k) == expected(lam, word, k), (lam, word, k)
+            assert prefix.residual() == abs(1.0 - expected(lam, word, None))
+    word = _SUM_WORDS[1]
+    assert expected(PHI, word, None) != expected(Fraction(PHI), word, None)
 
 
 def test_enumerate_leaf_sums_approximate_one():

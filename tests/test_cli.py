@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+from enum import IntEnum
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -622,8 +623,27 @@ def test_report_writer_matches_json_dumps_on_edge_results(monkeypatch):
         assert _dumps(result) == _stdlib_json(result)
 
 
+class _Text(str):
+    pass
+
+
+class _Level(IntEnum):
+    LOW = 1
+
+
 @pytest.mark.parametrize(
-    "value", [{1: "a"}, {None: 0}, {"a": Fraction(1, 3)}, [Fraction(1, 2)], {"a", "b"}]
+    "value",
+    [
+        {1: "a"},
+        {None: 0},
+        {"a": Fraction(1, 3)},
+        [Fraction(1, 2)],
+        {"a", "b"},
+        [_Text("a")],
+        {"a": _Text("a")},
+        [_Level.LOW],
+        {"a": _Level.LOW},
+    ],
 )
 def test_report_writer_refuses_other_types(value):
     with pytest.raises(TypeError):

@@ -79,6 +79,23 @@ def test_parse_periodic_matches_int_lists():
                 assert _outcome(parse_sgap_spec, text) == expected, text
 
 
+def test_periodic_gaps_reads_bytes_as_int_lists():
+    # Every word of up to 3 of these byte values, split into a preperiod
+    # and a (possibly empty) period: the same spec or the same error.
+    for length in range(4):
+        for word in product((0, 1, 2, 48, 49, 255), repeat=length):
+            for cut in range(length + 1):
+                pre, pat = list(word[:cut]), list(word[cut:])
+                expected = _outcome(periodic_gaps, pre, pat)
+                assert _outcome(periodic_gaps, bytes(pre), bytes(pat)) == expected, word
+    limit = [255] * (DESCRIPTION_BIT_LIMIT - 1)
+    assert periodic_gaps(bytes(limit), b"\0") == periodic_gaps(limit, [0])
+    for pre, pat in ((limit, [0, 1]), ([], [0] * (DESCRIPTION_BIT_LIMIT + 1))):
+        for form in (list, bytes):
+            with pytest.raises(SizeGuardError):
+                periodic_gaps(form(pre), form(pat))
+
+
 def test_parse_periodic_size_guard_boundary():
     ones = "1," * (DESCRIPTION_BIT_LIMIT - 2)
     spec = parse_sgap_spec(f"ep:pre={ones}0;pat=1")

@@ -56,7 +56,10 @@ CSV_COMMANDS = ("blocks", "gibbs")
 # higher-block presentations the benchmark's length-2 blocks leave out: a
 # stranded state that pruning removes, a one-letter block, an empty shift
 # (exit 2), the reducible shift avoiding 20 and 21, and 3**6 states grown
-# from blocks of length 7.
+# from blocks of length 7.  Last, the leaf edges of the digit tree at
+# lambda = 1.5: at depth 10 a leaf budget of exactly its 28 leaves (exit 0)
+# and one fewer (exit 4), and tolerances so wide that every step is
+# ambiguous: 1e300, and 1e308, where the orbit slack 8 * tol is infinite.
 _FLOOR, _BELOW_FLOOR = "8.881784197001252e-16", "8.881784197001251e-16"
 _GOLDEN, _KL = "1.618033988749895", "1.787231650182966"
 EDGE_ARGVS = [
@@ -111,6 +114,12 @@ EDGE_ARGVS = [
     ["blocks", "--sft", "00,01,10,11", "--alphabet", "01", "--n", "3"],
     ["check-bsm", "--sft", "20,21", "--alphabet", "012", "--depth", "40"],
     ["blocks", "--sft", "0000000", "--alphabet", "012", "--n", "40"],
+    *(
+        ["enumerate-one", "--lambda", "1.5", "--depth", "10", "--max-leaves", leaves]
+        for leaves in ("28", "27")
+    ),
+    ["enumerate-one", "--lambda", "1.5", "--depth", "8", "--tol", "1e300"],
+    ["enumerate-one", "--lambda", "1.5", "--depth", "6", "--tol", "1e308"],
 ]
 
 
