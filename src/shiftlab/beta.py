@@ -146,14 +146,6 @@ class ExpansionPrefix:
     def residual(self) -> float:
         return abs(self.start - self.partial_sum())
 
-    def to_report(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "digits": self.digit_word(),
-            "branch_flags": list(self.flags),
-            "residual": self.residual(),
-        }
-
 
 def _walk(
     ctx: BetaContext, y: float, depth: int, pick: Callable[[float, str], int | None]

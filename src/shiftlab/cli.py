@@ -1,4 +1,4 @@
-"""Command-line front end emitting deterministic JSON/CSV reports.
+"""Command-line front end, the one module that builds report fields.
 
 Exit codes: 0 success, 2 usage or parse failure, 3 numeric failure,
 4 enumeration budget exceeded.  Reports embed the tool version and the full
@@ -58,15 +58,13 @@ def _table_builder(args) -> Callable[[int], blocks.BlockCountTable]:
     that source, which takes the largest length."""
     if sum((args.s is not None, args.sft is not None, args.even_shift)) != 1:
         raise sgap.SpecSyntaxError("exactly one of --s, --sft, --even-shift is required")
+    if (args.alphabet is None) != (args.sft is None):
+        raise sgap.SpecSyntaxError("--alphabet applies only to --sft, which requires it")
     if args.s is not None:
         return functools.partial(blocks.sgap_count_table, sgap.parse_sgap_spec(args.s))
     if args.even_shift:
-        aut = blocks.even_shift_automaton()
-    else:
-        if not args.alphabet:
-            raise sgap.SpecSyntaxError("--sft requires --alphabet")
-        forbidden = [w for w in args.sft.split(",") if w]
-        aut = blocks.build_sft_automaton(args.alphabet, forbidden)
+        return functools.partial(blocks.automaton_count_table, blocks.even_shift_automaton())
+    aut = blocks.build_sft_automaton(args.alphabet, [w for w in args.sft.split(",") if w])
     return functools.partial(blocks.automaton_count_table, aut)
 
 
@@ -150,9 +148,15 @@ def _emit(args, result: dict, to_csv: Callable[[], str] | None = None) -> None:
 
 
 def cmd_entropy(args) -> None:
-    spec = sgap.parse_sgap_spec(args.s)
-    res = entropy.solve_sgap_entropy(spec, tol=args.tol)
-    _emit(args, res.to_report())
+    res = entropy.solve_sgap_entropy(sgap.parse_sgap_spec(args.s), tol=args.tol)
+    result = {
+        "lambda": res.lam,
+        "entropy": res.entropy,
+        "log_base": 2.0,
+        "lambda_lo": res.lambda_lo,
+        "lambda_hi": res.lambda_hi,
+    }
+    _emit(args, result)
 
 
 def cmd_classify(args) -> None:
@@ -188,7 +192,7 @@ def cmd_blocks(args) -> None:
     _require_printable("--n", args.n, "count", table.counts.values())
     result = {
         "n": args.n,
-        "counts": {str(n): c for n, c in sorted(table.counts.items())},
+        "counts": {str(n): c for n, c in table.counts.items()},
         "count_at_n": table.counts[args.n],
     }
 
@@ -200,23 +204,28 @@ def cmd_blocks(args) -> None:
     _emit(args, result, to_csv)
 
 
+def _estimate_result(flag: str, value: int, name: str, estimate, report) -> dict:
+    """The result fields of report, with estimate as text once its parts pass."""
+    _require_printable(flag, value, name + " part", estimate.as_integer_ratio())
+    return {
+        "depth_tested": report.depth_tested,
+        "verdict": report.verdict,
+        name: str(estimate),
+        name + "_float": float(estimate),
+        "witness": list(report.witness),
+    }
+
+
 def cmd_check_bsm(args) -> None:
     _require_positive("--depth", args.depth)
-    table = _table_builder(args)(2 * args.depth)
-    report = props.bsm_estimate(table, args.depth)
-    k = report.k_estimate.as_integer_ratio()
-    _require_printable("--depth", args.depth, "K_estimate part", k)
-    _emit(args, report.to_report())
+    report = props.bsm_estimate(_table_builder(args)(2 * args.depth), args.depth)
+    _emit(args, _estimate_result("--depth", args.depth, "K_estimate", report.k_estimate, report))
 
 
 def cmd_check_balanced(args) -> None:
     spec = sgap.parse_sgap_spec(args.s)
-    report = props.balanced_estimate(
-        spec, args.word_max, args.r_max, max_cells=_cell_budget()
-    )
-    b = report.b_estimate.as_integer_ratio()
-    _require_printable("--r-max", args.r_max, "B_estimate part", b)
-    _emit(args, report.to_report())
+    report = props.balanced_estimate(spec, args.word_max, args.r_max, max_cells=_cell_budget())
+    _emit(args, _estimate_result("--r-max", args.r_max, "B_estimate", report.b_estimate, report))
 
 
 def cmd_gibbs(args) -> None:
@@ -229,23 +238,21 @@ def cmd_gibbs(args) -> None:
         "entropy": h,
         "c1": str(diag.c1),
         "c2": str(diag.c2),
-        "ratios": {str(n): r for n, r in sorted(diag.ratios.items())},
+        "ratios": {str(n): r for n, r in diag.ratios.items()},
         "cell_count": diag.cell_count,
         "all_cells_pass": diag.all_cells_pass(),
     }
 
     def to_csv() -> str:
         cells = list(diag.finite_level_cells)
-        fractions = [f for c in cells for f in (c.mu_value, c.lower, c.upper)]
-        parts = [n for f in fractions for n in f.as_integer_ratio()]
+        parts = (
+            n for c in cells for f in (c.mu_value, c.lower, c.upper) for n in f.as_integer_ratio()
+        )
         _require_printable("--depth", args.depth, "Gibbs cell part", parts)
-        lines = ["omega,r,k,mu_value,lower,upper,passes"]
-        for cell in cells:
-            lines.append(
-                f"{cell.omega},{cell.r},{cell.k},{cell.mu_value},"
-                f"{cell.lower},{cell.upper},{cell.passes()}"
-            )
-        return "\n".join(lines) + "\n"
+        rows = (
+            f"{c.omega},{c.r},{c.k},{c.mu_value},{c.lower},{c.upper},{c.passes()}\n" for c in cells
+        )
+        return "omega,r,k,mu_value,lower,upper,passes\n" + "".join(rows)
 
     _emit(args, result, to_csv)
 
@@ -254,7 +261,13 @@ def cmd_expand(args) -> None:
     ctx = beta.BetaContext(args.lam, membership_tol=args.tol)
     expander = beta.greedy_expansion if args.mode == "greedy" else beta.lazy_expansion
     prefix = expander(args.x, ctx, args.depth)
-    _emit(args, prefix.to_report())
+    result = {
+        "lambda": prefix.lam,
+        "digits": prefix.digit_word(),
+        "branch_flags": list(prefix.flags),
+        "residual": prefix.residual(),
+    }
+    _emit(args, result)
 
 
 def cmd_enumerate_one(args) -> None:
@@ -348,6 +361,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write the report to a file")
 
+    def sources(p):  # the flags _table_builder reads
+        p.add_argument("--s")
+        p.add_argument("--sft", help="comma-separated forbidden blocks")
+        p.add_argument("--alphabet")
+        p.add_argument("--even-shift", action="store_true")
+
     p = sub.add_parser("entropy", help="root of the gap series and its entropy")
     p.add_argument("--s", required=True)
     p.add_argument("--tol", type=float, default=1e-10)
@@ -358,18 +377,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("blocks", help="exact block counts up to a length")
-    p.add_argument("--s")
-    p.add_argument("--sft", help="comma-separated forbidden blocks")
-    p.add_argument("--alphabet")
-    p.add_argument("--even-shift", action="store_true")
+    sources(p)
     p.add_argument("--n", type=int, required=True)
     common(p)
 
     p = sub.add_parser("check-bsm", help="supermultiplicativity constant estimate")
-    p.add_argument("--s")
-    p.add_argument("--sft")
-    p.add_argument("--alphabet")
-    p.add_argument("--even-shift", action="store_true")
+    sources(p)
     p.add_argument("--depth", type=int, required=True)
     common(p)
 

@@ -95,15 +95,6 @@ class EntropyResult:
     lambda_hi: float
     iterations: int
 
-    def to_report(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "entropy": self.entropy,
-            "log_base": 2.0,
-            "lambda_lo": self.lambda_lo,
-            "lambda_hi": self.lambda_hi,
-        }
-
 
 def _series(members, lam: float) -> float:
     """sum over n in members of lam ** -(n + 1), rounded once from the

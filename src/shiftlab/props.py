@@ -37,7 +37,11 @@ c2 / counts(r) of every cell (omega, k), f = follower(omega, k) and
 r = |omega|, in integers: a * counts(r + k) <= b * counts(r) * f and
 f * d * counts(r) <= c * counts(r + k), one C-level pass over each word's
 row.  finite_level_cells is a lazy sequence: its length is known at once,
-and a cell with its Fractions is built only when it is read.
+and a cell with its Fractions is built only when it is read.  The band holds
+by construction for the c1 = B_estimate and c2 = K_estimate gibbs_diagnostics
+takes over the window: f <= counts(k) and counts(r + k) <= counts(r) * counts(k)
+give c1 <= f * counts(r) / counts(r + k) <= c2, so all_cells_pass only
+cross-checks the integer arithmetic; it is no evidence of a Gibbs state.
 """
 
 from __future__ import annotations
@@ -72,19 +76,7 @@ class PropertyReport:
     b_estimate: Fraction | None
     depth_tested: int
     verdict: str
-    witness: tuple | None = None
-
-    def to_report(self) -> dict:
-        out = {"depth_tested": self.depth_tested, "verdict": self.verdict}
-        if self.k_estimate is not None:
-            out["K_estimate"] = str(self.k_estimate)
-            out["K_estimate_float"] = float(self.k_estimate)
-        if self.b_estimate is not None:
-            out["B_estimate"] = str(self.b_estimate)
-            out["B_estimate_float"] = float(self.b_estimate)
-        if self.witness is not None:
-            out["witness"] = list(self.witness)
-        return out
+    witness: tuple
 
 
 def bsm_estimate(table: BlockCountTable, depth: int) -> PropertyReport:

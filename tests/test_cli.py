@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -95,6 +96,23 @@ def test_blocks_requires_one_source(capsys):
     assert code == 2
     code, _ = run(capsys, "blocks", "--s", "co{}", "--even-shift", "--n", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["blocks", "--s", "{0}", "--alphabet", "01", "--n", "3"],
+        ["check-bsm", "--even-shift", "--alphabet", "01", "--depth", "3"],
+        ["blocks", "--sft", "11", "--n", "3"],
+    ],
+)
+def test_alphabet_goes_with_sft_only(argv):
+    # An unused --alphabet would be echoed into the report's config as if it
+    # had shaped the result.
+    code, out, err = call(argv)
+    assert code == 2
+    assert_one_line_failure(out, err)
+    assert err == "shiftlab: --alphabet applies only to --sft, which requires it\n"
 
 
 def test_blocks_csv_format(capsys):
@@ -309,12 +327,53 @@ def test_every_command_validates_against_schema(capsys, schema):
         ["enumerate-one", "--lambda", str(PHI), "--depth", "8"],
         ["kl", "--tol", "1e-6"],
         ["bridge", "--digits", "1101"],
+        ["bridge", "--s", "{0,2}", "--length", "4"],
     ]
     for argv in invocations:
         report = run_json(capsys, *argv)
         jsonschema.validate(report, schema)
         assert report["command"] == argv[0]
         assert report["version"]
+        # The schema pins each command's result keys: none may go missing
+        # and none may be added under another name.
+        result = report["result"]
+        for key in result:
+            dropped = {k: v for k, v in result.items() if k != key}
+            for changed in (dropped, {**dropped, key + "_": result[key]}):
+                with pytest.raises(jsonschema.ValidationError):
+                    jsonschema.validate({**report, "result": changed}, schema)
+
+
+def _readme_cli_lines():
+    """The argvs of the fenced sh block under README.md's ## CLI heading,
+    each with the comment that follows it on its line."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "shiftlab", line
+        lines.append((argv[1:], comment.strip()))
+    return lines
+
+
+def test_readme_cli_examples_run():
+    checks = {
+        "entropy": lambda r: str(r["lambda"]).startswith("1.6180339887"),
+        "classify": lambda r: r["has_specification"] is True,
+        "check-bsm": lambda r: r["K_estimate"] == "3364/1791" and Fraction(r["K_estimate"]) <= 4,
+        "kl": lambda r: round(r["lambda_kl"], 3) == 1.787,
+        "bridge": lambda r: r["spec"] == "{0,1}",
+    }
+    commented = set()
+    for argv, comment in _readme_cli_lines():
+        code, out, err = call(argv)
+        assert code == 0, (argv, err)
+        if comment:
+            commented.add(argv[0])
+            assert checks[argv[0]](json.loads(out)["result"]), (argv, comment)
+    assert commented == set(checks)
 
 
 def call(argv):

@@ -5,7 +5,7 @@
 Builds the request lists of every workload in ``perfbench/workloads.py``
 (taken from the checkout this script sits in) for each seed, adds a
 ``--format csv`` variant of every blocks and gibbs request that lacks one,
-appends the fixed float-edge argvs of ``EDGE_ARGVS`` once, and runs each
+appends the fixed edge argvs of ``EDGE_ARGVS`` once, and runs each
 argv in-process through ``shiftlab.cli.main`` imported from ``ROOT/src``.
 It prints one ``command NAME argvs N sha256 HEX`` line per subcommand, in
 name order, and last the line ``argvs N sha256 HEX`` over all of them:
@@ -29,41 +29,14 @@ from pathlib import Path
 OWN_CHECKOUT = Path(__file__).resolve().parent.parent
 CSV_COMMANDS = ("blocks", "gibbs")
 
-# Float edges of the shared series and certified bisection: kl down to
-# adjacent doubles, the entropy floor 2**-50 and the double just below it
-# for entropy, bridge, gibbs and kl (kl has no floor: below it, it stops at
-# adjacent doubles where entropy exits 3), entropy on sparse periods whose
-# roots crowd 1 (one member per period p, root 2**(1/p)), long greedy and
-# lazy orbits, and the digit tree near the golden ratio and the smallest
-# univoque base.  No argv is known to reach the entropy solver's precision
-# cap.  Then the edge rows of beta's digit
-# table under a zero ambiguity band: greedy and lazy expansions started
-# exactly on a switch-region endpoint for lambda = 1.8 (1/lambda and
-# 1/(lambda(lambda-1))), whose flag reads ambiguous, and the digit tree at
-# the golden ratio and the smallest univoque base.  Then the 15-subset
-# construction of the shift avoiding 0000 and 1111, where every benchmark
-# automaton has at most 5.  Then fixed usage contracts: a non-binary
-# --pre/--pat word, a leaf budget below one, a --length below one and a
-# --length given with --pre/--pat exit 2.  Last, the Gibbs rows: {0,1} at
-# depth 1475, the first whose ratio 2**(n*h) overflows a double, a single
-# representative ({0}, whose CSV cells come from one row) and co{}, whose
-# all-zero rows share the count table's class; and a --tol of 0 for the
-# bridge --s direction, which exits 2 as in every other direction.  Last,
-# the byte-level parse of ep: bit lists: a constant period that leaves a
-# finite set, one that leaves co{} and one that leaves the empty set
-# (exit 2), classify on the period-400 sparse set, and the largest digit
-# tree of the benchmark's bases, 592 leaves at depth 18.  Last, the
-# higher-block presentations the benchmark's length-2 blocks leave out: a
-# stranded state that pruning removes, a one-letter block, an empty shift
-# (exit 2), the reducible shift avoiding 20 and 21, and 3**6 states grown
-# from blocks of length 7.  Last, the leaf edges of the digit tree at
-# lambda = 1.5: at depth 10 a leaf budget of exactly its 28 leaves (exit 0)
-# and one fewer (exit 4), and tolerances so wide that every step is
-# ambiguous: 1e300, and 1e308, where the orbit slack 8 * tol is infinite.
 _FLOOR, _BELOW_FLOOR = "8.881784197001252e-16", "8.881784197001251e-16"
 _GOLDEN, _KL = "1.618033988749895", "1.787231650182966"
+# Fixed argvs the benchmark's requests leave out, one group per reason.
 EDGE_ARGVS = [
+    # kl down to adjacent doubles: it has no 2**-50 floor and stops there.
     *(["kl", "--tol", tol] for tol in ("1", "1e-15", "4e-16", "1e-300", "5e-324")),
+    # The 2**-50 floor and the double just below it, where entropy exits 3.
+    # No argv is known to reach the entropy solver's precision cap.
     *(
         [*argv, "--tol", tol]
         for tol in (_FLOOR, _BELOW_FLOOR)
@@ -76,50 +49,74 @@ EDGE_ARGVS = [
             ["kl"],
         )
     ),
+    # One member per period p, whose root 2**(1/p) crowds 1.
     *(
         ["entropy", "--s", "ep:pre=;pat=" + "0," * (p - 1) + "1"]
         for p in (256, 257, 300, 400, 100000)
     ),
+    # Long greedy and lazy orbits.
     *(
         ["expand", "--lambda", lam, "--x", "1.0", "--mode", mode, "--depth", "300"]
         for lam in (_GOLDEN, _KL, "1.3")
         for mode in ("greedy", "lazy")
     ),
+    # The digit tree near the golden ratio and the smallest univoque base.
     *(["enumerate-one", "--lambda", lam, "--depth", "24"] for lam in (_GOLDEN, _KL)),
+    # Switch-region endpoints 1/lambda and 1/(lambda(lambda-1)) at lambda 1.8
+    # under a zero ambiguity band, where the flag reads ambiguous.
     ["expand", "--lambda", "1.8", "--x", "0.5555555555555556", "--tol", "0"],
     ["expand", "--lambda", "1.8", "--x", "0.6944444444444443", "--mode", "lazy", "--tol", "0"],
     *(
         ["enumerate-one", "--lambda", lam, "--tol", "0", "--depth", "20"]
         for lam in (_GOLDEN, _KL)
     ),
+    # 15 subsets for the shift avoiding 0000 and 1111; benchmark automata have 5.
     ["blocks", "--sft", "0000,1111", "--alphabet", "01", "--n", "400", "--format", "csv"],
     ["check-bsm", "--sft", "0000,1111", "--alphabet", "01", "--depth", "200"],
+    # Usage errors (exit 2): a non-binary --pre/--pat word, a leaf budget
+    # below one, a --length below one or given with --pre/--pat.
     ["bridge", "--pre", "1", "--pat", "2"],
     ["bridge", "--pre", "1,0", "--pat", "1"],
     ["enumerate-one", "--lambda", "1.5", "--max-leaves", "0"],
     ["bridge", "--digits", "101", "--length=-1"],
     ["bridge", "--pre", "1", "--pat", "0", "--length", "3"],
+    # Gibbs rows: the first depth whose ratio 2**(n*h) overflows a double, a
+    # single representative under CSV, and co{}, whose all-zero rows share
+    # the count table's class.
     ["gibbs", "--s", "{0,1}", "--depth", "1475"],
     ["gibbs", "--s", "{0}", "--depth", "2", "--format", "csv"],
     ["gibbs", "--s", "co{}", "--depth", "4"],
+    # A --tol of 0 in the bridge --s direction exits 2 as in the others.
     ["bridge", "--s", "{0}", "--length", "3", "--tol", "0"],
+    # ep: bit lists whose constant period leaves a finite set, co{} and the
+    # empty set (exit 2), and the period-400 sparse set.
     *(
         ["classify", "--s", spec]
         for spec in ("ep:pre=0,1,0;pat=0,0", "ep:pre=1,1;pat=1,1", "ep:pre=0,0;pat=0")
     ),
     ["classify", "--s", "ep:pre=;pat=" + "0," * 399 + "1"],
+    # The largest digit tree of the benchmark's bases: 592 leaves.
     ["enumerate-one", "--lambda", "1.442418082864579", "--depth", "18"],
+    # Higher-block presentations: a stranded state that pruning removes, a
+    # one-letter block, an empty shift (exit 2), the reducible shift avoiding
+    # 20 and 21, and 3**6 states grown from blocks of length 7.
     ["blocks", "--sft", "ba,bb", "--alphabet", "ab", "--n", "6"],
     ["blocks", "--sft", "2,00", "--alphabet", "012", "--n", "30", "--format", "csv"],
     ["blocks", "--sft", "00,01,10,11", "--alphabet", "01", "--n", "3"],
     ["check-bsm", "--sft", "20,21", "--alphabet", "012", "--depth", "40"],
     ["blocks", "--sft", "0000000", "--alphabet", "012", "--n", "40"],
+    # Leaf edges at lambda 1.5: a leaf budget of exactly its 28 leaves at
+    # depth 10 (exit 0) and one fewer (exit 4), and tolerances so wide that
+    # every step is ambiguous, 1e308 with an infinite orbit slack 8 * tol.
     *(
         ["enumerate-one", "--lambda", "1.5", "--depth", "10", "--max-leaves", leaves]
         for leaves in ("28", "27")
     ),
     ["enumerate-one", "--lambda", "1.5", "--depth", "8", "--tol", "1e300"],
     ["enumerate-one", "--lambda", "1.5", "--depth", "6", "--tol", "1e308"],
+    # --alphabet without --sft (exit 2).
+    ["blocks", "--s", "{0}", "--alphabet", "01", "--n", "3"],
+    ["check-bsm", "--even-shift", "--alphabet", "01", "--depth", "3"],
 ]
 
 
