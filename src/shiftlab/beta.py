@@ -324,7 +324,7 @@ def expansion_from_sgap(spec: SGapSpec, length: int) -> str:
     if length < 1:
         raise ValueError("length must be >= 1")
     bits = islice(chain(spec.preperiod, cycle(spec.period)), length)
-    return "".join(map(str, bits))
+    return bytes(bits).translate(_DIGIT_CHARS).decode()
 
 
 def spec_from_prefix(prefix: ExpansionPrefix) -> SGapSpec:

@@ -204,14 +204,14 @@ def cmd_blocks(args) -> None:
     _emit(args, result, to_csv)
 
 
-def _estimate_result(flag: str, value: int, name: str, estimate, report) -> dict:
-    """The result fields of report, with estimate as text once its parts pass."""
-    _require_printable(flag, value, name + " part", estimate.as_integer_ratio())
+def _estimate_result(flag: str, value: int, name: str, report) -> dict:
+    """The result fields of report at flag's value, its estimate as text once the parts pass."""
+    _require_printable(flag, value, name + " part", report.estimate.as_integer_ratio())
     return {
-        "depth_tested": report.depth_tested,
+        "depth_tested": value,
         "verdict": report.verdict,
-        name: str(estimate),
-        name + "_float": float(estimate),
+        name: str(report.estimate),
+        name + "_float": float(report.estimate),
         "witness": list(report.witness),
     }
 
@@ -219,13 +219,13 @@ def _estimate_result(flag: str, value: int, name: str, estimate, report) -> dict
 def cmd_check_bsm(args) -> None:
     _require_positive("--depth", args.depth)
     report = props.bsm_estimate(_table_builder(args)(2 * args.depth), args.depth)
-    _emit(args, _estimate_result("--depth", args.depth, "K_estimate", report.k_estimate, report))
+    _emit(args, _estimate_result("--depth", args.depth, "K_estimate", report))
 
 
 def cmd_check_balanced(args) -> None:
     spec = sgap.parse_sgap_spec(args.s)
     report = props.balanced_estimate(spec, args.word_max, args.r_max, max_cells=_cell_budget())
-    _emit(args, _estimate_result("--r-max", args.r_max, "B_estimate", report.b_estimate, report))
+    _emit(args, _estimate_result("--r-max", args.r_max, "B_estimate", report))
 
 
 def cmd_gibbs(args) -> None:
@@ -239,12 +239,12 @@ def cmd_gibbs(args) -> None:
         "c1": str(diag.c1),
         "c2": str(diag.c2),
         "ratios": {str(n): r for n, r in diag.ratios.items()},
-        "cell_count": diag.cell_count,
+        "cell_count": len(diag),
         "all_cells_pass": diag.all_cells_pass(),
     }
 
     def to_csv() -> str:
-        cells = list(diag.finite_level_cells)
+        cells = list(diag)
         parts = (
             n for c in cells for f in (c.mu_value, c.lower, c.upper) for n in f.as_integer_ratio()
         )

@@ -4,44 +4,17 @@ All verdicts here are explicitly finite-depth observations with witnesses,
 never proofs: the underlying properties quantify over all lengths.  The
 estimates are exact rationals.
 
-K_estimate is the largest observed counts(m) * counts(n) / counts(m + n);
-it is at least 1 because factor languages are submultiplicative.
-B_estimate is the smallest observed follower density
-|followers(omega, r)| / counts(r); it lies in (0, 1] because an admissible
-word always has at least one admissible continuation.  Words of one
-follower class share one follower row (blocks._follower_profiles), and a
-repeated row never holds a strictly smaller density, so the minimum reads
-only the first word of each class: O((q + p) * r_max) work for any window.
+bsm_estimate and balanced_estimate each return a PropertyReport holding
+one estimate, a verdict and a witness.  bsm_estimate's estimate is K, the
+largest observed counts(m) * counts(n) / counts(m + n); it is at least 1
+because factor languages are submultiplicative.  balanced_estimate's is B,
+the smallest observed follower density |followers(omega, r)| / counts(r);
+it lies in (0, 1] because an admissible word always has at least one
+admissible continuation.
 
-The suffix-run representatives up to a window w are derived once, by
-_suffix_runs, as two ranges of trailing runs: '1' + 0^k for k in range(w)
-and 0^k for k in range(1, w + 1), each cut to the runs below q = max + 1
-for a finite set.  The Gibbs cell budget is their total length times w,
-checked before anything is built; the class starts are the first q + p
-runs after a one and the first all-zero word (every all-zero word when
-p = 0); Gibbs reads all of them, and the count table, in one kernel pass.
-
-bsm_estimate takes log2 of every count once and, before forming any
-big-integer product, scores each pair (m, n) by the float
-log2 counts(m) + log2 counts(n) - log2 counts(m + n).  Pairs scoring below
-the best score so far minus twice a margin of (1 + max log2 count) * 2**-44
-are strictly worse than the best and are skipped, whole rows at a time;
-the rest are compared exactly.  The margin is proven larger than the float
-error of the scores (see the comment in bsm_estimate), so K, the witness
-and the verdict are those of the full exact search.
-
-gibbs_diagnostics keeps the follower rows, the count table and the band
-constants c1 = a / b and c2 = c / d rather than one object per cell.
-all_cells_pass decides the band c1 / counts(r) <= f / counts(r + k) <=
-c2 / counts(r) of every cell (omega, k), f = follower(omega, k) and
-r = |omega|, in integers: a * counts(r + k) <= b * counts(r) * f and
-f * d * counts(r) <= c * counts(r + k), one C-level pass over each word's
-row.  finite_level_cells is a lazy sequence: its length is known at once,
-and a cell with its Fractions is built only when it is read.  The band holds
-by construction for the c1 = B_estimate and c2 = K_estimate gibbs_diagnostics
-takes over the window: f <= counts(k) and counts(r + k) <= counts(r) * counts(k)
-give c1 <= f * counts(r) / counts(r + k) <= c2, so all_cells_pass only
-cross-checks the integer arithmetic; it is no evidence of a Gibbs state.
+gibbs_diagnostics returns a GibbsDiagnostics: the kernel's count row and
+follower rows, the band constants c1 = B and c2 = K over its window, and
+the sequence of its cells, each built only when read.
 """
 
 from __future__ import annotations
@@ -72,9 +45,7 @@ _DECAY_FACTOR = 4
 
 @dataclass(frozen=True)
 class PropertyReport:
-    k_estimate: Fraction | None
-    b_estimate: Fraction | None
-    depth_tested: int
+    estimate: Fraction
     verdict: str
     witness: tuple
 
@@ -95,7 +66,8 @@ def bsm_estimate(table: BlockCountTable, depth: int) -> PropertyReport:
 
     # Pair (m, d) scores L[m] - L[m + d] + L[d], a float log2 of its ratio;
     # a pair scoring below cut is strictly worse than the best so far, and
-    # the strict test below would never let it replace the best.
+    # the strict test below would never let it replace the best.  So K,
+    # the witness and the verdict are those of the full exact search.
     #
     # Why.  Let B = 1 + max(L) and let s, s* be the exact log2 ratios of a
     # pair and of the best.  Each L[n] = log2_int(counts[n]) is within
@@ -138,14 +110,8 @@ def bsm_estimate(table: BlockCountTable, depth: int) -> PropertyReport:
         best_num * anchor[1] * _STABLE_FACTOR.denominator
         <= anchor[0] * best_den * _STABLE_FACTOR.numerator
     )
-    best = Fraction(best_num, best_den)
-    return PropertyReport(
-        k_estimate=best,
-        b_estimate=None,
-        depth_tested=depth,
-        verdict=VERDICT_BSM if stable else VERDICT_INCONCLUSIVE,
-        witness=witness,
-    )
+    verdict = VERDICT_BSM if stable else VERDICT_INCONCLUSIVE
+    return PropertyReport(Fraction(best_num, best_den), verdict, witness)
 
 
 def _check_cells(cells: int, max_cells: int | None) -> None:
@@ -210,14 +176,8 @@ def _min_density(starts, profiles, counts, r_max: int) -> PropertyReport:
         and best[0] * _DECAY_FACTOR * best_at_half[1] <= best_at_half[0] * best[1]
     )
     (has_one, run), r = witness
-    best = Fraction(*best)
-    return PropertyReport(
-        k_estimate=None,
-        b_estimate=best,
-        depth_tested=r_max,
-        verdict=VERDICT_DECAY if decayed else VERDICT_BALANCED,
-        witness=("1" * has_one + "0" * run, r),
-    )
+    verdict = VERDICT_DECAY if decayed else VERDICT_BALANCED
+    return PropertyReport(Fraction(*best), verdict, ("1" * has_one + "0" * run, r))
 
 
 def balanced_estimate(
@@ -270,7 +230,7 @@ class GibbsCell:
 
 
 @dataclass
-class GibbsDiagnostics:
+class GibbsDiagnostics(Sequence):
     """Finite-level cylinder-measure diagnostics.
 
     ratios holds 2 ** (n * h) / counts(n), finite at any depth; each cell
@@ -282,6 +242,14 @@ class GibbsDiagnostics:
     (all-zero words, then '1' + zeros, shorter first) and profiles their
     follower counts for lengths 0..depth as the kernel returns them: words
     of one follower class share one list; cells read lengths 1..window.
+    counts is the kernel's count row, counts[n] for n = 0..depth.
+
+    The diagnostics are the sequence of their cells, sorted by (omega, r, k)
+    and each built with its Fractions only when read.  Since f <= counts(k)
+    and counts(r + k) <= counts(r) * counts(k), every cell passes the band
+    of c1 = B_estimate and c2 = K_estimate over the window, which
+    gibbs_diagnostics takes: all_cells_pass only cross-checks the integer
+    arithmetic and is no evidence of a Gibbs state.
     """
 
     ratios: dict[int, float]
@@ -290,67 +258,58 @@ class GibbsDiagnostics:
     window: int
     reps: list[str]
     profiles: list[list[int]]
-    table: BlockCountTable
-
-    @property
-    def cell_count(self) -> int:
-        return len(self.reps) * self.window
-
-    @property
-    def finite_level_cells(self) -> GibbsCells:
-        return GibbsCells(self)
-
-    def all_cells_pass(self) -> bool:
-        """Whether every cell lies in its band, decided in integers by the
-        cross-multiplied tests of the module docstring."""
-        w = self.window
-        a, b = self.c1.numerator, self.c1.denominator
-        c, d = self.c2.numerator, self.c2.denominator
-        # counts[n - 1] = counts(n); a * counts(n) and c * counts(n) are
-        # shared by every word, so each cell costs two products.
-        counts = list(map(self.table.counts.__getitem__, range(1, 2 * w + 1)))
-        lows = list(map(mul, repeat(a), counts))
-        highs = list(map(mul, repeat(c), counts))
-        for omega, profile in zip(self.reps, self.profiles):
-            r = len(omega)
-            f, base = profile[1 : w + 1], counts[r - 1]
-            if not (
-                all(map(le, lows[r : r + w], map(mul, repeat(b * base), f)))
-                and all(map(le, map(mul, repeat(d * base), f), highs[r : r + w]))
-            ):
-                return False
-        return True
-
-
-class GibbsCells(Sequence):
-    """The cells of a GibbsDiagnostics, sorted by (omega, r, k) and built
-    as Fractions only when read."""
-
-    def __init__(self, diag: GibbsDiagnostics):
-        self._diag = diag
+    counts: list[int]
 
     def __len__(self) -> int:
-        return self._diag.cell_count
+        return len(self.reps) * self.window
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        i = range(len(self))[index]  # IndexError past either end
-        row, k = divmod(i, self._diag.window)
+        row, k = divmod(range(len(self))[index], self.window)  # IndexError past either end
         return next(self._row(row, k + 1, k + 2))
 
     def __iter__(self):
-        for row in range(len(self._diag.reps)):
-            yield from self._row(row, 1, self._diag.window + 1)
+        for row in range(len(self.reps)):
+            yield from self._row(row, 1, self.window + 1)
 
     def _row(self, row: int, k_start: int, k_stop: int):
-        diag = self._diag
-        omega, profile, counts = diag.reps[row], diag.profiles[row], diag.table.counts
+        omega, profile, counts = self.reps[row], self.profiles[row], self.counts
         r = len(omega)
-        lower, upper = diag.c1 / counts[r], diag.c2 / counts[r]
+        lower, upper = self.c1 / counts[r], self.c2 / counts[r]
         for k in range(k_start, k_stop):
-            mu = Fraction(profile[k], counts[r + k])
-            yield GibbsCell(omega, r, k, mu, lower, upper)
+            yield GibbsCell(omega, r, k, Fraction(profile[k], counts[r + k]), lower, upper)
+
+    @property
+    def cell_count(self) -> int:
+        return len(self)
+
+    @property
+    def finite_level_cells(self) -> GibbsDiagnostics:
+        return self
+
+    def all_cells_pass(self) -> bool:
+        """Whether every cell lies in its band, decided in integers: with
+        c1 = a / b, c2 = c / d and f the follower count of the cell,
+        a * counts(r + k) <= b * counts(r) * f and
+        f * d * counts(r) <= c * counts(r + k), one C-level pass over each
+        word's row."""
+        w, counts = self.window, self.counts
+        a, b = self.c1.numerator, self.c1.denominator
+        c, d = self.c2.numerator, self.c2.denominator
+        # a * counts(n) and c * counts(n) are shared by every word, so each
+        # cell costs two products.
+        lows = list(map(mul, repeat(a), counts))
+        highs = list(map(mul, repeat(c), counts))
+        for omega, profile in zip(self.reps, self.profiles):
+            r = len(omega)
+            f, base = profile[1 : w + 1], counts[r]
+            if not (
+                all(map(le, lows[r + 1 : r + w + 1], map(mul, repeat(b * base), f)))
+                and all(map(le, map(mul, repeat(d * base), f), highs[r + 1 : r + w + 1]))
+            ):
+                return False
+        return True
 
 
 def _ratio(nh: float, count: int) -> float:
@@ -376,14 +335,13 @@ def gibbs_diagnostics(
     # Sorted representatives: all-zero words, then '1' + zeros.
     runs = [(False, run) for run in zeros] + [(True, run) for run in ones]
     counts, *rows = _follower_profiles(spec, [_EMPTY, *runs], depth)
-    table = BlockCountTable(counts=dict(enumerate(counts[1:], start=1)))
     row_of = dict(zip(runs, rows))  # every class start is one of the runs
     return GibbsDiagnostics(
         ratios={n: _ratio(n * h, counts[n]) for n in range(1, depth + 1)},
-        c2=bsm_estimate(table, window).k_estimate,
-        c1=_min_density(starts, map(row_of.get, starts), counts, window).b_estimate,
+        c2=bsm_estimate(BlockCountTable(dict(enumerate(counts[1:], start=1))), window).estimate,
+        c1=_min_density(starts, map(row_of.get, starts), counts, window).estimate,
         window=window,
         reps=["1" * has_one + "0" * run for has_one, run in runs],
         profiles=rows,
-        table=table,
+        counts=counts,
     )

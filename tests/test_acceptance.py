@@ -89,7 +89,7 @@ def test_criterion_2b_deep_bsm_search():
     def body():
         table = sgap_count_table(parse_sgap_spec("co{0}"), 6000)
         rep = bsm_estimate(table, 3000)
-        assert rep.witness == (1, 1) and rep.k_estimate == Fraction(4, 3)
+        assert rep.witness == (1, 1) and rep.estimate == Fraction(4, 3)
 
     _gate("2b deep BSM search", 5.0, body)
 
@@ -185,7 +185,7 @@ def test_criterion_6_balanced_decay_witness():
         omega, _ = rep12.witness
         assert omega[0] == "1" and set(omega[1:]) <= {"0"}
         rep6 = balanced_estimate(spec, 34, 6)
-        assert rep12.b_estimate <= rep6.b_estimate / 4
+        assert rep12.estimate <= rep6.estimate / 4
 
     _gate("6 unbounded-gap follower decay", 30.0, body)
 
@@ -201,7 +201,7 @@ def test_criterion_7_connector_floor():
                 table = sgap_count_table(spec, gap_sup)
                 floor = almost_specified_floor(table, gap_sup)
             rep = balanced_estimate(spec, max(12, gap_sup + 2), 10)
-            assert rep.b_estimate >= floor, text
+            assert rep.estimate >= floor, text
 
     _gate("7 connector lower bound", 30.0, body)
 

@@ -258,7 +258,7 @@ def test_bounds_even_shift_sandwich():
 def test_bounds_positive_gaps_with_estimated_constant():
     spec = parse_sgap_spec("co{0}")
     table = sgap_count_table(spec, 16)
-    k_est = bsm_estimate(table, 8).k_estimate
+    k_est = bsm_estimate(table, 8).estimate
     lower, upper = entropy_bounds_from_counts(table, k_est, 16)
     assert lower <= math.log2(PHI) <= upper
 
@@ -291,7 +291,7 @@ def test_slope_excess_bounded_by_estimated_constant(corpus):
     for spec in corpus:
         res = solve_sgap_entropy(spec, tol=1e-10)
         table = sgap_count_table(spec, 18)
-        k_est = bsm_estimate(table, 9).k_estimate
+        k_est = bsm_estimate(table, 9).estimate
         c = math.log2(float(k_est)) if k_est > 1 else 0.0
         # Window-certified constant: counts(n) <= K * lam^n on the window.
         k_window = max(

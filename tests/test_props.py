@@ -51,7 +51,7 @@ BSM_SOURCES = (
 def test_bsm_full_shift_is_exactly_one():
     table = sgap_count_table(parse_sgap_spec("co{}"), 20)
     rep = bsm_estimate(table, 10)
-    assert rep.k_estimate == 1 and rep.verdict == VERDICT_BSM
+    assert rep.estimate == 1 and rep.verdict == VERDICT_BSM
     # Every pair ties, and a tie never replaces the first maximum.
     assert rep.witness == (1, 1)
 
@@ -59,10 +59,10 @@ def test_bsm_full_shift_is_exactly_one():
 def test_bsm_even_shift_constant_below_four():
     table = automaton_count_table(even_shift_automaton(), 28)
     rep = bsm_estimate(table, 10)
-    assert 1 < rep.k_estimate <= 4
+    assert 1 < rep.estimate <= 4
     # The maximum approaches phi^3 / sqrt(5); it reads stable at depth 14.
     assert bsm_estimate(table, 14).verdict == VERDICT_BSM
-    assert float(bsm_estimate(table, 14).k_estimate) == pytest.approx(1.892, abs=2e-3)
+    assert float(bsm_estimate(table, 14).estimate) == pytest.approx(1.892, abs=2e-3)
 
 
 def test_bsm_even_shift_exact_inequality():
@@ -77,7 +77,7 @@ def test_bsm_four_letter_example_grows():
     table = automaton_count_table(aut, 24)
     rep = bsm_estimate(table, 12)
     assert rep.verdict == VERDICT_INCONCLUSIVE
-    assert rep.k_estimate > bsm_estimate(table, 8).k_estimate
+    assert rep.estimate > bsm_estimate(table, 8).estimate
 
 
 def test_bsm_maximising_pair_identity(corpus):
@@ -85,9 +85,9 @@ def test_bsm_maximising_pair_identity(corpus):
         table = sgap_count_table(spec, 16)
         rep = bsm_estimate(table, 8)
         m, n = rep.witness
-        lhs = rep.k_estimate * table.counts[m + n]
+        lhs = rep.estimate * table.counts[m + n]
         assert lhs == table.counts[m] * table.counts[n]
-        assert rep.k_estimate >= 1
+        assert rep.estimate >= 1
 
 
 @pytest.mark.parametrize("source", BSM_SOURCES)
@@ -100,7 +100,7 @@ def test_bsm_matches_reference(source):
         table = sgap_count_table(parse_sgap_spec(source), 600)
     for depth in [*range(1, 41), 300]:
         rep = bsm_estimate(table, depth)
-        got = (rep.k_estimate, rep.witness, rep.verdict)
+        got = (rep.estimate, rep.witness, rep.verdict)
         assert got == oracles.bsm_reference(table.counts, depth), depth
 
 
@@ -116,14 +116,14 @@ def test_bsm_margin_covers_float_rounding():
     assert logs[1] - logs[3] + logs[2] < 2 * logs[1] - logs[2]
     rep = bsm_estimate(table, 2)
     assert rep.witness == (1, 2)
-    assert (rep.k_estimate, rep.witness, rep.verdict) == oracles.bsm_reference(
+    assert (rep.estimate, rep.witness, rep.verdict) == oracles.bsm_reference(
         table.counts, 2
     )
 
 
 def test_balanced_full_shift():
     rep = balanced_estimate(parse_sgap_spec("co{}"), 10, 8)
-    assert rep.b_estimate == 1 and rep.verdict == VERDICT_BALANCED
+    assert rep.estimate == 1 and rep.verdict == VERDICT_BALANCED
     assert rep.witness == ("1", 1)
 
 
@@ -134,7 +134,7 @@ def test_balanced_doubling_gaps_decay():
     omega, _ = rep.witness
     assert omega.startswith("1") and set(omega[1:]) <= {"0"}
     rep6 = balanced_estimate(spec, 34, 6)
-    assert rep.b_estimate * 4 <= rep6.b_estimate
+    assert rep.estimate * 4 <= rep6.estimate
 
 
 def test_balanced_positive_gaps_bounded_below():
@@ -142,7 +142,7 @@ def test_balanced_positive_gaps_bounded_below():
     rep = balanced_estimate(spec, 16, 12)
     table = sgap_count_table(spec, 4)
     assert rep.verdict == VERDICT_BALANCED
-    assert rep.b_estimate >= almost_specified_floor(table, classify(spec).gap_sup)
+    assert rep.estimate >= almost_specified_floor(table, classify(spec).gap_sup)
 
 
 def test_connector_floor_across_corpus(corpus):
@@ -153,7 +153,7 @@ def test_connector_floor_across_corpus(corpus):
         else:
             floor = almost_specified_floor(sgap_count_table(spec, gap_sup), gap_sup)
         rep = balanced_estimate(spec, max(12, gap_sup + 2), 10)
-        assert rep.b_estimate >= floor, spec
+        assert rep.estimate >= floor, spec
 
 
 def test_gap_sup_is_not_a_connector_bound():
@@ -178,7 +178,7 @@ def test_k_bounded_by_inverse_b(corpus):
         table = sgap_count_table(spec, 2 * d)
         k_rep = bsm_estimate(table, d)
         b_rep = balanced_estimate(spec, d, d)
-        assert k_rep.k_estimate <= 1 / b_rep.b_estimate
+        assert k_rep.estimate <= 1 / b_rep.estimate
 
 
 def test_ratio_band_implies_k_band(corpus):
@@ -190,7 +190,7 @@ def test_ratio_band_implies_k_band(corpus):
         table = sgap_count_table(spec, 2 * d)
         ratios = [2.0 ** (n * res.entropy) / table.counts[n] for n in range(1, 2 * d + 1)]
         c1, c2 = min(ratios), max(ratios)
-        k_est = float(bsm_estimate(table, d).k_estimate)
+        k_est = float(bsm_estimate(table, d).estimate)
         assert k_est <= c2 / c1**2 * (1 + 1e-9), spec
 
 
@@ -283,10 +283,11 @@ def test_gibbs_reads_every_row_from_one_kernel_pass(monkeypatch, corpus):
             assert len(calls) == 1, (spec, depth)
             starts, rows = calls[0]
             assert len(set(starts)) == len(starts), (spec, depth)
+            assert diag.counts is rows[0]
             assert all(got is row for got, row in zip(diag.profiles, rows[1:], strict=True))
             assert all(len(row) == depth + 1 for row in diag.profiles)
             window = depth // 2
-            expected = balanced_estimate(spec, window, window).b_estimate
+            expected = balanced_estimate(spec, window, window).estimate
             assert diag.c1 == expected, (spec, depth)
 
 
@@ -306,12 +307,15 @@ def test_integer_band_check_matches_cells(corpus):
             diag = gibbs_diagnostics(spec, 1.0, depth)
             cells = list(diag.finite_level_cells)
             assert diag.cell_count == len(cells) == len(diag.finite_level_cells)
+            # The diagnostics are the sequence of their cells.
+            assert len(diag) == diag.cell_count and list(diag) == cells
+            assert diag.finite_level_cells is diag
             assert cells == sorted(cells, key=lambda c: (c.omega, c.r, c.k))
             assert diag.finite_level_cells[-1] == cells[-1]
             assert diag.finite_level_cells[1:7:2] == cells[1:7:2]
             assert _band_readings(diag) == (True, True), (spec, depth)
 
-            levels = [c.mu_value * diag.table.counts[c.r] for c in cells]
+            levels = [c.mu_value * diag.counts[c.r] for c in cells]
             lo, hi = min(levels), max(levels)
             for c1, c2, ok in (
                 (lo, hi, True),
@@ -342,7 +346,7 @@ def _first_minimum_density(spec, word_max, r_max):
 def test_balanced_minimum_matches_unbounded_dp(text):
     spec = parse_sgap_spec(text)
     rep = balanced_estimate(spec, 56, 12)
-    assert (rep.b_estimate, rep.witness) == _first_minimum_density(spec, 56, 12)
+    assert (rep.estimate, rep.witness) == _first_minimum_density(spec, 56, 12)
 
 
 @pytest.mark.parametrize(
@@ -355,7 +359,7 @@ def test_balanced_first_class_words_match_every_word(text):
     # periods of every set, and must find the same first minimum.
     spec = parse_sgap_spec(text)
     rep = balanced_estimate(spec, 200, 12)
-    assert (rep.b_estimate, rep.witness) == _first_minimum_density(spec, 200, 12)
+    assert (rep.estimate, rep.witness) == _first_minimum_density(spec, 200, 12)
 
 
 def _representatives(spec, word_max):
