@@ -282,8 +282,9 @@ def komornik_loreti_constant(tol: float = 1e-12) -> float:
     bisection, entropy._root_bracket, down to tol / 2 or adjacent doubles:
     their series exceeds 1 at lo, and so does the full series, which only
     adds terms.  At hi the set that adds every position after 256 has a
-    series above the full one, and its exact sign must be negative, or
-    ArithmeticError is raised; so the constant lies in [lo, hi].
+    series above the full one and above the 256 digits' one, and its exact
+    sign must be negative, or ArithmeticError is raised; so the constant
+    lies in [lo, hi], and hi needs no sign of its own.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")

@@ -226,6 +226,47 @@ def closed_series(spec, lam: float) -> float:
     return head + cycle / (1.0 - lam**-p)
 
 
+def _scaled_sum(bits, d: int, m: int) -> int:
+    """m**len(bits) times the sum of (d/m)**(i + 1) over the set bits i."""
+    total, power = 0, 1
+    for bit in bits:
+        power *= d
+        total = total * m + bit * power
+    return total
+
+
+def closed_series_exceeds_one(spec, x: float) -> bool:
+    """Whether the closed form of the series exceeds 1 at the double x > 1,
+    decided exactly.  With y = 1/x = d/m in lowest terms, the closed form
+    minus 1 is (A(y) - 1) + y**q * B(y) / (1 - y**p); times the positive
+    m**(q + p) * (1 - y**p) it is the integer below."""
+    m, d = x.as_integer_ratio()
+    q, p = len(spec.preperiod), len(spec.period)
+    head, cycle = _scaled_sum(spec.preperiod, d, m), _scaled_sum(spec.period, d, m)
+    return (head - m**q) * (m**p - d**p) + d**q * cycle > 0
+
+
+def reference_bracket(spec, tol: float) -> tuple[float, float, int]:
+    """(lo, hi, halvings) of a plain bisection of [1, 2] for the root of the
+    gap series, each side taken from the exact sign of the closed form.
+
+    It stops when the bracket is at most tol / 2 wide and closed_series at
+    its ends differs by at most tol (read as infinite at 1), or when its
+    ends are adjacent doubles.
+    """
+    lo, hi, f_lo, f_hi, steps = 1.0, 2.0, math.inf, closed_series(spec, 2.0), 0
+    while hi - lo > tol / 2 or f_lo - f_hi > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if closed_series_exceeds_one(spec, mid):
+            lo, f_lo = mid, closed_series(spec, mid)
+        else:
+            hi, f_hi = mid, closed_series(spec, mid)
+        steps += 1
+    return lo, hi, steps
+
+
 def gap_series_exact(members, x) -> Fraction:
     """sum over n in members of x**-(n+1), exactly, for a rational x."""
     y = 1 / Fraction(x)

@@ -1,10 +1,17 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from shiftlab.beta import BetaContext, spec_construction_lazy, spec_from_prefix
+from shiftlab import entropy
+from shiftlab.beta import (
+    BetaContext,
+    komornik_loreti_constant,
+    spec_construction_lazy,
+    spec_from_prefix,
+)
 from shiftlab.blocks import automaton_count_table, even_shift_automaton, sgap_count_table
 from shiftlab.entropy import (
     EntropySolveError,
@@ -18,7 +25,7 @@ from shiftlab.entropy import (
     solve_sgap_entropy,
 )
 from shiftlab.props import bsm_estimate
-from shiftlab.sgap import parse_sgap_spec
+from shiftlab.sgap import parse_sgap_spec, periodic_gaps
 
 import oracles
 from conftest import CORPUS_STRINGS
@@ -136,6 +143,57 @@ def test_bisect_reaches_half_tolerance(rng, tol):
     assert steps <= 52
     assert _exact_sign(terms, a) > 0
     assert b == 2.0 or _exact_sign(terms, b) < 0
+
+
+def _small_descriptions(max_bits):
+    """Every set with a (preperiod, period) description of at most max_bits
+    bits, once each, but for the empty set, the singletons and the full set,
+    whose roots the solver does not bisect for."""
+    specs = {}
+    for length in range(1, max_bits + 1):
+        for q in range(length):
+            for bits in itertools.product((0, 1), repeat=length):
+                if any(bits):
+                    spec = periodic_gaps(bits[:q], bits[q:])
+                    if spec.size() != 1 and not spec.is_full():
+                        specs[spec] = None
+    return list(specs)
+
+
+_REFERENCE_SETS = [
+    *_small_descriptions(6),
+    *(periodic_gaps([], [0] * (p - 1) + [1]) for p in (2, 50, 256, 257, 400)),
+    # kl's set: the parity-doubling digits t(1..256).
+    periodic_gaps([bin(j).count("1") & 1 for j in range(1, 257)], [0]),
+]
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12, 2.0**-50, 0.3])
+def test_root_bracket_is_the_reference_bisection(tol):
+    # The float bracket only skips evaluations: the ends and the halving
+    # count are those of a bisection that takes every side exactly.
+    for spec in _REFERENCE_SETS:
+        expected = oracles.reference_bracket(spec, tol)
+        assert _root_bracket(_gap_terms(spec), tol) == expected, spec.render()
+
+
+@pytest.mark.parametrize(
+    "solve, most",
+    [
+        (lambda: komornik_loreti_constant(1e-10), 20),
+        (lambda: solve_sgap_entropy(parse_sgap_spec("{0,2,5,8}"), 1e-10), 20),
+        (lambda: solve_sgap_entropy(periodic_gaps([], [0] * 299 + [1]), 1e-10), 32),
+    ],
+    ids=["kl", "{0,2,5,8}", "period300"],
+)
+def test_series_evaluations_per_solve(monkeypatch, solve, most):
+    # A bisection alone evaluates the series 36 times for the first two and
+    # 44 times for period 300; the counts are deterministic.
+    calls = []
+    series = entropy._closed_series
+    monkeypatch.setattr(entropy, "_closed_series", lambda *args: calls.append(1) or series(*args))
+    solve()
+    assert 0 < len(calls) <= most
 
 
 # Each gap set with a polynomial in lambda, negative below its root and
