@@ -16,23 +16,16 @@ from .sgap import (  # noqa: F401
 from .blocks import (  # noqa: F401
     BlockCountTable,
     EmptyShiftError,
-    InadmissibleWordError,
     ShiftAutomaton,
     SizeGuardError,
     automaton_count_table,
     build_sft_automaton,
-    count_blocks_automaton,
-    count_blocks_sgap,
     even_shift_automaton,
-    follower_count,
     sgap_count_table,
-    word_is_admissible,
 )
 from .entropy import (  # noqa: F401
     EntropyResult,
     EntropySolveError,
-    entropy_bounds_from_counts,
-    entropy_slope_diagnostic,
     solve_sgap_entropy,
 )
 from .props import (  # noqa: F401

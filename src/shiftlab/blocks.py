@@ -21,11 +21,6 @@ construction yields the counts of every length up to n.  Each subset's
 letter images are computed once, on the step after it is found, as integer
 (source, target) edges; each length then costs O(edges) big-integer
 additions.  write_csv rows end in CRLF.
-
-Word admissibility here is the factor language of a closed shift: every
-interior maximal zero run (flanked by ones) must lie in the gap set, while a
-boundary run of length k only needs some member >= k, and the all-zero word
-of length n needs some member >= n.
 """
 
 from __future__ import annotations
@@ -37,10 +32,8 @@ from operator import sub
 
 from .sgap import SGapSpec, SizeGuardError
 
-Word = str
-
 SUBSET_STATE_LIMIT = 1 << 20
-# The _suffix_run of the empty word, whose followers are the block counts.
+# The start of the empty word, whose followers are the block counts.
 _EMPTY = (False, 0)
 
 
@@ -58,35 +51,12 @@ class EmptyShiftError(ValueError):
     """The forbidden blocks leave no bi-infinite sequence at all."""
 
 
-class InadmissibleWordError(ValueError):
-    """A word that is not in the factor language was supplied."""
-
-
-def word_is_admissible(spec: SGapSpec, word: Word) -> bool:
-    """Factor-language membership for a binary word, checked directly."""
-    if any(ch not in "01" for ch in word):
-        raise ValueError("gap-shift words are binary")
-    # Runs before, between and after the ones; with no one, one run is both ends.
-    ones = [i for i, ch in enumerate(word) if ch == "1"]
-    runs = [b - a - 1 for a, b in zip([-1, *ones], [*ones, len(word)])]
-    return (
-        spec.tail_allows(runs[0])
-        and spec.tail_allows(runs[-1])
-        and all(map(spec.contains, runs[1:-1]))
-    )
-
-
-def _suffix_run(word: Word) -> tuple[bool, int]:
-    """Whether word holds a one, and its trailing zero run: all that its
-    followers depend on."""
-    return "1" in word, len(word) - len(word.rstrip("0"))
-
-
 def _follower_profiles(spec: SGapSpec, starts, r_max: int) -> list[list[int]]:
     """Follower counts of each start for every length 0..r_max, in one pass.
 
-    A start is the _suffix_run of a word; (False, 0) is the empty word,
-    whose row is the count table.  ext[c] counts the extensions of a word
+    A start is what the followers of a word depend on: whether it holds a
+    one, and its trailing zero run.  (False, 0) is the empty word, whose
+    row is the count table.  ext[c] counts the extensions of a word
     that holds a one and ends in a run of class c (SGapSpec.run_classes);
     ext starts at 1 for every class and one backward step shifts it by one
     class (the last class wraps to class q, or dies when p == 0) and then
@@ -157,31 +127,6 @@ def _follower_profiles(spec: SGapSpec, starts, r_max: int) -> list[list[int]]:
     return [rows[key] for key in keys]
 
 
-def count_blocks_sgap(spec: SGapSpec, n: int) -> int:
-    """Exact number of admissible binary words of length n >= 1."""
-    if n < 1:
-        raise ValueError("block length must be >= 1")
-    return _follower_profiles(spec, [_EMPTY], n)[0][n]
-
-
-def follower_count(spec: SGapSpec, omega: Word, r: int) -> int:
-    """Exact number of length-r words that may follow omega.
-
-    The continuation structure depends only on whether omega contains a one
-    and on its trailing zero run, which is what the counting pass consumes.
-    """
-    if r < 1:
-        raise ValueError("follower length must be >= 1")
-    if not word_is_admissible(spec, omega):
-        raise InadmissibleWordError(f"not an admissible word: {omega!r}")
-    return follower_profile(spec, omega, r)[r]
-
-
-def follower_profile(spec: SGapSpec, omega: Word, r_max: int) -> list[int]:
-    """Follower counts of omega for every length 0..r_max at once."""
-    return _follower_profiles(spec, [_suffix_run(omega)], r_max)[0]
-
-
 @dataclass
 class ShiftAutomaton:
     """Deterministic-per-letter labeled transition presentation.
@@ -206,9 +151,6 @@ class ShiftAutomaton:
         sources = {src for (src, _) in self.transitions}
         if known - sources:
             raise ValueError("every state needs at least one outgoing transition")
-
-    def edge_count(self) -> int:
-        return len(self.transitions)
 
 
 def build_sft_automaton(alphabet, forbidden) -> ShiftAutomaton:
@@ -286,13 +228,6 @@ def even_shift_automaton() -> ShiftAutomaton:
             ("odd", "0"): "even",
         },
     )
-
-
-def count_blocks_automaton(aut: ShiftAutomaton, n: int) -> int:
-    """Number of distinct length-n label words readable in the automaton."""
-    if n < 1:
-        raise ValueError("block length must be >= 1")
-    return automaton_count_table(aut, n).counts[n]
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Entropy of gap shifts: certified root solving and count-based bounds.
+"""Entropy of gap shifts by certified root solving.
 
 The entropy of the shift of a gap set S is log2 of the unique root in [1, 2]
 of the strictly decreasing series
@@ -46,21 +46,15 @@ its two parts with _series, which powers each member afresh, since every
 evaluation has a new base.
 beta.ExpansionPrefix.partial_sum sums the same terms lam ** -(j + 1), but
 reads them from a power table that every prefix of its base shares.
-
-For count tables, a shift whose block counts satisfy the bounded
-supermultiplicativity inequality with constant K pins its entropy between
-(log2 counts(n) - log2 K) / n and log2 counts(n) / n for every n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 from typing import NamedTuple
 
-from .blocks import BlockCountTable, log2_int
 from .sgap import SGapSpec, SizeGuardError
 
 DEFAULT_TOL = 1e-10
@@ -77,14 +71,6 @@ _MAX_PRECISION_BITS = 1 << 16
 
 class EntropySolveError(ArithmeticError):
     """The requested tolerance could not be certified."""
-
-
-def _log2_real(value) -> float:
-    if isinstance(value, Fraction):
-        return log2_int(value.numerator) - log2_int(value.denominator)
-    if isinstance(value, int):
-        return log2_int(value)
-    return math.log2(value)
 
 
 @dataclass(frozen=True)
@@ -309,33 +295,3 @@ def solve_sgap_entropy(spec: SGapSpec, tol: float = DEFAULT_TOL) -> EntropyResul
         raise EntropySolveError(f"bracket [{lo!r}, {hi!r}] failed its exact sign check")
     lam = 0.5 * (lo + hi)
     return EntropyResult(lam, math.log2(lam), lo, hi, iterations)
-
-
-def entropy_bounds_from_counts(
-    table: BlockCountTable, K, n: int
-) -> tuple[float, float]:
-    """Two-sided entropy bounds from a single block count.
-
-    Valid whenever the counts are boundedly supermultiplicative with
-    constant K: lower = (log2 counts(n) - log2 K) / n, upper =
-    log2 counts(n) / n.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if K < 1:
-        raise ValueError("the supermultiplicativity constant is >= 1")
-    table.require(n)
-    l2 = log2_int(table.counts[n])
-    return (l2 - _log2_real(K)) / n, l2 / n
-
-
-def entropy_slope_diagnostic(
-    table: BlockCountTable, n_max: int
-) -> list[tuple[int, float]]:
-    """Per-length upper bounds log2 counts(n) / n on the entropy.
-
-    Submultiplicativity of factor counts makes every value an upper bound
-    of the limit and the sequence converge to it from above.
-    """
-    table.require(n_max)
-    return [(n, log2_int(table.counts[n]) / n) for n in range(1, n_max + 1)]

@@ -62,14 +62,6 @@ class SGapSpec:
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
 
-    def contains(self, n: int) -> bool:
-        if n < 0:
-            return False
-        q = len(self.preperiod)
-        if n < q:
-            return bool(self.preperiod[n])
-        return bool(self.period[(n - q) % len(self.period)])
-
     def is_finite(self) -> bool:
         return self.period == (0,)
 
@@ -77,22 +69,9 @@ class SGapSpec:
         """True iff the set is all of the naturals."""
         return not self.preperiod and self.period == (1,)
 
-    def max_element(self) -> int | None:
-        """Largest member for finite sets, None for infinite ones."""
-        return len(self.preperiod) - 1 if self.is_finite() else None
-
     def size(self) -> int | None:
         """Number of members for finite sets, None for infinite ones."""
         return sum(self.preperiod) if self.is_finite() else None
-
-    def tail_allows(self, k: int) -> bool:
-        """True iff some member is >= k.
-
-        This is the boundary-run condition: a zero run of length k that is
-        not closed by a one on both sides is admissible exactly when it can
-        be extended to a run whose full length lies in the set.
-        """
-        return k < len(self.preperiod) or not self.is_finite()
 
     def members_up_to(self, bound: int) -> list[int]:
         """Exactly the members <= bound, in increasing order."""
@@ -108,9 +87,9 @@ class SGapSpec:
         """Zero-run classes (q, p) of the counting DP.
 
         Runs r < q are told apart exactly; a run r >= q behaves like
-        q + (r - q) % p for membership and for tail_allows.  p == 0 only for
-        finite sets, where q = max + 1 and no run of length q or more is
-        admissible; for infinite sets tail_allows holds for every run.
+        q + (r - q) % p, both as a member and as a boundary run.  p == 0
+        only for finite sets, where q = max + 1 and no run of length q or
+        more is admissible; for infinite sets every boundary run is.
         """
         q = len(self.preperiod)
         return q, 0 if self.is_finite() else len(self.period)

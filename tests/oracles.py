@@ -35,8 +35,20 @@ QUOTIENT_SETS = [
 ]
 
 
+def member(spec, n: int) -> bool:
+    """Bit n of the description: the preperiod, then the period cyclically."""
+    if n < 0:
+        return False
+    q = len(spec.preperiod)
+    if n < q:
+        return bool(spec.preperiod[n])
+    return bool(spec.period[(n - q) % len(spec.period)])
+
+
 def tail_ok(spec, k: int) -> bool:
-    return (not spec.is_finite()) or spec.max_element() >= k
+    """Some member is >= k: the largest member of a finite set is its last
+    preperiod bit."""
+    return (not spec.is_finite()) or k < len(spec.preperiod)
 
 
 def sgap_word_ok(spec, word: str) -> bool:
@@ -49,7 +61,7 @@ def sgap_word_ok(spec, word: str) -> bool:
         return False
     if not tail_ok(spec, len(word) - 1 - ones[-1]):
         return False
-    return all(spec.contains(b - a - 1) for a, b in zip(ones, ones[1:]))
+    return all(member(spec, b - a - 1) for a, b in zip(ones, ones[1:]))
 
 
 def brute_words_sgap(spec, n: int) -> list[str]:
@@ -88,7 +100,7 @@ def brute_count_sgap(spec, n: int) -> int:
             ok = (
                 tail_ok(spec, prefix)
                 and tail_ok(spec, suffix)
-                and all(spec.contains(r) for r in interior)
+                and all(member(spec, r) for r in interior)
             )
         if ok:
             total += cnt
@@ -113,7 +125,7 @@ def run_length_counts(spec, n_max: int, prefix: str = "") -> list[int]:
                 if not tail_ok(spec, run + 1):
                     continue
                 key = (seen_one, run + 1)
-            elif spec.contains(run) if seen_one else tail_ok(spec, run):
+            elif member(spec, run) if seen_one else tail_ok(spec, run):
                 key = (True, 0)
             else:
                 continue

@@ -7,21 +7,14 @@ import pytest
 
 from shiftlab.blocks import (
     EmptyShiftError,
-    InadmissibleWordError,
     ShiftAutomaton,
     _follower_profiles,
-    _suffix_run,
     automaton_count_table,
     build_sft_automaton,
-    count_blocks_automaton,
-    count_blocks_sgap,
     even_shift_automaton,
-    follower_count,
-    follower_profile,
+    log2_int,
     sgap_count_table,
-    word_is_admissible,
 )
-from shiftlab.entropy import log2_int
 from shiftlab.sgap import SizeGuardError, parse_sgap_spec
 
 import oracles
@@ -29,21 +22,28 @@ import oracles
 EX31_FORBIDDEN = ["ac", "ad", "bd", "ca", "cb", "da", "db"]
 
 
+def _followers(spec, words, r_max):
+    """Follower rows of the words for lengths 0..r_max, in one kernel call:
+    a word enters as whether it holds a one and its trailing zero run."""
+    starts = [("1" in w, len(w) - len(w.rstrip("0"))) for w in words]
+    return _follower_profiles(spec, starts, r_max)
+
+
 def test_count_single_zero_gap():
     spec = parse_sgap_spec("{0}")
-    assert [count_blocks_sgap(spec, n) for n in (1, 2, 5, 9)] == [1, 1, 1, 1]
+    assert [sgap_count_table(spec, n).counts[n] for n in (1, 2, 5, 9)] == [1, 1, 1, 1]
 
 
 def test_count_full_shift():
     spec = parse_sgap_spec("co{}")
-    assert [count_blocks_sgap(spec, n) for n in (1, 3, 10)] == [2, 8, 1024]
+    assert [sgap_count_table(spec, n).counts[n] for n in (1, 3, 10)] == [2, 8, 1024]
 
 
 def test_count_gap_one():
     # Oracle first: filter all 2^3 words by the run conditions.
     spec = parse_sgap_spec("{1}")
     assert oracles.brute_words_sgap(spec, 3) == ["010", "101"]
-    assert count_blocks_sgap(spec, 3) == 2
+    assert sgap_count_table(spec, 3).counts[3] == 2
 
 
 def test_enumerate_examples():
@@ -54,18 +54,18 @@ def test_enumerate_examples():
 
 
 def test_follower_examples():
-    assert follower_count(parse_sgap_spec("{2}"), "100", 1) == 1
+    assert _followers(parse_sgap_spec("{2}"), ["100"], 1)[0][1] == 1
     full = parse_sgap_spec("co{}")
     for r in (1, 3, 7):
-        assert follower_count(full, "010", r) == 2**r
+        assert _followers(full, ["010"], r)[0][r] == 2**r
     doubling = parse_sgap_spec("{0,1,2,4,8,16,32}")
-    assert follower_count(doubling, "1" + "0" * 17, 8) == 1
+    assert _followers(doubling, ["1" + "0" * 17], 8)[0][8] == 1
 
 
 def test_follower_matches_brute_force(corpus):
     for spec in corpus:
         for omega in ("1", "10", "100", "0", "00", "11", "0110"):
-            if not word_is_admissible(spec, omega):
+            if not oracles.sgap_word_ok(spec, omega):
                 continue
             for r in (1, 2, 5, 8):
                 brute = sum(
@@ -73,18 +73,13 @@ def test_follower_matches_brute_force(corpus):
                     for alpha in oracles.brute_words_sgap(spec, r)
                     if oracles.sgap_word_ok(spec, omega + alpha)
                 )
-                assert follower_count(spec, omega, r) == brute, (spec, omega, r)
-
-
-def test_follower_requires_admissible_word():
-    with pytest.raises(InadmissibleWordError):
-        follower_count(parse_sgap_spec("{1}"), "11", 2)
+                assert _followers(spec, [omega], r)[0][r] == brute, (spec, omega, r)
 
 
 def test_oracle_equivalence_small(corpus):
     for spec in corpus:
         for n in range(1, 11):
-            assert count_blocks_sgap(spec, n) == len(oracles.brute_words_sgap(spec, n))
+            assert sgap_count_table(spec, n).counts[n] == len(oracles.brute_words_sgap(spec, n))
 
 
 def test_submultiplicativity(corpus):
@@ -101,10 +96,8 @@ def test_follower_decomposition(corpus):
         counts = sgap_count_table(spec, 16).counts
         for m in (1, 3, 6, 8):
             for n in (1, 4, 8):
-                total = sum(
-                    follower_count(spec, omega, n)
-                    for omega in oracles.brute_words_sgap(spec, m)
-                )
+                words = oracles.brute_words_sgap(spec, m)
+                total = sum(row[n] for row in _followers(spec, words, n))
                 assert total == counts[m + n]
 
 
@@ -129,7 +122,7 @@ def test_follower_profile_matches_unbounded_dp(text):
             if not omega or not oracles.sgap_word_ok(spec, omega):
                 continue
             reference = oracles.run_length_counts(spec, 120, prefix=omega)
-            assert follower_profile(spec, omega, 120) == reference, (text, omega)
+            assert _followers(spec, [omega], 120)[0] == reference, (text, omega)
             checked += 1
     assert checked >= 1
 
@@ -156,7 +149,7 @@ def test_class_rows_match_unbounded_dp(text):
     words = [head + "0" * t for head in heads for t in range(length - len(head) + 1)]
     assert words[0] == ""
     assert p or any(not oracles.sgap_word_ok(spec, w) for w in words)
-    rows = _follower_profiles(spec, [_suffix_run(w) for w in words], r_max)
+    rows = _followers(spec, words, r_max)
     for omega, row in zip(words, rows):
         expected = oracles.run_length_counts(spec, r_max, prefix=omega)
         if "1" not in omega and not oracles.sgap_word_ok(spec, omega):
@@ -172,11 +165,11 @@ def test_follower_profile_dead_starts():
     # An inadmissible word keeps only the empty extension of an all-zero
     # word; after a one, a run no member reaches has no extension at all.
     spec = parse_sgap_spec("{0,2,5}")
-    assert follower_profile(spec, "0" * 6, 9) == [1] + [0] * 9
-    assert follower_profile(spec, "0" * 40, 9) == [1] + [0] * 9
-    assert follower_profile(spec, "1" + "0" * 6, 9) == [0] * 10
-    assert follower_profile(spec, "01" + "0" * 40, 9) == [0] * 10
-    assert follower_profile(spec, "0" * 5, 3) == oracles.run_length_counts(
+    assert _followers(spec, ["0" * 6], 9)[0] == [1] + [0] * 9
+    assert _followers(spec, ["0" * 40], 9)[0] == [1] + [0] * 9
+    assert _followers(spec, ["1" + "0" * 6], 9)[0] == [0] * 10
+    assert _followers(spec, ["01" + "0" * 40], 9)[0] == [0] * 10
+    assert _followers(spec, ["0" * 5], 3)[0] == oracles.run_length_counts(
         spec, 3, prefix="0" * 5
     )
 
@@ -187,19 +180,19 @@ def test_count_sparse_finite_set_of_huge_maximum():
     spec = parse_sgap_spec("{0,1000000}")
     counts = sgap_count_table(spec, 1419).counts
     assert all(counts[n] == n * (n + 1) // 2 + 1 for n in range(1, 1420))
-    assert count_blocks_sgap(spec, 1419) == 1419 * 1420 // 2 + 1
+    assert sgap_count_table(spec, 1419).counts[1419] == 1419 * 1420 // 2 + 1
 
 
 def test_build_sft_four_letter_example():
     aut = build_sft_automaton("abcd", EX31_FORBIDDEN)
     assert len(aut.states) == 4
-    assert aut.edge_count() == 9
+    assert len(aut.transitions) == 9
 
 
 def test_build_sft_no_adjacent_ones():
     aut = build_sft_automaton("01", ["11"])
     assert len(aut.states) == 2
-    assert aut.edge_count() == 3
+    assert len(aut.transitions) == 3
 
 
 def test_build_sft_empty_shift():
@@ -211,7 +204,7 @@ def test_build_sft_prunes_stranded_states():
     # 'b' only appears as a dead end: ab admissible, but b has no successor.
     aut = build_sft_automaton("ab", ["ba", "bb"])
     assert aut.states == ("a",)
-    assert aut.edge_count() == 1
+    assert len(aut.transitions) == 1
 
 
 def _random_forbidden(rng):
@@ -281,37 +274,36 @@ def test_build_sft_grows_a_large_presentation_quickly():
     start = time.perf_counter()
     aut = build_sft_automaton("0123", ["0" * 8])
     assert time.perf_counter() - start < 3.0
-    assert len(aut.states) == 4**7 and aut.edge_count() == 4**8 - 1
+    assert len(aut.states) == 4**7 and len(aut.transitions) == 4**8 - 1
 
 
 def test_four_letter_closed_form():
     aut = build_sft_automaton("abcd", EX31_FORBIDDEN)
-    assert count_blocks_automaton(aut, 1) == 4
+    assert automaton_count_table(aut, 1).counts[1] == 4
     for n in range(2, 13):
-        assert count_blocks_automaton(aut, n) == (n + 7) * 2 ** (n - 2)
+        assert automaton_count_table(aut, n).counts[n] == (n + 7) * 2 ** (n - 2)
 
 
 def test_even_shift_counts():
     aut = even_shift_automaton()
-    assert count_blocks_automaton(aut, 1) == 2
-    assert count_blocks_automaton(aut, 3) == 7
-    assert count_blocks_automaton(aut, 4) == 12
+    assert automaton_count_table(aut, 1).counts[1] == 2
+    assert automaton_count_table(aut, 3).counts[3] == 7
+    assert automaton_count_table(aut, 4).counts[4] == 12
 
 
 def test_even_shift_matches_brute_force():
     aut = even_shift_automaton()
     for n in range(1, 17):
-        assert count_blocks_automaton(aut, n) == oracles.brute_count_even(n)
+        assert automaton_count_table(aut, n).counts[n] == oracles.brute_count_even(n)
 
 
 def test_higher_block_automaton_counts_match_gap_dp():
-    # The gap shift of {0,1} forbids 000 and 0011-style runs; as an SFT with
-    # forbidden blocks {00} ... use S = {0,1}: zero runs of length <= 1, so
-    # the only forbidden block is 00.
+    # S = {0,1} allows zero runs of length 0 and 1, so 00 is the only
+    # forbidden block of its gap shift.
     aut = build_sft_automaton("01", ["00"])
     spec = parse_sgap_spec("{0,1}")
     for n in range(1, 14):
-        assert count_blocks_automaton(aut, n) == count_blocks_sgap(spec, n)
+        assert automaton_count_table(aut, n).counts[n] == sgap_count_table(spec, n).counts[n]
 
 
 def test_csv_export():
@@ -341,7 +333,7 @@ def test_automaton_table_one_pass_matches_per_length_counts():
     counts = automaton_count_table(aut, 300).counts
     assert sorted(counts) == list(range(1, 301))
     for n in range(1, 41):
-        assert counts[n] == count_blocks_automaton(aut, n)
+        assert counts[n] == automaton_count_table(aut, n).counts[n]
     assert counts[1] == 4
     for n in range(2, 301):
         assert counts[n] == (n + 7) * 2 ** (n - 2)

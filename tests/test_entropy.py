@@ -12,16 +12,18 @@ from shiftlab.beta import (
     spec_construction_lazy,
     spec_from_prefix,
 )
-from shiftlab.blocks import automaton_count_table, even_shift_automaton, sgap_count_table
+from shiftlab.blocks import (
+    automaton_count_table,
+    even_shift_automaton,
+    log2_int,
+    sgap_count_table,
+)
 from shiftlab.entropy import (
     EntropySolveError,
     _exact_sign,
     _gap_terms,
     _root_bracket,
     _sign_interval,
-    entropy_bounds_from_counts,
-    entropy_slope_diagnostic,
-    log2_int,
     solve_sgap_entropy,
 )
 from shiftlab.props import bsm_estimate
@@ -250,7 +252,7 @@ def test_sign_interval_holds_the_finite_series(text, lam, w):
     # For a finite set the interval holds (f(lam) - 1) * 2**(2w), with f
     # summed exactly: its ends are rounded outward at every product.
     spec = parse_sgap_spec(text)
-    exact = sum(Fraction(lam) ** -(n + 1) for n in spec.members_up_to(spec.max_element()))
+    exact = sum(Fraction(lam) ** -(n + 1) for n in spec.members_up_to(len(spec.preperiod) - 1))
     low, high = _sign_interval(_gap_terms(spec), lam, w)
     assert low <= (exact - 1) * 2 ** (2 * w) <= high
 
@@ -263,7 +265,7 @@ def test_bracket_of_the_lazy_construction_holds_its_base():
     lam = 1.8
     spec = spec_from_prefix(spec_construction_lazy(BetaContext(lam), 50))
     assert spec.is_finite()
-    members = spec.members_up_to(spec.max_element())
+    members = spec.members_up_to(len(spec.preperiod) - 1)
     res = solve_sgap_entropy(spec, tol=1e-12)
     # The ends bracket the root of the prefix's own series, summed exactly.
     def series(x):
@@ -302,13 +304,16 @@ def test_nan_tolerance_is_refused():
 
 
 def test_bounds_full_shift():
+    # With K = 1 the sandwich (log2 c - log2 K) / n <= h <= log2 c / n closes.
     table = sgap_count_table(parse_sgap_spec("co{}"), 8)
-    assert entropy_bounds_from_counts(table, 1, 5) == (1.0, 1.0)
+    l2 = log2_int(table.counts[5])
+    assert ((l2 - log2_int(1)) / 5, l2 / 5) == (1.0, 1.0)
 
 
 def test_bounds_even_shift_sandwich():
     table = automaton_count_table(even_shift_automaton(), 10)
-    lower, upper = entropy_bounds_from_counts(table, 4, 10)
+    l2 = log2_int(table.counts[10])
+    lower, upper = (l2 - log2_int(4)) / 10, l2 / 10
     assert upper - lower == pytest.approx(0.2, abs=1e-12)
     assert lower <= math.log2(PHI) <= upper
 
@@ -317,13 +322,15 @@ def test_bounds_positive_gaps_with_estimated_constant():
     spec = parse_sgap_spec("co{0}")
     table = sgap_count_table(spec, 16)
     k_est = bsm_estimate(table, 8).estimate
-    lower, upper = entropy_bounds_from_counts(table, k_est, 16)
+    log2_k = log2_int(k_est.numerator) - log2_int(k_est.denominator)
+    l2 = log2_int(table.counts[16])
+    lower, upper = (l2 - log2_k) / 16, l2 / 16
     assert lower <= math.log2(PHI) <= upper
 
 
 def test_slope_diagnostic_full_shift():
     table = sgap_count_table(parse_sgap_spec("co{}"), 10)
-    assert all(v == 1.0 for _, v in entropy_slope_diagnostic(table, 10))
+    assert all(log2_int(table.counts[n]) / n == 1.0 for n in range(1, 11))
 
 
 def test_slope_diagnostic_even_shift():
@@ -332,7 +339,7 @@ def test_slope_diagnostic_even_shift():
     h = math.log2(rho)
     assert abs(rho - PHI) < 1e-12
     table = automaton_count_table(even_shift_automaton(), 16)
-    slopes = [v for _, v in entropy_slope_diagnostic(table, 16)]
+    slopes = [log2_int(table.counts[n]) / n for n in range(1, 17)]
     assert all(v >= h - 1e-12 for v in slopes)
     assert slopes[-1] - h < slopes[0] - h
 
@@ -341,8 +348,8 @@ def test_slope_upper_bounds_solver(corpus):
     for spec in corpus:
         res = solve_sgap_entropy(spec, tol=1e-10)
         table = sgap_count_table(spec, 18)
-        for n, v in entropy_slope_diagnostic(table, 18):
-            assert v >= res.entropy - 1e-9, (spec, n)
+        for n in range(1, 19):
+            assert log2_int(table.counts[n]) / n >= res.entropy - 1e-9, (spec, n)
 
 
 def test_slope_excess_bounded_by_estimated_constant(corpus):
