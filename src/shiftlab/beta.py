@@ -30,6 +30,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, compress, cycle, islice
+from typing import NamedTuple
 
 from . import sgap
 from .entropy import _exact_sign, _gap_terms, _root_bracket
@@ -110,8 +111,7 @@ class BetaContext:
             )
 
 
-@dataclass(frozen=True)
-class ExpansionPrefix:
+class ExpansionPrefix(NamedTuple):
     """A finite digit word with its orbit and per-step branch annotations.
 
     orbit[k] is the image of start after the first k + 1 digits; flags[k]
@@ -119,6 +119,10 @@ class ExpansionPrefix:
     read from.  periodicity, when set, is (preperiod_len, period_len) for
     the digit sequence; flagged_incomplete marks prefixes cut short by an
     exhausted budget.
+
+    A named tuple: immutable, equal and hashed by its fields, and built by
+    one tuple construction, so a digit tree's leaves cost no per-field
+    attribute store.
     """
 
     lam: float

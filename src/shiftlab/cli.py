@@ -4,12 +4,17 @@ Exit codes: 0 success, 2 usage or parse failure, 3 numeric failure,
 4 enumeration budget exceeded.  Reports embed the tool version and the full
 flag configuration and contain no timestamps, so identical invocations
 produce byte-identical output.  The environment variable SHIFTLAB_MAX_CELLS
-caps enumeration budgets (tree leaves, follower cells).
+caps enumeration budgets (tree leaves, follower cells, the digits of expand
+--depth and of bridge --s --length).
 
 The argument parser is built once per process, on the first main() call, and
-reused by every later call; main() looks up the cmd_* handler of the chosen
-subcommand by name each time, so rebinding a handler takes effect at once.
-Argument errors are usage errors like any other: one line and exit code 2.
+reused by every later call.  Each argv is parsed once, by one parser: when its
+first word names a subcommand, that subcommand's own parser reads the rest,
+as the top-level parser would hand it on; only an argv that names none (no
+words, -h, an unknown command) reaches the top-level parser.  main() looks
+up the cmd_* handler of the chosen subcommand by name each time, so
+rebinding a handler takes effect at once.  Argument errors are usage errors
+like any other: one line and exit code 2.
 
 JSON reports are written by _dumps, which gives the bytes of
 json.dumps(report, indent=2, sort_keys=True) without the standard
@@ -169,6 +174,14 @@ def _require_positive(flag: str, value: int) -> None:
         raise ValueError(f"{flag} must be >= 1, got {value}")
 
 
+def _require_within_budget(flag: str, value: int) -> None:
+    """Refuse, as a budget failure, a flag that sizes a digit word beyond
+    the cell budget, before any digit is made."""
+    budget = _cell_budget()
+    if value > budget:
+        raise blocks.SizeGuardError(f"{flag} {value} exceeds the budget {budget}")
+
+
 def _require_printable(flag: str, value: int, what: str, numbers) -> None:
     """Refuse, as a budget failure, an integer longer than the interpreter's
     limit for converting integers to text (sys.get_int_max_str_digits(),
@@ -259,6 +272,8 @@ def cmd_gibbs(args) -> None:
 
 def cmd_expand(args) -> None:
     ctx = beta.BetaContext(args.lam, membership_tol=args.tol)
+    ctx.require_in_interval(args.x)  # a usage error goes before the budget
+    _require_within_budget("--depth", args.depth)
     expander = beta.greedy_expansion if args.mode == "greedy" else beta.lazy_expansion
     prefix = expander(args.x, ctx, args.depth)
     result = {
@@ -319,6 +334,7 @@ def cmd_bridge(args) -> None:
         if args.length is None:
             raise sgap.SpecSyntaxError("--s direction requires --length")
         spec = sgap.parse_sgap_spec(args.s)
+        _require_within_budget("--length", args.length)
         result = {
             "direction": "spec_to_digits",
             "digits": beta.expansion_from_sgap(spec, args.length),
@@ -356,6 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="gap-shift combinatorics, entropy, and expansion reports",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each subcommand's own parser by name, filled in by add_parser below.
+    parser.commands = sub.choices
 
     def common(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -429,9 +447,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv read by the parser of the subcommand argv[0] names, else (no
+    words, -h, an unknown command) by the top-level parser."""
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         if not math.isfinite(getattr(args, "tol", 0.0)):
             raise ValueError(f"--tol must be finite, got {args.tol}")
         globals()["cmd_" + args.command.replace("-", "_")](args)

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from shiftlab import parse_sgap_spec
@@ -27,3 +30,13 @@ CORPUS_STRINGS = [
 @pytest.fixture(scope="session")
 def corpus():
     return [parse_sgap_spec(s) for s in CORPUS_STRINGS]
+
+
+@pytest.fixture(scope="session")
+def digest_tool():
+    """tools/output_digest.py, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool

@@ -160,6 +160,27 @@ def test_enumerate_budget_partial_is_the_unbounded_prefix(lam, depth):
     assert enumerate_expansions_of_one(ctx, depth, max_leaves=len(leaves)) == leaves
 
 
+def test_leaf_record_is_immutable_and_hashed_by_its_fields():
+    ctx = BetaContext(PHI)
+    leaves = enumerate_expansions_of_one(ctx, 10)
+    again = enumerate_expansions_of_one(ctx, 10)
+    assert leaves == again and all(a is not b for a, b in zip(leaves, again))
+    assert [hash(leaf) for leaf in leaves] == [hash(leaf) for leaf in again]
+    with pytest.raises(LeafBudgetError) as err:
+        enumerate_expansions_of_one(ctx, 10, max_leaves=3)
+    assert err.value.partial == leaves[:3]
+    leaf = leaves[0]
+    fields = ("lam", "start", "digits", "orbit", "flags", "periodicity", "flagged_incomplete")
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(leaf, field, getattr(leaf, field))
+    # A named tuple: equal to the plain tuple of its fields, in this order.
+    assert leaf._fields == fields and leaf == tuple(getattr(leaf, f) for f in fields)
+    prefix = ExpansionPrefix(PHI, 1.0, (1, 1), (), ())
+    assert (prefix.periodicity, prefix.flagged_incomplete) == (None, False)
+    assert not prefix.ambiguous
+
+
 # phi, the smallest univoque base and a seeded sample of 298 of the bases
 # 1 + i/997 in (1, 2).
 _LEAF_END_BASES = [PHI, KL_REF] + [

@@ -1,5 +1,4 @@
 import contextlib
-import importlib.util
 import io
 import json
 import math
@@ -238,6 +237,44 @@ def test_env_budget_cap(capsys, monkeypatch):
     monkeypatch.setenv("SHIFTLAB_MAX_CELLS", "2")
     code, _ = run(capsys, "enumerate-one", "--lambda", str(PHI), "--depth", "10")
     assert code == 4
+
+
+DIGIT_WORD_ARGVS = [
+    ["expand", "--lambda", "1.5", "--x", "1.0", "--depth"],
+    ["bridge", "--s", "co{0}", "--length"],
+]
+
+
+@pytest.mark.parametrize("argv", DIGIT_WORD_ARGVS)
+def test_digit_word_past_the_budget_is_a_budget_error(monkeypatch, argv):
+    monkeypatch.delenv("SHIFTLAB_MAX_CELLS", raising=False)
+    start = time.perf_counter()
+    code, out, err = call([*argv, "1000000"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 4
+    assert_one_line_failure(out, err)
+    assert err == f"shiftlab: budget exceeded: {argv[-1]} 1000000 exceeds the budget 200000\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--lambda", "1.5", "--x", "5", "--depth", "1000000"],
+        ["bridge", "--s", "co{", "--length", "1000000"],
+    ],
+)
+def test_usage_error_goes_before_the_digit_word_budget(monkeypatch, argv):
+    monkeypatch.delenv("SHIFTLAB_MAX_CELLS", raising=False)
+    code, out, err = call(argv)
+    assert code == 2
+    assert_one_line_failure(out, err)
+
+
+@pytest.mark.parametrize("argv", DIGIT_WORD_ARGVS)
+@pytest.mark.parametrize("size, code", [("5", 0), ("6", 4)])
+def test_digit_word_budget_boundary(monkeypatch, argv, size, code):
+    monkeypatch.setenv("SHIFTLAB_MAX_CELLS", "5")
+    assert call([*argv, size])[0] == code
 
 
 def test_kl_prints_both_logs(capsys):
@@ -551,19 +588,19 @@ def test_gibbs_csv_past_the_real_int_to_text_limit_is_a_budget_error():
     assert child.stderr.startswith("shiftlab: budget exceeded: --depth 7000 gives a ")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["blocks", "--n", "x"],
-        ["frobnicate"],
-        ["entropy"],
-        [],
-        ["kl", "--bogus", "1"],
-        ["expand", "--lambda", "1.5", "--x", "0.5", "--mode", "sideways"],
-        ["bridge", "--s", "{0}", "--length", "3", "--tol", "0"],
-        ["bridge", "--s", "{0}", "--length", "3", "--tol=-1"],
-    ],
-)
+ARGUMENT_ERRORS = [
+    ["blocks", "--n", "x"],
+    ["frobnicate"],
+    ["entropy"],
+    [],
+    ["kl", "--bogus", "1"],
+    ["expand", "--lambda", "1.5", "--x", "0.5", "--mode", "sideways"],
+    ["bridge", "--s", "{0}", "--length", "3", "--tol", "0"],
+    ["bridge", "--s", "{0}", "--length", "3", "--tol=-1"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGUMENT_ERRORS)
 def test_argument_errors_are_one_line_usage_errors(argv):
     code, out, err = call(argv)
     assert code == 2
@@ -602,6 +639,35 @@ def test_kl_tolerance_below_double_spacing_terminates(capsys, tol):
 
 def test_parser_is_built_once():
     assert _build_parser() is _build_parser()
+
+
+def _parsed(parse, argv):
+    """vars() of the Namespace parse gives argv, or its error message."""
+    try:
+        return vars(parse(argv))
+    except shiftlab.SpecSyntaxError as exc:
+        return str(exc)
+
+
+# Abbreviated, ambiguous, repeated and misplaced flags, and words after "--".
+PARSER_EDGE_ARGVS = [
+    ["check-bsm", "--even-shift", "--dep", "3"],
+    ["expand", "--lambda", "1.5", "--x", "1", "--dep", "4", "--mo", "lazy"],
+    ["bridge", "--p", "1"],
+    ["kl", "--tol", "1e-3", "--tol", "1e-4"],
+    ["entropy", "--s"],
+    ["blocks", "--he=x"],
+    ["blocks", "--", "--n", "3"],
+    ["--s", "{0}", "entropy"],
+    ["classify", "--s", "{0}", "extra"],
+]
+
+
+def test_each_argv_parses_as_the_top_level_parser_parses_it(digest_tool):
+    argvs = [*digest_tool.argvs([1, 3]), *ARGUMENT_ERRORS, *PARSER_EDGE_ARGVS]
+    parse_args = _build_parser().parse_args
+    for argv in argvs:
+        assert _parsed(cli._parse, argv) == _parsed(parse_args, argv), argv
 
 
 def test_repeated_calls_in_one_process_are_identical():
@@ -671,11 +737,7 @@ def test_report_writer_matches_json_dumps():
         assert _dumps(value) == _stdlib_json(value), value
 
 
-def test_report_writer_matches_json_dumps_on_edge_results(monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
-    spec = importlib.util.spec_from_file_location("output_digest", path)
-    digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest)
+def test_report_writer_matches_json_dumps_on_edge_results(monkeypatch, digest_tool):
     results, emit = [], cli._emit
 
     def record(args, result, to_csv=None):
@@ -683,9 +745,9 @@ def test_report_writer_matches_json_dumps_on_edge_results(monkeypatch):
         emit(args, result, to_csv)
 
     monkeypatch.setattr(cli, "_emit", record)
-    for argv in digest.EDGE_ARGVS:
+    for argv in digest_tool.EDGE_ARGVS:
         call(argv)
-    assert len(results) > len(digest.EDGE_ARGVS) // 2
+    assert len(results) > len(digest_tool.EDGE_ARGVS) // 2
     for result in results:
         assert _dumps(result) == _stdlib_json(result)
 

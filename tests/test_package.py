@@ -1,5 +1,4 @@
 import ast
-import importlib.util
 import inspect
 import sys
 import types
@@ -9,7 +8,6 @@ import shiftlab
 from shiftlab import cli
 
 SOURCES = sorted(Path(shiftlab.__file__).resolve().parent.glob("*.py"))
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
 
 # Defined in src/ but reached by no subcommand, each waiting on the ROADMAP
 # item that gives it a path or a fate.
@@ -44,6 +42,17 @@ def test_sources_import_only_the_standard_library():
                 assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
 
 
+def test_digest_argvs_leave_the_interpreter_as_they_found_it(digest_tool):
+    path, modules = list(sys.path), dict(sys.modules)
+    first = digest_tool.argvs([1])
+    assert digest_tool.argvs([1]) == first
+    assert sys.path == path
+    # Only the standard library modules the workloads import may be new.
+    added = {name.split(".")[0] for name in sys.modules.keys() - modules.keys()}
+    assert added <= sys.stdlib_module_names
+    assert all(sys.modules[name] is module for name, module in modules.items())
+
+
 def _unreached(code, prefix, reached):
     """Qualified names of the functions under code whose first line is not
     in reached; the functions nested in one of them are not listed."""
@@ -58,15 +67,11 @@ def _unreached(code, prefix, reached):
                 yield name
 
 
-def test_every_function_serves_a_subcommand(monkeypatch):
+def test_every_function_serves_a_subcommand(monkeypatch, digest_tool):
     # The digest's argvs plus one usage error, run in-process under a
     # profiler: every function src/ defines must be called, or be listed.
     monkeypatch.delenv("SHIFTLAB_MAX_CELLS", raising=False)
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location("output_digest", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    argvs = [*tool.argvs([1]), ["entropy"]]
+    argvs = [*digest_tool.argvs([1]), ["entropy"]]
     # A cached function must run here, whatever earlier tests called.
     for name, module in list(sys.modules.items()):
         if name.startswith("shiftlab."):
@@ -82,7 +87,7 @@ def test_every_function_serves_a_subcommand(monkeypatch):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        codes = [tool.run(cli.main, argv)[0] for argv in argvs]
+        codes = [digest_tool.run(cli.main, argv)[0] for argv in argvs]
     finally:
         sys.setprofile(previous)
     assert codes[-1] == 2

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import sys
@@ -120,10 +121,23 @@ EDGE_ARGVS = [
 ]
 
 
-def argvs(seeds) -> list[list[str]]:
-    sys.path.insert(0, str(OWN_CHECKOUT / "perfbench"))
-    import workloads
+def _load_workloads():
+    """perfbench/workloads.py of this checkout, loaded by its path under a
+    private name.  sys.path is left alone, and the module sits in
+    sys.modules only while its body runs, where its dataclasses look it up."""
+    path = OWN_CHECKOUT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_output_digest_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
+
+def argvs(seeds) -> list[list[str]]:
+    workloads = _load_workloads()
     out = []
     for seed in seeds:
         for workload in workloads.BUILDERS:
