@@ -23,7 +23,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from operator import le, mul, sub
 
 from .blocks import _EMPTY, BlockCountTable, SizeGuardError, _follower_profiles
@@ -80,9 +80,29 @@ def bsm_estimate(table: BlockCountTable, depth: int) -> PropertyReport:
     # best_score twice, cut, floor) moves it by at most 1.5 * B * 2**-52.
     # So row[m - 1] < floor gives s < s* - 2 * margin + 43.5 * B * 2**-52,
     # and 2 * margin = B * 2**-43 > 43.5 * B * 2**-52 gives s < s*.
+    #
+    # A whole row is ruled out at once by a slope h: with g[n] = L[n] - n*h,
+    # L[m] + L[d] - L[m + d] = g[m] + g[d] - g[m + d] for every h, so no
+    # score in row d exceeds top[d] + g[d] - low[d + 1], where top is the
+    # prefix max and low the suffix min of g.  |h| is B / depth at most, up
+    # to rounding, so |n*h| < 3 * B and |g[n]| < 4 * B, and two roundings
+    # put each g within 3.5 * B * 2**-52 of L[n] - n*h.  Its three g and its
+    # own two roundings (of sums below 8 * B and 12 * B) leave the float
+    # bound at most 20.5 * B * 2**-52 below the exact L[m] + L[d] - L[m + d]
+    # of any pair in the row.  Rounding skip = cut - margin, the row entry
+    # and floor adds 4.5 * B * 2**-52, and margin = B * 2**-44 exceeds
+    # 25 * B * 2**-52: a row whose bound is below skip has every
+    # row[m - 1] < floor, so skipping it is the float test above rejecting
+    # it whole.  When the counts settle on a slope (c(n) ~ C * lambda**n,
+    # C periodic in n) the bound rules out all but a few rows; ratios that
+    # tie or creep up to their supremum keep near-ties in every row.
     logs = [0.0] + [_log2_int(counts[n]) for n in range(1, 2 * depth + 1)]
     margin = (1.0 + max(logs)) * 2.0**-44
-    cut = best_score = -math.inf
+    h = (logs[2 * depth] - logs[depth]) / depth
+    g = [x - n * h for n, x in enumerate(logs)]
+    top = [0.0, *accumulate(g[1 : depth + 1], max)]
+    low = [*accumulate(reversed(g), min)][::-1]
+    cut = skip = best_score = -math.inf
 
     # Ratios stay integer pairs (numerator, denominator) compared by
     # cross-multiplying; only the extrema become Fractions.
@@ -93,15 +113,17 @@ def bsm_estimate(table: BlockCountTable, depth: int) -> PropertyReport:
     for d in range(1, depth + 1):
         # Pairs with max(m, n) == d extend the previous depth's maximum;
         # row[m - 1] = L[m] - L[m + d], compared with cut - L[d].
-        row = list(map(sub, logs[1 : d + 1], logs[d + 1 : 2 * d + 1]))
-        floor = cut - logs[d]
-        if max(row) >= floor:
-            for m in compress(range(1, d + 1), map(le, repeat(floor), row)):
-                num, den = counts[m] * counts[d], counts[m + d]
-                if num * best_den > best_num * den:
-                    best_num, best_den, witness = num, den, (m, d)
-                    best_score = row[m - 1] + logs[d]
-            cut = best_score - 2 * margin
+        if top[d] + g[d] - low[d + 1] >= skip:
+            row = list(map(sub, logs[1 : d + 1], logs[d + 1 : 2 * d + 1]))
+            floor = cut - logs[d]
+            if max(row) >= floor:
+                for m in compress(range(1, d + 1), map(le, repeat(floor), row)):
+                    num, den = counts[m] * counts[d], counts[m + d]
+                    if num * best_den > best_num * den:
+                        best_num, best_den, witness = num, den, (m, d)
+                        best_score = row[m - 1] + logs[d]
+                cut = best_score - 2 * margin
+                skip = cut - margin
         if d == anchor_depth:
             anchor = (best_num, best_den)
 

@@ -6,6 +6,7 @@ enforces its wall-clock budget.
 
 import contextlib
 import io
+import json
 import math
 import random
 import time
@@ -79,14 +80,28 @@ def test_criterion_2_even_shift_bsm_bound():
 
 
 def test_criterion_2b_deep_bsm_search():
-    # About 4.5 million pairs of counts up to 4166 bits; the float bound
-    # sends few of them to the exact integer test.
+    # Counts up to 4166 bits settle on the golden slope, so the row bound
+    # rules out all but a few of the 3000 rows before any float is scored,
+    # and the float filter sends few pairs to the exact integer test.
     def body():
         table = sgap_count_table(parse_sgap_spec("co{0}"), 6000)
         rep = bsm_estimate(table, 3000)
         assert rep.witness == (1, 1) and rep.estimate == Fraction(4, 3)
 
     _gate("2b deep BSM search", 5.0, body)
+
+
+def test_criterion_2b2_bsm_scan_is_linear_for_settling_counts():
+    # 50 million pairs at depth 10000: a quadratic row scan takes seconds,
+    # the row bound leaves the count table (~0.1 s) as the cost.
+    def body():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(["check-bsm", "--s", "co{0}", "--depth", "10000"])
+        result = json.loads(out.getvalue())["result"]
+        assert code == 0 and result["witness"] == [1, 1] and result["K_estimate"] == "4/3"
+
+    _gate("2b2 linear BSM scan", 2.0, body)
 
 
 def test_criterion_2c_deep_gibbs_band():

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -117,6 +118,56 @@ def test_bsm_margin_covers_float_rounding():
     assert logs[1] - logs[3] + logs[2] < 2 * logs[1] - logs[2]
     rep = bsm_estimate(table, 2)
     assert rep.witness == (1, 2)
+    assert (rep.estimate, rep.witness, rep.verdict) == oracles.bsm_reference(
+        table.counts, 2
+    )
+
+
+def _random_counts(rng, n_max):
+    """Positive counts no shift produces: runs of counts below 4, flat runs,
+    jumps of hundreds of bits, drops and small steps, so the slope fitted
+    to L[depth..2 * depth] often fits the rest of the table badly."""
+    counts, c = {}, rng.randint(1, 3)
+    for n in range(1, n_max + 1):
+        kind = rng.randrange(6)
+        if kind == 0:
+            c = rng.randint(1, 3)
+        elif kind == 2:
+            c = (c << rng.randint(100, 400)) + rng.getrandbits(64)
+        elif kind == 3:
+            c = max(1, c >> rng.randint(1, 60))
+        elif kind > 3:
+            c = c * rng.randint(1, 5) + rng.randint(0, 3)
+        counts[n] = c  # kind 1 repeats the last count
+    return counts
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_bsm_row_bound_matches_reference_on_random_tables(seed):
+    counts = _random_counts(random.Random(seed), 80)
+    table = BlockCountTable(counts)
+    for depth in range(1, 41):
+        rep = bsm_estimate(table, depth)
+        got = (rep.estimate, rep.witness, rep.verdict)
+        assert got == oracles.bsm_reference(counts, depth), depth
+
+
+def test_bsm_row_bound_within_margin_of_cut_still_scans():
+    # Row 2's bound, attained by the pair (1, 2), lies half a margin below
+    # cut: above skip = cut - margin, so the row is built and rejected by
+    # the float test itself.
+    c1, c2, c4 = 1 << 100, 1 << 150, 1 << 400
+    margin = (1.0 + log2_int(c4)) * 2.0**-44
+    c3 = (1 << 200) + int(2.5 * margin * math.log(2) * 2**200)
+    table = BlockCountTable({1: c1, 2: c2, 3: c3, 4: c4})
+    logs = [0.0] + [log2_int(table.counts[n]) for n in range(1, 5)]
+    h = (logs[4] - logs[2]) / 2
+    g = [x - n * h for n, x in enumerate(logs)]
+    bound = max(g[1], g[2]) + g[2] - min(g[3], g[4])
+    cut = 2 * logs[1] - logs[2] - 2 * margin
+    assert cut - margin <= bound < cut
+    rep = bsm_estimate(table, 2)
+    assert rep.witness == (1, 1)
     assert (rep.estimate, rep.witness, rep.verdict) == oracles.bsm_reference(
         table.counts, 2
     )
