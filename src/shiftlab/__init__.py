@@ -20,7 +20,6 @@ from .blocks import (  # noqa: F401
     SizeGuardError,
     automaton_count_table,
     build_sft_automaton,
-    even_shift_automaton,
     sgap_count_table,
 )
 from .entropy import (  # noqa: F401

@@ -15,12 +15,11 @@ automata.  A clean word plus a letter is clean exactly when no forbidden
 block ends at that letter, so the states grow from the empty word one letter
 at a time under that suffix rule, and the edges use the same rule; the
 2^20 guard bounds |A|^(m-1), the most states the longest block m allows.
-These and sofic presentations such as the even shift are counted by
-determinising the label action over subsets of states; one pass of that
-construction yields the counts of every length up to n.  Each subset's
-letter images are computed once, on the step after it is found, as integer
-(source, target) edges; each length then costs O(edges) big-integer
-additions.  write_csv rows end in CRLF.
+These presentations are counted by determinising the label action over
+subsets of states; one pass of that construction yields the counts of every
+length up to n.  Each subset's letter images are computed once, on the step
+after it is found, as integer (source, target) edges; each length then costs
+O(edges) big-integer additions.  write_csv rows end in CRLF.
 """
 
 from __future__ import annotations
@@ -210,23 +209,6 @@ def build_sft_automaton(alphabet, forbidden) -> ShiftAutomaton:
         states=tuple(sorted(states)),
         alphabet=letters,
         transitions=edges,
-    )
-
-
-def even_shift_automaton() -> ShiftAutomaton:
-    """Two-state presentation of the even shift.
-
-    Runs of zeros between ones are forced to even length: the one-labeled
-    loop sits on the parity-even state and zeros toggle parity.
-    """
-    return ShiftAutomaton(
-        states=("even", "odd"),
-        alphabet=("0", "1"),
-        transitions={
-            ("even", "1"): "even",
-            ("even", "0"): "odd",
-            ("odd", "0"): "even",
-        },
     )
 
 

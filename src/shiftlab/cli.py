@@ -60,15 +60,16 @@ def _cell_budget() -> int:
 
 def _table_builder(args) -> Callable[[int], blocks.BlockCountTable]:
     """Resolve --s / --sft / --even-shift into the count-table builder of
-    that source, which takes the largest length."""
+    that source, which takes the largest length.  --even-shift names the
+    gap set of the even numbers, ep:pre=;pat=1,0, counted like any --s."""
     if sum((args.s is not None, args.sft is not None, args.even_shift)) != 1:
         raise sgap.SpecSyntaxError("exactly one of --s, --sft, --even-shift is required")
     if (args.alphabet is None) != (args.sft is None):
         raise sgap.SpecSyntaxError("--alphabet applies only to --sft, which requires it")
+    if args.even_shift:
+        return functools.partial(blocks.sgap_count_table, sgap.periodic_gaps(b"", b"\1\0"))
     if args.s is not None:
         return functools.partial(blocks.sgap_count_table, sgap.parse_sgap_spec(args.s))
-    if args.even_shift:
-        return functools.partial(blocks.automaton_count_table, blocks.even_shift_automaton())
     aut = blocks.build_sft_automaton(args.alphabet, [w for w in args.sft.split(",") if w])
     return functools.partial(blocks.automaton_count_table, aut)
 

@@ -14,13 +14,12 @@ admissible continuation.
 
 gibbs_diagnostics returns a GibbsDiagnostics: the kernel's count row and
 follower rows, the band constants c1 = B and c2 = K over its window, and
-the sequence of its cells, each built only when read.
+the iterable of its cells, each built only when read.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
@@ -252,7 +251,7 @@ class GibbsCell:
 
 
 @dataclass
-class GibbsDiagnostics(Sequence):
+class GibbsDiagnostics:
     """Finite-level cylinder-measure diagnostics.
 
     ratios holds 2 ** (n * h) / counts(n), finite at any depth; each cell
@@ -266,7 +265,7 @@ class GibbsDiagnostics(Sequence):
     of one follower class share one list; cells read lengths 1..window.
     counts is the kernel's count row, counts[n] for n = 0..depth.
 
-    The diagnostics are the sequence of their cells, sorted by (omega, r, k)
+    The diagnostics are the iterable of their cells, sorted by (omega, r, k)
     and each built with its Fractions only when read.  Since f <= counts(k)
     and counts(r + k) <= counts(r) * counts(k), every cell passes the band
     of c1 = B_estimate and c2 = K_estimate over the window, which
@@ -285,22 +284,13 @@ class GibbsDiagnostics(Sequence):
     def __len__(self) -> int:
         return len(self.reps) * self.window
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        row, k = divmod(range(len(self))[index], self.window)  # IndexError past either end
-        return next(self._row(row, k + 1, k + 2))
-
     def __iter__(self):
-        for row in range(len(self.reps)):
-            yield from self._row(row, 1, self.window + 1)
-
-    def _row(self, row: int, k_start: int, k_stop: int):
-        omega, profile, counts = self.reps[row], self.profiles[row], self.counts
-        r = len(omega)
-        lower, upper = self.c1 / counts[r], self.c2 / counts[r]
-        for k in range(k_start, k_stop):
-            yield GibbsCell(omega, r, k, Fraction(profile[k], counts[r + k]), lower, upper)
+        counts = self.counts
+        for omega, profile in zip(self.reps, self.profiles):
+            r = len(omega)
+            lower, upper = self.c1 / counts[r], self.c2 / counts[r]
+            for k in range(1, self.window + 1):
+                yield GibbsCell(omega, r, k, Fraction(profile[k], counts[r + k]), lower, upper)
 
     # perfbench/tracing.py reads this on every traced gibbs request.
     @property

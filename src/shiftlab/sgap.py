@@ -222,16 +222,16 @@ class Classification:
 def classify(spec: SGapSpec) -> Classification:
     """Classify the shift of a gap set by finite inspection.
 
-    The gap supremum and the gcd of shifted members stabilise within one
-    window of the description: the preperiod plus three periods for gaps,
-    the preperiod plus two periods for the gcd (the window holds some
-    member n and n + p, so the gcd divides p).  Period (0,) or (1,) means
-    a finite or cofinite set, whose shift is of finite type.
+    The gap supremum and the gcd of shifted members both stabilise within
+    one window of the description, the preperiod plus three periods, so one
+    list of members serves both (the window holds some member n and n + p,
+    so the gcd divides p).  Period (0,) or (1,) means a finite or cofinite
+    set, whose shift is of finite type.
     """
     q, p = len(spec.preperiod), len(spec.period)
     members = spec.members_up_to(q + 3 * p - 1)
     gap_sup = max(map(sub, members[1:], members), default=0)
-    gcd_value = gcd(*(n + 1 for n in spec.members_up_to(q + 2 * p - 1)))
+    gcd_value = gcd(*(n + 1 for n in members))
     # Every description has bounded gaps between members.
     is_almost_specified = True
     is_mixing = gcd_value == 1

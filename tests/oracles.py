@@ -179,6 +179,17 @@ def brute_count_even(n: int) -> int:
     )
 
 
+def even_shift_presentation() -> tuple[tuple[str, ...], tuple[str, ...], dict]:
+    """States, alphabet and transitions of the two-state presentation of
+    the even shift: the one-labeled loop sits on the parity-even state and
+    zeros toggle parity, so runs of zeros between ones have even length.
+    Unlike a higher-block presentation, where a long enough word fixes its
+    state, an all-zero word of any length leaves both states possible, so
+    the subset construction keeps a two-state subset at every length."""
+    transitions = {("even", "1"): "even", ("even", "0"): "odd", ("odd", "0"): "even"}
+    return ("even", "odd"), ("0", "1"), transitions
+
+
 def clean_words(alphabet, forbidden, n: int) -> set[str]:
     """The length-n words over alphabet with no factor in forbidden."""
     words = ("".join(t) for t in product(alphabet, repeat=n))

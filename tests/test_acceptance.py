@@ -26,7 +26,6 @@ from shiftlab.beta import (
 from shiftlab.blocks import (
     automaton_count_table,
     build_sft_automaton,
-    even_shift_automaton,
     log2_int,
     sgap_count_table,
 )
@@ -71,7 +70,7 @@ def test_criterion_1_four_letter_closed_form():
 
 def test_criterion_2_even_shift_bsm_bound():
     def body():
-        counts = automaton_count_table(even_shift_automaton(), 20).counts
+        counts = sgap_count_table(parse_sgap_spec("ep:pre=;pat=1,0"), 20).counts
         for m in range(1, 11):
             for n in range(1, 11):
                 assert counts[m] * counts[n] <= 4 * counts[m + n]

@@ -11,15 +11,21 @@ from shiftlab.blocks import (
     _follower_profiles,
     automaton_count_table,
     build_sft_automaton,
-    even_shift_automaton,
     log2_int,
     sgap_count_table,
 )
-from shiftlab.sgap import SizeGuardError, parse_sgap_spec
+from shiftlab.sgap import SizeGuardError, parse_sgap_spec, periodic_gaps
 
 import oracles
 
 EX31_FORBIDDEN = ["ac", "ad", "bd", "ca", "cb", "da", "db"]
+# The even shift twice: its gap set, ep:pre=;pat=1,0, and the oracles'
+# two-state presentation, whose subsets never all collapse to one state.
+EVEN = periodic_gaps(b"", b"\1\0")
+
+
+def even_shift_automaton():
+    return ShiftAutomaton(*oracles.even_shift_presentation())
 
 
 def _followers(spec, words, r_max):
@@ -292,9 +298,12 @@ def test_even_shift_counts():
 
 
 def test_even_shift_matches_brute_force():
+    # The two-state presentation and the gap set of the even numbers both
+    # count the words of the even shift.
     aut = even_shift_automaton()
     for n in range(1, 17):
         assert automaton_count_table(aut, n).counts[n] == oracles.brute_count_even(n)
+        assert sgap_count_table(EVEN, n).counts[n] == oracles.brute_count_even(n)
 
 
 def test_higher_block_automaton_counts_match_gap_dp():
@@ -344,6 +353,7 @@ def test_even_shift_table_matches_even_gap_dp():
     counts = automaton_count_table(even_shift_automaton(), 300).counts
     reference = oracles.run_length_counts(parse_sgap_spec("ep:pre=;pat=1,0"), 300)
     assert [counts[n] for n in range(1, 301)] == reference[1:]
+    assert counts == sgap_count_table(EVEN, 300).counts
 
 
 def test_subset_budget_trips_at_the_first_layer_past_it(monkeypatch):

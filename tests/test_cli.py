@@ -189,6 +189,24 @@ def test_check_bsm_even_shift(capsys):
     assert int(num) / int(den) <= 4.0
 
 
+@pytest.mark.parametrize("command, size", [("blocks", "--n"), ("check-bsm", "--depth")])
+@pytest.mark.parametrize("value", ["1", "7", "150"])
+def test_even_shift_is_the_gap_set_of_the_even_numbers(capsys, command, size, value):
+    # --even-shift names ep:pre=;pat=1,0: every report reads the same but
+    # for the source flags its config echoes.
+    def output(*source, fmt="json"):
+        code, out = run(capsys, command, *source, size, value, "--format", fmt)
+        assert code == 0, out
+        return out
+
+    even, gaps = output("--even-shift"), output("--s", "ep:pre=;pat=1,0")
+    assert json.loads(even)["result"] == json.loads(gaps)["result"]
+    if command == "blocks":
+        csv = output("--even-shift", fmt="csv")
+        assert csv == output("--s", "ep:pre=;pat=1,0", fmt="csv")
+        assert csv.count("\r\n") == int(value) + 1
+
+
 def test_check_balanced_decay(capsys):
     rep = run_json(
         capsys,

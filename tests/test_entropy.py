@@ -12,12 +12,7 @@ from shiftlab.beta import (
     spec_construction_lazy,
     spec_from_prefix,
 )
-from shiftlab.blocks import (
-    automaton_count_table,
-    even_shift_automaton,
-    log2_int,
-    sgap_count_table,
-)
+from shiftlab.blocks import log2_int, sgap_count_table
 from shiftlab.entropy import (
     EntropySolveError,
     _exact_sign,
@@ -311,7 +306,7 @@ def test_bounds_full_shift():
 
 
 def test_bounds_even_shift_sandwich():
-    table = automaton_count_table(even_shift_automaton(), 10)
+    table = sgap_count_table(parse_sgap_spec("ep:pre=;pat=1,0"), 10)
     l2 = log2_int(table.counts[10])
     lower, upper = (l2 - log2_int(4)) / 10, l2 / 10
     assert upper - lower == pytest.approx(0.2, abs=1e-12)
@@ -338,7 +333,7 @@ def test_slope_diagnostic_even_shift():
     rho = oracles.spectral_radius_2x2(1, 1, 1, 0)
     h = math.log2(rho)
     assert abs(rho - PHI) < 1e-12
-    table = automaton_count_table(even_shift_automaton(), 16)
+    table = sgap_count_table(parse_sgap_spec("ep:pre=;pat=1,0"), 16)
     slopes = [log2_int(table.counts[n]) / n for n in range(1, 17)]
     assert all(v >= h - 1e-12 for v in slopes)
     assert slopes[-1] - h < slopes[0] - h

@@ -20,7 +20,6 @@ UNREACHED = {
     "beta.max_zero_run_bound": "item 9: a construct subcommand",
     "beta.spec_construction_lazy": "item 9: a construct subcommand",
     "beta.spec_from_prefix": "item 9: a construct subcommand",
-    "props.GibbsDiagnostics.__getitem__": "item 6: the Gibbs band",
     "props.GibbsDiagnostics.finite_level_cells": "item 1: perfbench's tracer reads it",
     "props.almost_specified_floor": "item 6: connector bounds",
 }

@@ -11,7 +11,6 @@ from shiftlab.blocks import (
     _follower_profiles,
     automaton_count_table,
     build_sft_automaton,
-    even_shift_automaton,
     log2_int,
     sgap_count_table,
 )
@@ -32,9 +31,10 @@ import oracles
 from conftest import CORPUS_STRINGS
 
 DOUBLING = "{0,1,2,4,8,16,32}"
-# The four automata of the benchmark's count tables.
+# The even shift's gap set, which --even-shift names.
+EVEN = parse_sgap_spec("ep:pre=;pat=1,0")
+# The three --sft automata of the benchmark's count tables.
 BSM_AUTOMATA = {
-    "even": even_shift_automaton,
     "golden": lambda: build_sft_automaton("01", ["11"]),
     "sft3": lambda: build_sft_automaton("abc", ["aa", "bc"]),
     "sft4": lambda: build_sft_automaton("abcd", ["ac", "ad", "bd", "ca", "cb", "da", "db"]),
@@ -59,7 +59,7 @@ def test_bsm_full_shift_is_exactly_one():
 
 
 def test_bsm_even_shift_constant_below_four():
-    table = automaton_count_table(even_shift_automaton(), 28)
+    table = sgap_count_table(EVEN, 28)
     rep = bsm_estimate(table, 10)
     assert 1 < rep.estimate <= 4
     # The maximum approaches phi^3 / sqrt(5); it reads stable at depth 14.
@@ -68,7 +68,7 @@ def test_bsm_even_shift_constant_below_four():
 
 
 def test_bsm_even_shift_exact_inequality():
-    counts = automaton_count_table(even_shift_automaton(), 20).counts
+    counts = sgap_count_table(EVEN, 20).counts
     for m in range(1, 11):
         for n in range(1, 11):
             assert counts[m] * counts[n] <= 4 * counts[m + n]
@@ -249,7 +249,7 @@ def test_ratio_band_implies_k_band(corpus):
 def test_certified_k_implies_ratio_band():
     # With the proved constants (even shift K = 4, full shift K = 1) the
     # count ratios stay inside [1/K, 1].
-    table = automaton_count_table(even_shift_automaton(), 20)
+    table = sgap_count_table(EVEN, 20)
     h = math.log2((1 + math.sqrt(5)) / 2)
     for n in range(1, 21):
         ratio = 2.0 ** (n * h) / table.counts[n]
@@ -264,7 +264,7 @@ def test_gibbs_full_shift_exact():
     assert all(v == 1.0 for v in diag.ratios.values())
     assert diag.c1 == 1 and diag.c2 == 1
     assert diag.all_cells_pass()
-    cell = diag.finite_level_cells[0]
+    cell = list(diag)[0]
     assert cell.lower == cell.mu_value == cell.upper
 
 
@@ -311,7 +311,7 @@ def test_gibbs_cell_values_match_follower_counts():
     h = solve_sgap_entropy(spec, tol=1e-10).entropy
     diag = gibbs_diagnostics(spec, h, 10)
     counts = oracles.run_length_counts(spec, 10)
-    for cell in diag.finite_level_cells[:40]:
+    for cell in list(diag)[:40]:
         followers = oracles.run_length_counts(spec, cell.k, prefix=cell.omega)
         expected = Fraction(followers[cell.k], counts[cell.r + cell.k])
         assert cell.mu_value == expected
@@ -359,12 +359,10 @@ def test_integer_band_check_matches_cells(corpus):
             diag = gibbs_diagnostics(spec, 1.0, depth)
             cells = list(diag.finite_level_cells)
             assert len(diag) == len(cells) == len(diag.finite_level_cells)
-            # The diagnostics are the sequence of their cells.
+            # The diagnostics are the iterable of their cells.
             assert list(diag) == cells
             assert diag.finite_level_cells is diag
             assert cells == sorted(cells, key=lambda c: (c.omega, c.r, c.k))
-            assert diag.finite_level_cells[-1] == cells[-1]
-            assert diag.finite_level_cells[1:7:2] == cells[1:7:2]
             assert _band_readings(diag) == (True, True), (spec, depth)
 
             levels = [c.mu_value * diag.counts[c.r] for c in cells]

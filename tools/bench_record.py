@@ -2,9 +2,11 @@
 
     python3 tools/bench_record.py OUT.json
 
-The parent is HEAD when the working tree differs from it, else HEAD~1.  It
-is exported with ``git archive`` into a temporary directory, so that no
-worktree is registered.  Then, for each workload W of WORKLOADS and seed S
+The parent is HEAD when the working tree differs from it, else HEAD~1.
+Untracked files under src/, perfbench/, tests/ or tools/ stop the tool
+before any run, since neither the parent choice nor ``src_tree`` would see
+them.  The parent is exported with ``git archive`` into a temporary
+directory, so that no worktree is registered.  Then, for each workload W of WORKLOADS and seed S
 of SEEDS, it runs
 ``perfbench/run.py --workload W --seed S --seconds 8 --trace 0`` as a
 subprocess PAIRS times in each checkout, in pairs whose order alternates:
@@ -101,6 +103,13 @@ def main() -> None:
     out = parser.parse_args().out
 
     specs = json.loads((OWN_CHECKOUT / "BENCHMARK.json").read_text())["end_to_end"]
+    # stash create leaves untracked files out of the commit it makes.
+    untracked = git(
+        "ls-files", "--others", "--exclude-standard", "--", "src", "perfbench", "tests", "tools"
+    )
+    if untracked:
+        names = " ".join(untracked.splitlines())
+        raise SystemExit(f"bench_record: add or remove the untracked {names}")
     # stash create prints a commit of the working tree, and nothing on a clean one.
     measured = git("stash", "create")
     head = git("rev-parse", "HEAD")
