@@ -19,7 +19,7 @@ These presentations are counted by determinising the label action over
 subsets of states; one pass of that construction yields the counts of every
 length up to n.  Each subset's letter images are computed once, on the step
 after it is found, as integer (source, target) edges; each length then costs
-O(edges) big-integer additions.  write_csv rows end in CRLF.
+O(edges) big-integer additions.
 """
 
 from __future__ import annotations
@@ -222,14 +222,6 @@ class BlockCountTable:
         missing = [n for n in range(1, n_max + 1) if n not in self.counts]
         if missing:
             raise ValueError(f"table missing counts for lengths {missing}")
-
-    def write_csv(self, fileobj) -> None:
-        rows = ["n,count,log2_count,log2_count_over_n\r\n"]
-        for n in sorted(self.counts):
-            c = self.counts[n]
-            l2 = log2_int(c)
-            rows.append(f"{n},{c},{l2:.12g},{l2 / n:.12g}\r\n")
-        fileobj.write("".join(rows))
 
 
 def sgap_count_table(spec: SGapSpec, n_max: int) -> BlockCountTable:

@@ -3,9 +3,10 @@
 Exit codes: 0 success, 2 usage or parse failure, 3 numeric failure,
 4 enumeration budget exceeded.  Reports embed the tool version and the full
 flag configuration and contain no timestamps, so identical invocations
-produce byte-identical output.  The environment variable SHIFTLAB_MAX_CELLS
-caps enumeration budgets (tree leaves, follower cells, the digits of expand
---depth and of bridge --s --length).
+produce byte-identical output; the CSV rows of blocks end in CRLF.  The
+environment variable SHIFTLAB_MAX_CELLS caps enumeration budgets (tree
+leaves, follower cells, the digits of expand --depth and of bridge --s
+--length).
 
 The argument parser is built once per process, on the first main() call, and
 reused by every later call.  Each argv is parsed once, by one parser: when its
@@ -29,7 +30,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import io
 import math
 import os
 import sys
@@ -143,7 +143,7 @@ def _emit(args, result: dict, to_csv: Callable[[], str] | None = None) -> None:
             "result": result,
         }
         payload = _dumps(report) + "\n"
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w") as fh:
                 fh.write(payload)
@@ -200,22 +200,25 @@ def _require_printable(flag: str, value: int, what: str, numbers) -> None:
         )
 
 
+def _counts_csv(counts: dict[int, int]) -> str:
+    """The CSV of a table's counts, one CRLF-ended line per length."""
+    rows = ["n,count,log2_count,log2_count_over_n\r\n"]
+    for n, c in counts.items():
+        l2 = blocks.log2_int(c)
+        rows.append(f"{n},{c},{l2:.12g},{l2 / n:.12g}\r\n")
+    return "".join(rows)
+
+
 def cmd_blocks(args) -> None:
     _require_positive("--n", args.n)
-    table = _table_builder(args)(args.n)
-    _require_printable("--n", args.n, "count", table.counts.values())
+    counts = _table_builder(args)(args.n).counts
+    _require_printable("--n", args.n, "count", counts.values())
     result = {
         "n": args.n,
-        "counts": {str(n): c for n, c in table.counts.items()},
-        "count_at_n": table.counts[args.n],
+        "counts": {str(n): c for n, c in counts.items()},
+        "count_at_n": counts[args.n],
     }
-
-    def to_csv() -> str:
-        buf = io.StringIO()
-        table.write_csv(buf)
-        return buf.getvalue()
-
-    _emit(args, result, to_csv)
+    _emit(args, result, functools.partial(_counts_csv, counts))
 
 
 def _estimate_result(flag: str, value: int, name: str, report) -> dict:

@@ -179,15 +179,45 @@ def brute_count_even(n: int) -> int:
     )
 
 
-def even_shift_presentation() -> tuple[tuple[str, ...], tuple[str, ...], dict]:
-    """States, alphabet and transitions of the two-state presentation of
-    the even shift: the one-labeled loop sits on the parity-even state and
-    zeros toggle parity, so runs of zeros between ones have even length.
-    Unlike a higher-block presentation, where a long enough word fixes its
-    state, an all-zero word of any length leaves both states possible, so
-    the subset construction keeps a two-state subset at every length."""
-    transitions = {("even", "1"): "even", ("even", "0"): "odd", ("odd", "0"): "even"}
-    return ("even", "odd"), ("0", "1"), transitions
+def gap_presentation(spec) -> tuple[tuple[str, ...], tuple[str, ...], dict]:
+    """States, alphabet and transitions of the right-resolving presentation
+    of the gap shift, from the description alone.
+
+    With q the preperiod length and p the period length (0 for a finite
+    set), state c is the class of the zero run since the last one: runs
+    below q are told apart, and longer runs only modulo p.  A 0 moves class
+    c to c + 1, wrapping from q + p - 1 to q; for a finite set, class q - 1
+    (the largest member) has no 0-edge.  A 1 moves a member class to class
+    0.  The states are then pruned to the essential part.  For the even
+    numbers this is the two-state presentation of the even shift, where an
+    all-zero word of any length leaves both states possible, so the subset
+    construction keeps a two-state subset at every length.
+    """
+    q = len(spec.preperiod)
+    p = 0 if spec.is_finite() else len(spec.period)
+    edges = {}
+    for c in range(q + p):
+        if c + 1 < q + p:
+            edges[(str(c), "0")] = str(c + 1)
+        elif p:
+            edges[(str(c), "0")] = str(q)
+        if member(spec, c):
+            edges[(str(c), "1")] = "0"
+    states, edges = _essential({str(c) for c in range(q + p)}, "01", edges)
+    return states, ("0", "1"), edges
+
+
+def sft_blocks(spec) -> list[str]:
+    """Forbidden blocks of a finite or cofinite gap set: 1 0^k 1 for each
+    excluded k, up to the largest member M of a finite set, which also
+    forbids 0^(M + 1), written as its two one-letter extensions so that
+    the longest block has length 2 or more even for {0}.  Empty for co{},
+    the full shift."""
+    q = len(spec.preperiod)
+    blocks = ["1" + "0" * k + "1" for k in range(q) if not member(spec, k)]
+    if spec.is_finite():
+        blocks += ["0" * q + "0", "0" * q + "1"]
+    return blocks
 
 
 def clean_words(alphabet, forbidden, n: int) -> set[str]:
@@ -212,6 +242,13 @@ def higher_block_graph(alphabet, forbidden) -> tuple[tuple[str, ...], dict]:
     m = max(map(len, bad))
     states = clean_words(letters, bad, m - 1)
     edges = {(w[:-1], w[-1]): w[1:] for w in clean_words(letters, bad, m)}
+    return _essential(states, letters, edges)
+
+
+def _essential(states: set, letters, edges: dict) -> tuple[tuple[str, ...], dict]:
+    """The sorted states on bi-infinite paths and the edges between them:
+    states lacking an incoming or an outgoing edge are removed until none
+    is left."""
     while True:
         stranded = {
             u

@@ -14,18 +14,19 @@ from shiftlab.blocks import (
     log2_int,
     sgap_count_table,
 )
+from shiftlab.cli import _counts_csv
 from shiftlab.sgap import SizeGuardError, parse_sgap_spec, periodic_gaps
 
 import oracles
 
 EX31_FORBIDDEN = ["ac", "ad", "bd", "ca", "cb", "da", "db"]
 # The even shift twice: its gap set, ep:pre=;pat=1,0, and the oracles'
-# two-state presentation, whose subsets never all collapse to one state.
+# two-state presentation of it, whose subsets never all collapse to one state.
 EVEN = periodic_gaps(b"", b"\1\0")
 
 
 def even_shift_automaton():
-    return ShiftAutomaton(*oracles.even_shift_presentation())
+    return ShiftAutomaton(*oracles.gap_presentation(EVEN))
 
 
 def _followers(spec, words, r_max):
@@ -317,9 +318,7 @@ def test_higher_block_automaton_counts_match_gap_dp():
 
 def test_csv_export():
     table = sgap_count_table(parse_sgap_spec("co{}"), 4)
-    buf = io.StringIO()
-    table.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
+    lines = _counts_csv(table.counts).strip().splitlines()
     assert lines[0] == "n,count,log2_count,log2_count_over_n"
     assert lines[1] == "1,2,1,1"
     assert lines[4].startswith("4,16,4,")
@@ -391,9 +390,7 @@ def _csv_writer_oracle(table) -> str:
 )
 def test_csv_export_matches_csv_writer_bytes(build):
     table = build(1500)
-    buf = io.StringIO(newline="")
-    table.write_csv(buf)
-    text = buf.getvalue()
+    text = _counts_csv(table.counts)
     assert text == _csv_writer_oracle(table)
     assert text.count("\r\n") == 1501 and text.endswith("\r\n")
 
@@ -406,3 +403,39 @@ def test_long_sft_tables_match_gap_dp(alphabet, forbidden, s):
     aut = build_sft_automaton(alphabet, forbidden)
     table = automaton_count_table(aut, 300)
     assert table.counts == sgap_count_table(parse_sgap_spec(s), 300).counts
+
+
+# Finite and cofinite sets are also given as forbidden blocks, except co{},
+# the full shift, which has none.
+PRESENTED_SPECS = oracles.random_specs(300, 2617)
+SFT_SPECS = [s for s in PRESENTED_SPECS if s.period in ((0,), (1,)) and oracles.sft_blocks(s)]
+
+
+def test_even_shift_presentation_has_two_states():
+    assert oracles.gap_presentation(EVEN) == (
+        ("0", "1"),
+        ("0", "1"),
+        {("0", "0"): "1", ("0", "1"): "0", ("1", "0"): "0"},
+    )
+
+
+def test_gap_presentation_counts_match_gap_kernel():
+    for spec in PRESENTED_SPECS:
+        aut = ShiftAutomaton(*oracles.gap_presentation(spec))
+        table = automaton_count_table(aut, 30)
+        assert table.counts == sgap_count_table(spec, 30).counts, spec.render()
+
+
+@pytest.mark.parametrize("text", oracles.QUOTIENT_SETS)
+def test_gap_presentation_long_tables_match_gap_kernel(text):
+    spec = parse_sgap_spec(text)
+    aut = ShiftAutomaton(*oracles.gap_presentation(spec))
+    assert automaton_count_table(aut, 300).counts == sgap_count_table(spec, 300).counts
+
+
+def test_sft_blocks_counts_match_gap_kernel():
+    assert len(SFT_SPECS) > 150
+    for spec in SFT_SPECS:
+        aut = build_sft_automaton("01", oracles.sft_blocks(spec))
+        table = automaton_count_table(aut, 40)
+        assert table.counts == sgap_count_table(spec, 40).counts, spec.render()

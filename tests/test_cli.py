@@ -21,6 +21,8 @@ import shiftlab
 from shiftlab import cli
 from shiftlab.cli import _build_parser, _dumps, main
 
+import oracles
+
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -207,6 +209,17 @@ def test_even_shift_is_the_gap_set_of_the_even_numbers(capsys, command, size, va
         assert csv.count("\r\n") == int(value) + 1
 
 
+@pytest.mark.parametrize("command, size", [("blocks", "--n"), ("check-bsm", "--depth")])
+@pytest.mark.parametrize("s", ["{0}", "{1,2,3}", "{0,1,3,4,7}", "co{0}", "co{1,3}", "co{2,4,5}"])
+def test_sft_blocks_of_a_gap_set_give_its_reports(capsys, command, size, s):
+    # A finite or cofinite gap set is also the SFT of oracles.sft_blocks.
+    blocks = ",".join(oracles.sft_blocks(shiftlab.parse_sgap_spec(s)))
+    for value in ("1", "7", "60"):
+        gaps = run_json(capsys, command, "--s", s, size, value)
+        sft = run_json(capsys, command, "--sft", blocks, "--alphabet", "01", size, value)
+        assert sft["result"] == gaps["result"], value
+
+
 def test_check_balanced_decay(capsys):
     rep = run_json(
         capsys,
@@ -366,12 +379,16 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["command"] == "entropy"
 
 
-@pytest.mark.parametrize("missing", ["no-such-dir/report.json", "."])
+@pytest.mark.parametrize("missing", ["no-such-dir/report.json", ".", None])
 def test_out_flag_unwritable_path(tmp_path, capsys, missing):
-    code = main(["entropy", "--s", "{0,1}", "--out", str(tmp_path / missing)])
+    # None is the empty path, such as an unset $OUT: it names no file, and
+    # the report must not fall back to standard output.
+    out = "" if missing is None else str(tmp_path / missing)
+    code = main(["entropy", "--s", "{0,1}", "--out", out])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("shiftlab: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"shiftlab: cannot write {out!r}")
 
 
 def test_every_command_validates_against_schema(capsys, schema):

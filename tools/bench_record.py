@@ -12,6 +12,9 @@ of SEEDS, it runs
 subprocess PAIRS times in each checkout, in pairs whose order alternates:
 the parent runs first in even pairs and this checkout first in odd ones.
 Each run's last line of standard output is its result as one JSON object.
+A run whose result says ``"correct": false`` stops the tool with a one-line
+message naming its workload, seed, pair and side, before OUT.json is
+written: ``perfbench/run.py`` exits 0 even when its reports fail their checks.
 
 OUT.json holds the parent, the commit this checkout is at (null when its
 working tree differs from HEAD), and ``src_tree``, the git tree id of src/
@@ -130,6 +133,11 @@ def main() -> None:
                 for pair in range(PAIRS):
                     for side in SIDES[::-1] if pair % 2 == 0 else SIDES:
                         env, result = run_once(roots[side], workload, seed)
+                        if not result["correct"]:
+                            raise SystemExit(
+                                f"bench_record: {workload} seed {seed} pair {pair} {side}: "
+                                "reports failed the benchmark's checks"
+                            )
                         runs[side].append(result)
                         if side == "change":
                             envs.append(env)
@@ -138,7 +146,6 @@ def main() -> None:
                               file=sys.stderr)
                 record["results"].setdefault(workload, {})[str(seed)] = {
                     "env": envs[0],
-                    "correct": all(r["correct"] for side in SIDES for r in runs[side]),
                     "metrics": compare(runs, specs),
                 }
     out.write_text(json.dumps(record, indent=2) + "\n")
