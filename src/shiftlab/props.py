@@ -60,7 +60,7 @@ def bsm_estimate(table: BlockCountTable, depth: int) -> PropertyReport:
         raise ValueError("depth must be >= 1")
     table.require(2 * depth)
     counts = table.counts
-    if not all(counts[n] for n in range(2, 2 * depth + 1)):
+    if not all(counts[n] for n in range(1, 2 * depth + 1)):
         raise ZeroDivisionError("block count of zero in the table")
 
     # Pair (m, d) scores L[m] - L[m + d] + L[d], a float log2 of its ratio;
@@ -95,6 +95,15 @@ def bsm_estimate(table: BlockCountTable, depth: int) -> PropertyReport:
     # it whole.  When the counts settle on a slope (c(n) ~ C * lambda**n,
     # C periodic in n) the bound rules out all but a few rows; ratios that
     # tie or creep up to their supremum keep near-ties in every row.
+    #
+    # Such a row's passing pairs are settled by their exact maximum R of
+    # counts[m] / counts[m + d], kept under a strict > so that the first m
+    # reaching it stays, and one strict test of R * counts[d] against the
+    # best.  Testing the pairs one by one against the best would end the
+    # row at max(best, R * counts[d]), and would move the witness only when
+    # R * counts[d] beats the best, to the first m reaching R: a later tie
+    # never replaces.  So K, the witness and the verdict are unchanged, at
+    # two products per pair instead of three.
     logs = [0.0] + [_log2_int(counts[n]) for n in range(1, 2 * depth + 1)]
     margin = (1.0 + max(logs)) * 2.0**-44
     h = (logs[2 * depth] - logs[depth]) / depth
@@ -116,11 +125,17 @@ def bsm_estimate(table: BlockCountTable, depth: int) -> PropertyReport:
             row = list(map(sub, logs[1 : d + 1], logs[d + 1 : 2 * d + 1]))
             floor = cut - logs[d]
             if max(row) >= floor:
+                # The row's exact maximum of counts[m] / counts[m + d] over
+                # the pairs that pass, its first m on a tie; then one test.
+                row_num, row_den = 0, 1
                 for m in compress(range(1, d + 1), map(le, repeat(floor), row)):
-                    num, den = counts[m] * counts[d], counts[m + d]
-                    if num * best_den > best_num * den:
-                        best_num, best_den, witness = num, den, (m, d)
-                        best_score = row[m - 1] + logs[d]
+                    num, den = counts[m], counts[m + d]
+                    if num * row_den > row_num * den:
+                        row_num, row_den, row_m = num, den, m
+                num = row_num * counts[d]
+                if num * best_den > best_num * row_den:
+                    best_num, best_den, witness = num, row_den, (row_m, d)
+                    best_score = row[row_m - 1] + logs[d]
                 cut = best_score - 2 * margin
                 skip = cut - margin
         if d == anchor_depth:

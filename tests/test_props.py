@@ -173,6 +173,83 @@ def test_bsm_row_bound_within_margin_of_cut_still_scans():
     )
 
 
+# Ratios c(m) * c(d) / c(m + d) by row d: 3; 3/2, 3/2; 3, 18, 18;
+# 18, 9, 9, 3; then 6 and 12 at most in rows 5 and 6.  Row 3 holds two exact
+# maxima above the best, and row 4's maximum only equals it.
+TIE_ROWS = BlockCountTable(dict(enumerate([3, 3, 6, 6, 1, 2, 4, 12, 1, 9, 16, 2], 1)))
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_bsm_row_ties_keep_the_first_maximum(depth):
+    # The anchor row 3 * depth // 4 is row 3 at depth 4 and row 4 at depth
+    # 6.  Neither tie moves the witness off (2, 3).
+    rep = bsm_estimate(TIE_ROWS, depth)
+    got = (rep.estimate, rep.witness, rep.verdict)
+    assert got == oracles.bsm_reference(TIE_ROWS.counts, depth)
+    if depth >= 3:
+        assert (rep.estimate, rep.witness) == (18, (2, 3))
+    if depth in (4, 6):
+        assert rep.verdict == VERDICT_BSM
+
+
+def _tied_counts(rng, n_max):
+    """_random_counts with runs of k * 2**n planted over it.  Inside a run,
+    every pair (m, d) with m and m + d in the run has the ratio
+    counts[d] / 2**d, so rows hold exact ties, and rows whose d lies in the
+    run as well tie each other at k."""
+    counts = _random_counts(rng, n_max)
+    for _ in range(rng.randint(1, 4)):
+        start = rng.randint(1, n_max)
+        k = rng.choice([1, 3, rng.getrandbits(200) | 1])
+        for n in range(start, min(n_max, start + rng.randint(2, 30)) + 1):
+            counts[n] = k << (n - start)
+    return counts
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_bsm_planted_ties_match_reference_on_random_tables(seed):
+    counts = _tied_counts(random.Random(seed), 80)
+    table = BlockCountTable(counts)
+    for depth in range(1, 41):
+        rep = bsm_estimate(table, depth)
+        got = (rep.estimate, rep.witness, rep.verdict)
+        assert got == oracles.bsm_reference(counts, depth), depth
+
+
+class _CountedInt(int):
+    """An int that counts the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _CountedInt.products += 1
+        return int.__mul__(self, other)
+
+    def __rmul__(self, other):
+        _CountedInt.products += 1
+        return int.__rmul__(self, other)
+
+
+def test_bsm_near_ties_cost_two_products_per_pair():
+    # The even shift's ratios creep up to their supremum, so every row
+    # keeps near-ties for the exact stage.  Three products per passing
+    # pair, each tested against the best, took 95 938 here.
+    table = sgap_count_table(EVEN, 600)
+    counted = BlockCountTable({n: _CountedInt(c) for n, c in table.counts.items()})
+    _CountedInt.products = 0
+    rep = bsm_estimate(counted, 300)
+    assert 0 < _CountedInt.products <= 70_000
+    assert rep == bsm_estimate(table, 300)
+
+
+@pytest.mark.parametrize("zero_at", [1, 2, 5, 8])
+def test_bsm_zero_count_raises_one_error(zero_at):
+    counts = {n: 1 << n for n in range(1, 9)}
+    counts[zero_at] = 0
+    with pytest.raises(ZeroDivisionError, match="block count of zero in the table"):
+        bsm_estimate(BlockCountTable(counts), 4)
+
+
 def test_balanced_full_shift():
     rep = balanced_estimate(parse_sgap_spec("co{}"), 10, 8)
     assert rep.estimate == 1 and rep.verdict == VERDICT_BALANCED

@@ -74,6 +74,13 @@ EDGE_ARGVS = [
     # 15 subsets for the shift avoiding 0000 and 1111; benchmark automata have 5.
     ["blocks", "--sft", "0000,1111", "--alphabet", "01", "--n", "400", "--format", "csv"],
     ["check-bsm", "--sft", "0000,1111", "--alphabet", "01", "--depth", "200"],
+    # Deep check-bsm scans: every ratio ties (co{}) or creeps up to its
+    # supremum, so many pairs of each row reach the exact test, and {2,5}
+    # (gcd 3) keeps most rows past the slope bound.
+    ["check-bsm", "--s", "co{}", "--depth", "300"],
+    ["check-bsm", "--even-shift", "--depth", "400"],
+    ["check-bsm", "--s", "{2,5}", "--depth", "400"],
+    ["check-bsm", "--s", "ep:pre=;pat=0,0,1", "--depth", "800"],
     # Usage errors (exit 2): a non-binary --pre/--pat word, a leaf budget
     # below one, a --length below one or given with --pre/--pat.
     ["bridge", "--pre", "1", "--pat", "2"],
