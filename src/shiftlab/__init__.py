@@ -47,7 +47,6 @@ from .beta import (  # noqa: F401
     lazy_expansion,
     max_zero_run_bound,
     sgap_from_expansion,
-    spec_construction_lazy,
-    spec_from_prefix,
+    specified_gap_set,
     thue_morse,
 )

@@ -14,8 +14,8 @@ enumeration explores all of them.  Near-endpoint steps therefore keep the
 mathematically closed-endpoint digit (greedy 1, lazy 0) and are flagged as
 ambiguous rather than silently resolved, while the tree lets impossible
 branches die when their orbit leaves the interval.  Every single-path
-expansion (greedy, lazy, the constructions) is one walk, _walk, that reads
-the flag, asks a pick function for the digit and maps y to lambda * y - d.
+expansion (greedy, lazy, the navigator) is one walk, _walk, that reads the
+flag, asks a pick function for the digit and maps y to lambda * y - d.
 
 A prefix's report costs no Python call per digit: its digit word is one
 bytes.translate of the 0/1 digits, and its partial sums fsum the one
@@ -33,7 +33,7 @@ from itertools import chain, compress, cycle, islice
 from typing import NamedTuple
 
 from . import sgap
-from .entropy import _exact_sign, _gap_terms, _root_bracket
+from .entropy import _MAX_PRECISION_BITS, _MIN_TOL, _exact_sign, _gap_terms, _root_bracket
 from .sgap import SGapSpec
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -116,9 +116,8 @@ class ExpansionPrefix(NamedTuple):
 
     orbit[k] is the image of start after the first k + 1 digits; flags[k]
     describes the switch-region position of the point the k-th digit was
-    read from.  periodicity, when set, is (preperiod_len, period_len) for
-    the digit sequence; flagged_incomplete marks prefixes cut short by an
-    exhausted budget.
+    read from.  flagged_incomplete marks prefixes cut short by an exhausted
+    budget.
 
     A named tuple: immutable, equal and hashed by its fields, and built by
     one tuple construction, so a digit tree's leaves cost no per-field
@@ -130,7 +129,6 @@ class ExpansionPrefix(NamedTuple):
     digits: tuple[int, ...]
     orbit: tuple[float, ...]
     flags: tuple[str, ...]
-    periodicity: tuple[int, int] | None = None
     flagged_incomplete: bool = False
 
     @property
@@ -332,60 +330,37 @@ def expansion_from_sgap(spec: SGapSpec, length: int) -> str:
     return bytes(bits).translate(_DIGIT_CHARS).decode()
 
 
-def spec_from_prefix(prefix: ExpansionPrefix) -> SGapSpec:
-    """Gap set of a generated prefix, eventually periodic when detected."""
-    word = prefix.digit_word()
-    if prefix.periodicity is not None:
-        pre_len, period = prefix.periodicity
-        return sgap_from_expansion((word[:pre_len], word[pre_len : pre_len + period]))
-    return sgap_from_expansion(word)
+def specified_gap_set(lam: float, tol: float) -> SGapSpec:
+    """A finite S with lam - tol < lambda_S <= lam whose shift has specification.
 
-
-# Orbit points this close count as one point of a cycle.  The cycle is what
-# keeps a construction exact where rounding moves its float orbit: at the
-# golden base the depth-200 digit word alone reads {0,1,77,79,81,...}.
-_RECURRENCE_TOL = 1e-9
-
-
-def _detect_orbit_recurrence(
-    orbit: tuple[float, ...], tol: float
-) -> tuple[int, int] | None:
-    """First (i, j) with orbit[i] ~ orbit[j]; digits repeat from i + 1 on."""
-    for j in range(1, len(orbit)):
-        for i in range(j):
-            if abs(orbit[i] - orbit[j]) <= tol:
-                return i, j
-    return None
-
-
-def spec_construction_lazy(ctx: BetaContext, depth: int) -> ExpansionPrefix:
-    """Expansion of 1 with two leading ones and bounded zero runs.
-
-    Valid for bases at or above the golden ratio: after the two forced-or-
-    chosen leading ones the lazy orbit is trapped in an interval bounded
-    away from zero, which bounds every later zero run.  When the orbit
-    settles into a numerically periodic cycle the digit word is annotated
-    with its (preperiod, period) split so it can be handed to
-    sgap_from_expansion as an eventually periodic description.
+    j is in S when digit j + 1 of the greedy expansion of 1 in base lam is
+    1, up to the first N with lam**-N / (lam - 1) < tol / 4.  The remainder
+    r_j after j digits is an integer over den**j (lam = num / den), so each
+    digit is exact.  1 = f_S(lam) + r_N*lam**-N with r_N in [0, 1), so
+    f_S(lam) <= 1 and 1 - f_S(lam) < tol / 4.  The first digit is 1, so 0
+    is in S, f_S(lam - tol) - f_S(lam) >= 1/(lam - tol) - 1/lam > tol / 4,
+    and one exact sign checks f_S > 1 at lam - tol.  A finite S holding 0
+    has gcd 1, so it gives a mixing SFT, which has specification.  Raises
+    ValueError for lam outside (1, 2) or tol outside [2**-50, lam - 1),
+    SizeGuardError before any digit when N times the bits of den exceeds
+    _MAX_PRECISION_BITS, and ArithmeticError on a failed sign.
     """
-    if depth < 3:
-        raise ValueError("depth must be >= 3")
-    if ctx.lam < GOLDEN - 1e-12:
-        raise ValueError("construction needs a base at or above the golden ratio")
-    # Two leading ones.  Just below the golden ratio the second orbit point
-    # lies a hair below 0, where the lazy tail would refuse it: clamp it.
-    head = _walk(ctx, 1.0, 2, lambda y, flag: 1)
-    tail = lazy_expansion(max(head.orbit[-1], 0.0), ctx, depth - 2)
-    orbit = head.orbit + tail.orbit
-    rec = _detect_orbit_recurrence(orbit, _RECURRENCE_TOL)
-    return ExpansionPrefix(
-        lam=ctx.lam,
-        start=1.0,
-        digits=head.digits + tail.digits,
-        orbit=orbit,
-        flags=head.flags + tail.flags,
-        periodicity=None if rec is None else (rec[0] + 1, rec[1] - rec[0]),
-    )
+    if not (1.0 < lam < 2.0 and _MIN_TOL <= tol < lam - 1.0):
+        raise ValueError(f"need 1 < lam < 2 and 2**-50 <= tol < lam - 1, not {lam!r}, {tol!r}")
+    num, den = lam.as_integer_ratio()
+    n = math.floor(math.log(4.0 / (tol * (lam - 1.0)), lam)) + 1
+    if n * den.bit_length() > _MAX_PRECISION_BITS:
+        raise sgap.SizeGuardError(f"{n} greedy digits of 1 in base {lam!r} are too many")
+    members, rem, scale = [], 1, 1  # the remainder is rem / scale
+    for j in range(n):
+        rem, scale = rem * num, scale * den
+        if rem >= scale:
+            rem -= scale
+            members.append(j)
+    spec = sgap.explicit_gaps(members)
+    if _exact_sign(_gap_terms(spec), lam - tol) <= 0:
+        raise ArithmeticError(f"the gap series at {lam - tol!r} failed its exact sign check")
+    return spec
 
 
 def continuum_navigator(

@@ -352,9 +352,9 @@ def gibbs_diagnostics(
         raise ValueError("depth must be >= 2")
     window = depth // 2
     # Every admissible '1' + zeros and all-zero word up to the window gets
-    # its cells; the ranges are sized before any row is built.
+    # its cells, counted from the range ends: len() overflows past sys.maxsize.
     ones, zeros = _suffix_runs(spec, window)
-    _check_cells((len(ones) + len(zeros)) * window, max_cells)
+    _check_cells((ones.stop - ones.start + zeros.stop - zeros.start) * window, max_cells)
     starts = _class_starts(spec, ones, zeros)
     # Sorted representatives: all-zero words, then '1' + zeros.
     runs = [(False, run) for run in zeros] + [(True, run) for run in ones]

@@ -416,6 +416,17 @@ def random_specs(count: int, seed: int) -> list:
     return [random_spec(rng) for _ in range(count)]
 
 
+def greedy_digits_of_one(lam: float, n: int) -> list[int]:
+    """The first n greedy digits of 1 in base lam, in exact fractions: the
+    digit is 1 whenever lam * x >= 1, and x then becomes lam * x - digit."""
+    base, x, digits = Fraction(lam), Fraction(1), []
+    for _ in range(n):
+        x *= base
+        digits.append(int(x >= 1))
+        x -= digits[-1]
+    return digits
+
+
 def max_zero_run(word: str) -> int:
     return max((len(chunk) for chunk in word.split("1")), default=0)
 

@@ -22,6 +22,7 @@ from shiftlab.beta import (
     komornik_loreti_constant,
     lazy_expansion,
     max_zero_run_bound,
+    specified_gap_set,
 )
 from shiftlab.blocks import (
     automaton_count_table,
@@ -281,3 +282,20 @@ def test_criterion_9_property_suite():
                 assert upper >= res.entropy - 1e-9
 
     _gate("9 randomized property suite", 60.0, body)
+
+
+def test_criterion_10_specified_gap_set_of_any_entropy():
+    # The abstract: for every q in (0, 1) some S-gap shift has specification
+    # and entropy q.  On a grid of q, a finite S whose base lies in
+    # (2**q - tol, 2**q], certified both ways by the solver's bracket.
+    def body():
+        tol = 1e-10
+        for i in range(1, 20):
+            lam = 2.0 ** (i / 20)
+            spec = specified_gap_set(lam, tol)
+            assert spec.is_finite() and classify(spec).has_specification
+            res = solve_sgap_entropy(spec, tol=tol)
+            assert res.lambda_lo <= lam and lam - tol < res.lambda_hi
+            assert abs(res.entropy - i / 20) < 1e-9
+
+    _gate("10 specified gap set of any entropy", 1.0, body)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shiftlab import beta
 from shiftlab.beta import (
     AMBIGUOUS,
     FAMILY_01_ONES,
@@ -26,12 +27,18 @@ from shiftlab.beta import (
     lazy_expansion,
     max_zero_run_bound,
     sgap_from_expansion,
-    spec_construction_lazy,
-    spec_from_prefix,
+    specified_gap_set,
     thue_morse,
 )
 from shiftlab.entropy import _gap_terms, _root_bracket, solve_sgap_entropy
-from shiftlab.sgap import EmptySetError, classify, parse_sgap_spec, periodic_gaps
+from shiftlab.sgap import (
+    EmptySetError,
+    SizeGuardError,
+    classify,
+    explicit_gaps,
+    parse_sgap_spec,
+    periodic_gaps,
+)
 
 import oracles
 
@@ -170,14 +177,14 @@ def test_leaf_record_is_immutable_and_hashed_by_its_fields():
         enumerate_expansions_of_one(ctx, 10, max_leaves=3)
     assert err.value.partial == leaves[:3]
     leaf = leaves[0]
-    fields = ("lam", "start", "digits", "orbit", "flags", "periodicity", "flagged_incomplete")
+    fields = ("lam", "start", "digits", "orbit", "flags", "flagged_incomplete")
     for field in fields:
         with pytest.raises(AttributeError):
             setattr(leaf, field, getattr(leaf, field))
     # A named tuple: equal to the plain tuple of its fields, in this order.
     assert leaf._fields == fields and leaf == tuple(getattr(leaf, f) for f in fields)
     prefix = ExpansionPrefix(PHI, 1.0, (1, 1), (), ())
-    assert (prefix.periodicity, prefix.flagged_incomplete) == (None, False)
+    assert prefix.flagged_incomplete is False
     assert not prefix.ambiguous
 
 
@@ -446,32 +453,60 @@ def test_bridge_residual_round_trip(corpus):
         assert abs(total - 1.0) <= tail + 1e-9
 
 
+_TOLS = [1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 2.0**-50]
+
+
 def test_construction_golden():
-    prefix = spec_construction_lazy(BetaContext(PHI), 30)
-    assert prefix.digits[:2] == (1, 1)
-    assert set(prefix.digits[2:]) == {0}
-    assert prefix.periodicity == (2, 1)
-    assert spec_from_prefix(prefix).render() == "{0,1}"
-    # Deeper, rounding lifts the float orbit off 0 and the plain digit word
-    # gains ones ({0,1,77,79,81,...}); the detected period keeps {0,1}.
-    deep = spec_construction_lazy(BetaContext(PHI), 200)
-    assert deep.periodicity == (2, 1)
-    assert spec_from_prefix(deep).render() == "{0,1}"
+    # The golden double lies a hair above the golden ratio, so its greedy
+    # expansion of 1 is 11 and then zeros up to digit 79: cut at any
+    # tolerance down to 2**-50 (76 digits), it is {0,1}.
+    for tol in _TOLS:
+        assert specified_gap_set(PHI, tol).render() == "{0,1}", tol
 
 
 def test_construction_above_golden():
-    ctx = BetaContext(1.8)
-    prefix = spec_construction_lazy(ctx, 50)
-    word = prefix.digit_word()
+    spec = specified_gap_set(1.8, 1e-12)
+    word = expansion_from_sgap(spec, len(spec.preperiod))
     assert word.startswith("11")
-    delta = (2.0 - 1.8) / (1.8 - 1.0)
-    assert oracles.max_zero_run(word) < max_zero_run_bound(delta, ctx)
-    assert classify(spec_from_prefix(prefix)).has_specification
+    # A greedy expansion of 1 is at least each of its shifts (Parry).
+    assert all(word[n:] + "0" * n <= word for n in range(1, len(word)))
+    assert classify(spec).has_specification
 
 
 def test_construction_rejects_small_base():
-    with pytest.raises(ValueError):
-        spec_construction_lazy(BetaContext(1.4), 20)
+    for lam, tol in [(1.0, 1e-10), (2.0, 1e-10), (1.5, 2.0**-51), (1.5, 0.5), (1.5, math.nan)]:
+        with pytest.raises(ValueError):
+            specified_gap_set(lam, tol)
+    specified_gap_set(1.5, 2.0**-50)
+    specified_gap_set(1.5, math.nextafter(0.5, 0.0))
+    # 1.01 needs 2917 digits at 1e-10, and each carries 53 more bits.
+    with pytest.raises(SizeGuardError, match="2917"):
+        specified_gap_set(1.01, 1e-10)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_specified_gap_set_is_the_cut_greedy_expansion(seed):
+    # Its members are the one positions of the first N exact greedy digits,
+    # and f_S(lam) <= 1 < f_S(lam - tol) holds in fractions.
+    rng = random.Random(seed)
+    for _ in range(75):
+        lam, tol = 2.0 ** rng.uniform(0.06, 0.99), rng.choice(_TOLS)
+        spec = specified_gap_set(lam, tol)
+        n = 1
+        while lam**-n / (lam - 1) >= tol / 4:
+            n += 1
+        digits = oracles.greedy_digits_of_one(lam, n)
+        members = [j for j, digit in enumerate(digits) if digit]
+        assert spec == explicit_gaps(members), (lam, tol)
+        lo = Fraction(lam) - Fraction(tol)
+        assert oracles.gap_series_exact(members, lam) <= 1 < oracles.gap_series_exact(members, lo)
+        assert classify(spec).has_specification
+
+
+def test_failed_sign_check_raises(monkeypatch):
+    monkeypatch.setattr(beta, "_exact_sign", lambda terms, lam: -1)
+    with pytest.raises(ArithmeticError):
+        specified_gap_set(1.8, 1e-12)
 
 
 def test_navigator_trap_geometry():
@@ -530,8 +565,6 @@ def test_walks_are_incomplete_only_when_cut_short():
     walks = [
         greedy_expansion(1.0, BetaContext(1.3), depth),
         lazy_expansion(0.5, BetaContext(1.9, membership_tol=0.0), depth),
-        spec_construction_lazy(BetaContext(PHI), depth),
-        spec_construction_lazy(BetaContext(1.8), depth),
         *enumerate_expansions_of_one(BetaContext(1.7), 12),
     ]
     for lam in (1.2, 1.4, 1.6):

@@ -657,6 +657,16 @@ def test_gibbs_ratios_stay_finite_past_the_double_range(capsys):
         assert ratios[n] / ratios[n - 1] == pytest.approx(expected, rel=1e-12, abs=0), n
 
 
+@pytest.mark.parametrize("depth", [2**64, 10**30])
+@pytest.mark.parametrize("s", ["co{}", "ep:pre=;pat=0,1", "{0}"])
+def test_gibbs_depth_past_maxsize_is_a_budget_error(s, depth):
+    # The cells are counted from the ends of their run ranges, whose len()
+    # would overflow past sys.maxsize.
+    code, out, err = call(["gibbs", "--s", s, "--depth", str(depth)])
+    assert code == 4 and "follower cells exceed the budget" in err
+    assert_one_line_failure(out, err)
+
+
 @pytest.mark.parametrize("argv", [["-h"], ["blocks", "--help"]])
 def test_help_still_prints_and_exits_zero(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -849,6 +859,12 @@ _ANY_REAL = st.floats(allow_nan=True, allow_infinity=True).map(repr) | _BAD_NUMB
 _BASE = _mostly(st.floats(1.0, 2.2).map(repr), _ANY_REAL)
 _POINT = _mostly(st.floats(0.0, 3.0).map(repr), _ANY_REAL)
 _WORD = _mostly(st.text(alphabet="01", max_size=8), st.text(alphabet="012x", max_size=8))
+# The forbidden blocks of finite and cofinite gap sets: --sft requests that
+# reach the subset construction on shifts whose counts the oracles know.
+_SFT_GAP_SETS = [
+    ",".join(oracles.sft_blocks(shiftlab.parse_sgap_spec(text)))
+    for text in ("{0}", "{1,3}", "{0,2,5}", "co{0}", "co{3}")
+]
 FUZZ_VALUES = {
     "--s": _mostly(
         st.sampled_from(
@@ -857,7 +873,9 @@ FUZZ_VALUES = {
         ),
         st.text(alphabet="{}co0123,;:=-ep x", max_size=14),
     ),
-    "--sft": st.sampled_from(["ac,ad,bd,ca,cb,da,db", "00,01,10,11", "11", "", ",", "z"]),
+    "--sft": st.sampled_from(
+        ["ac,ad,bd,ca,cb,da,db", "00,01,10,11", "11", "", ",", "z", *_SFT_GAP_SETS]
+    ),
     "--alphabet": st.sampled_from(["abcd", "01", "", "a"]),
     "--even-shift": st.none(),
     "--n": _SIZE,

@@ -6,12 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from shiftlab import entropy
-from shiftlab.beta import (
-    BetaContext,
-    komornik_loreti_constant,
-    spec_construction_lazy,
-    spec_from_prefix,
-)
+from shiftlab.beta import komornik_loreti_constant, specified_gap_set
 from shiftlab.blocks import log2_int, sgap_count_table
 from shiftlab.entropy import (
     EntropySolveError,
@@ -252,22 +247,20 @@ def test_sign_interval_holds_the_finite_series(text, lam, w):
     assert low <= (exact - 1) * 2 ** (2 * w) <= high
 
 
-def test_bracket_of_the_lazy_construction_holds_its_base():
-    # The 50-digit prefix expands 1 in base 1.8 up to its tail, at most
-    # 1.8**-50 / 0.8.  Its series falls by at least 1.8**-2 per unit of
-    # base up to 1.8 (its first digit is 1), so its root lies within
-    # err = 1.8**-50 / 0.8 * 1.8**2 of 1.8.
-    lam = 1.8
-    spec = spec_from_prefix(spec_construction_lazy(BetaContext(lam), 50))
+def test_bracket_of_the_specified_gap_set_holds_its_base():
+    # The set's root lies in (lam - tol, lam], so the solver's bracket at
+    # tolerance tol lies within err = tol of lam.
+    lam, tol = 1.8, 1e-12
+    spec = specified_gap_set(lam, tol)
     assert spec.is_finite()
     members = spec.members_up_to(len(spec.preperiod) - 1)
-    res = solve_sgap_entropy(spec, tol=1e-12)
-    # The ends bracket the root of the prefix's own series, summed exactly.
+    res = solve_sgap_entropy(spec, tol=tol)
+    # The ends bracket the root of the set's own series, summed exactly.
     def series(x):
         return sum(Fraction(x) ** -(n + 1) for n in members)
 
     assert series(res.lambda_lo) > 1 >= series(res.lambda_hi)
-    err = lam**-50 / (lam - 1) * lam**2
+    err = tol
     assert res.lambda_lo - err <= lam <= res.lambda_hi + err
     assert_bracket(res, 1e-12)
 

@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import inspect
+import io
 import sys
 import types
 from pathlib import Path
@@ -13,13 +15,11 @@ SOURCES = sorted(Path(shiftlab.__file__).resolve().parent.glob("*.py"))
 # item that gives it a path or a fate.
 UNREACHED = {
     "beta._alternation_prefix": "item 4: ehj_classify's helper",
-    "beta._detect_orbit_recurrence": "item 9: continuum_navigator's helper",
     "beta._family_word": "item 4: ehj_classify's helper",
-    "beta.continuum_navigator": "item 9: a construct subcommand",
+    "beta.continuum_navigator": "item 4: the bases below the golden ratio",
     "beta.ehj_classify": "item 4: the golden-base case",
-    "beta.max_zero_run_bound": "item 9: a construct subcommand",
-    "beta.spec_construction_lazy": "item 9: a construct subcommand",
-    "beta.spec_from_prefix": "item 9: a construct subcommand",
+    "beta.max_zero_run_bound": "item 9: acceptance criterion 9",
+    "beta.specified_gap_set": "item 12: a construct subcommand",
     "props.GibbsDiagnostics.finite_level_cells": "item 1: perfbench's tracer reads it",
     "props.almost_specified_floor": "item 6: connector bounds",
 }
@@ -102,3 +102,15 @@ def test_every_function_serves_a_subcommand(monkeypatch, digest_tool):
         module = compile(path.read_text(), str(path), "exec")
         unreached.update(_unreached(module, path.stem + ".", lines))
     assert unreached == set(UNREACHED)
+
+
+def test_readme_library_example_runs():
+    # The fenced python block under README.md's ## Library example heading,
+    # run as written: its last line prints True.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library example\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines()[-1] == "True"
