@@ -38,8 +38,6 @@ from .beta import (  # noqa: F401
     BetaContext,
     ExpansionPrefix,
     LeafBudgetError,
-    continuum_navigator,
-    ehj_classify,
     enumerate_expansions_of_one,
     expansion_from_sgap,
     greedy_expansion,

@@ -13,9 +13,9 @@ the digits it admits: greedy takes its last entry, lazy its first, and tree
 enumeration explores all of them.  Near-endpoint steps therefore keep the
 mathematically closed-endpoint digit (greedy 1, lazy 0) and are flagged as
 ambiguous rather than silently resolved, while the tree lets impossible
-branches die when their orbit leaves the interval.  Every single-path
-expansion (greedy, lazy, the navigator) is one walk, _walk, that reads the
-flag, asks a pick function for the digit and maps y to lambda * y - d.
+branches die when their orbit leaves the interval.  Greedy and lazy are one
+walk, _expand, that reads the flag, takes the digit at its end of the
+flag's entry and maps y to lambda * y - d.
 
 A prefix's report costs no Python call per digit: its digit word is one
 bytes.translate of the 0/1 digits, and its partial sums fsum the one
@@ -26,7 +26,6 @@ that every leaf of a tree shares it.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, compress, cycle, islice
@@ -35,8 +34,6 @@ from typing import NamedTuple
 from . import sgap
 from .entropy import _MAX_PRECISION_BITS, _MIN_TOL, _exact_sign, _gap_terms, _root_bracket
 from .sgap import SGapSpec
-
-GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 FORCED0 = "forced0"
 FORCED1 = "forced1"
@@ -116,8 +113,7 @@ class ExpansionPrefix(NamedTuple):
 
     orbit[k] is the image of start after the first k + 1 digits; flags[k]
     describes the switch-region position of the point the k-th digit was
-    read from.  flagged_incomplete marks prefixes cut short by an exhausted
-    budget.
+    read from.
 
     A named tuple: immutable, equal and hashed by its fields, and built by
     one tuple construction, so a digit tree's leaves cost no per-field
@@ -129,7 +125,6 @@ class ExpansionPrefix(NamedTuple):
     digits: tuple[int, ...]
     orbit: tuple[float, ...]
     flags: tuple[str, ...]
-    flagged_incomplete: bool = False
 
     @property
     def ambiguous(self) -> bool:
@@ -149,37 +144,22 @@ class ExpansionPrefix(NamedTuple):
         return abs(self.start - self.partial_sum())
 
 
-def _walk(
-    ctx: BetaContext, y: float, depth: int, pick: Callable[[float, str], int | None]
-) -> ExpansionPrefix:
-    """Up to depth steps from y: pick(y, flag) names each digit, and a None
-    digit stops the walk early and flags the prefix incomplete."""
-    start = y
-    digits, orbit, flags = [], [], []
-    for _ in range(depth):
-        flag = ctx.region_of(y)
-        digit = pick(y, flag)
-        if digit is None:
-            break
-        y = ctx.lam * y - digit
-        digits.append(digit)
-        orbit.append(y)
-        flags.append(flag)
-    return ExpansionPrefix(
-        lam=ctx.lam,
-        start=start,
-        digits=tuple(digits),
-        orbit=tuple(orbit),
-        flags=tuple(flags),
-        flagged_incomplete=len(digits) < depth,
-    )
-
-
 def _expand(x: float, ctx: BetaContext, depth: int, end: int) -> ExpansionPrefix:
+    """depth steps from x, each taking the digit at index end of the digits
+    its flag admits: -1 for greedy, 0 for lazy."""
     ctx.require_in_interval(x)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    return _walk(ctx, x, depth, lambda y, flag: _DIGITS[flag][end])
+    lam, region_of, y = ctx.lam, ctx.region_of, x
+    digits, orbit, flags = [], [], []
+    for _ in range(depth):
+        flag = region_of(y)
+        digit = _DIGITS[flag][end]
+        y = lam * y - digit
+        digits.append(digit)
+        orbit.append(y)
+        flags.append(flag)
+    return ExpansionPrefix(lam, x, tuple(digits), tuple(orbit), tuple(flags))
 
 
 def greedy_expansion(x: float, ctx: BetaContext, depth: int) -> ExpansionPrefix:
@@ -361,110 +341,3 @@ def specified_gap_set(lam: float, tol: float) -> SGapSpec:
     if _exact_sign(_gap_terms(spec), lam - tol) <= 0:
         raise ArithmeticError(f"the gap series at {lam - tol!r} failed its exact sign check")
     return spec
-
-
-def continuum_navigator(
-    ctx: BetaContext, choices: str, depth: int
-) -> ExpansionPrefix:
-    """Choice-driven expansion of 1 for bases below the golden ratio.
-
-    The points 1/(lam^2 - 1) and lam/(lam^2 - 1) form a period-two orbit
-    whose interval sits strictly inside the switch region for these bases.
-    The prefix applies zeros until the orbit of 1 clears that interval,
-    then two ones; afterwards the orbit is driven back into the trap
-    (zeros from below, ones from above), and each arrival inside the trap
-    consumes one bit of choices as the next digit.  Distinct choice strings
-    therefore yield distinct digit words, all with two consecutive ones and
-    zero runs bounded via the trapped orbit's distance from zero.
-    """
-    if depth < 3:
-        raise ValueError("depth must be >= 3")
-    if not (1.0 < ctx.lam < GOLDEN - 1e-12):
-        raise ValueError("navigator needs a base strictly below the golden ratio")
-    if any(ch not in "01" for ch in choices):
-        raise ValueError("choices must be a 0/1 string")
-    trap_lo = 1.0 / (ctx.lam**2 - 1.0)
-    trap_hi = ctx.lam / (ctx.lam**2 - 1.0)
-    if not (ctx.switch_lo < trap_lo and trap_hi < ctx.switch_hi):
-        raise ArithmeticError("trap interval escaped the switch region")
-
-    tol = ctx.membership_tol
-    choice_iter = iter(choices)
-    leading_ones = 0
-
-    def pick(y: float, flag: str) -> int | None:
-        # Zeros until the orbit clears the trap from above, then two ones,
-        # then back into the trap, where each arrival reads one choice.
-        nonlocal leading_ones
-        if leading_ones < 2:
-            if leading_ones == 0 and y <= trap_hi:
-                return 0
-            leading_ones += 1
-            return 1
-        if trap_lo - tol <= y <= trap_hi + tol:
-            bit = next(choice_iter, None)
-            return None if bit is None else int(bit)
-        return 0 if y < trap_lo else 1
-
-    return _walk(ctx, 1.0, depth, pick)
-
-
-PERIODIC_10 = "Periodic10"
-FAMILY_11_ZEROS = "Family11ZerosTail"
-FAMILY_01_ONES = "Family01OnesTail"
-NOT_A_PREFIX = "NotAPrefix"
-
-
-@dataclass(frozen=True)
-class EhjMatch:
-    """Family decision for prefixes of the golden-base expansions of 1.
-
-    family is the most specific match: a word that never deviates from the
-    alternation 1010... is Periodic10 even though it is also a prefix of
-    longer members of the other two families; compatible lists every
-    (family, n) the word is a prefix of, for n up to half the word length
-    plus one.
-    """
-
-    family: str
-    n: int | None
-    compatible: tuple[tuple[str, int | None], ...]
-
-
-def _alternation_prefix(word: str) -> bool:
-    return all(ch == ("1" if i % 2 == 0 else "0") for i, ch in enumerate(word))
-
-
-def _family_word(family: str, n: int, length: int) -> str:
-    if family == FAMILY_11_ZEROS:
-        full = "10" * n + "11" + "0" * length
-    else:
-        full = "10" * n + "0" + "1" * length
-    return full[:length]
-
-
-def ehj_classify(digits: str) -> EhjMatch:
-    """Decide which expansion family of the golden base a word begins.
-
-    The three families are the alternation (10)* forever, (10)^n 11 then
-    zeros forever, and (10)^n 0 then ones forever.  A word pins one of the
-    latter two exactly where it first deviates from the alternation, so it
-    begins at most one of their members; a word that never deviates is the
-    alternation prefix, listed first among its compatible entries.  family
-    is therefore the first compatible entry, or NotAPrefix without one.
-    """
-    word = str(digits)
-    if not word or any(ch not in "01" for ch in word):
-        raise ValueError("digits must be a nonempty 0/1 word")
-
-    compatible = []
-    if _alternation_prefix(word):
-        compatible.append((PERIODIC_10, None))
-    for n in range(0, len(word) // 2 + 2):
-        if word == _family_word(FAMILY_11_ZEROS, n, len(word)):
-            compatible.append((FAMILY_11_ZEROS, n))
-        if word == _family_word(FAMILY_01_ONES, n, len(word)):
-            compatible.append((FAMILY_01_ONES, n))
-
-    family, n = compatible[0] if compatible else (NOT_A_PREFIX, None)
-    return EhjMatch(family, n, tuple(compatible))

@@ -14,9 +14,7 @@ import tracemalloc
 from fractions import Fraction
 
 from shiftlab.beta import (
-    NOT_A_PREFIX,
     BetaContext,
-    ehj_classify,
     enumerate_expansions_of_one,
     greedy_expansion,
     komornik_loreti_constant,
@@ -182,7 +180,7 @@ def test_criterion_5_golden_leaves_classify():
         leaves = enumerate_expansions_of_one(BetaContext(PHI), 12, 512)
         assert leaves
         for leaf in leaves:
-            assert ehj_classify(leaf.digit_word()).family != NOT_A_PREFIX
+            assert oracles.golden_family(leaf.digit_word())[0] != "NotAPrefix"
 
     _gate("5 golden-base expansion families", 1.0, body)
 

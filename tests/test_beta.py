@@ -8,18 +8,12 @@ from hypothesis import given, settings, strategies as st
 from shiftlab import beta
 from shiftlab.beta import (
     AMBIGUOUS,
-    FAMILY_01_ONES,
-    FAMILY_11_ZEROS,
     FORCED0,
     FORCED1,
-    NOT_A_PREFIX,
-    PERIODIC_10,
     SWITCH,
     BetaContext,
     ExpansionPrefix,
     LeafBudgetError,
-    continuum_navigator,
-    ehj_classify,
     enumerate_expansions_of_one,
     expansion_from_sgap,
     greedy_expansion,
@@ -113,7 +107,7 @@ def test_enumerate_golden_families():
         words = [leaf.digit_word() for leaf in leaves]
         assert words == sorted(words)
         for word in words:
-            assert ehj_classify(word).family != NOT_A_PREFIX, word
+            assert oracles.golden_family(word)[0] != "NotAPrefix", word
 
 
 def test_enumerate_forced_first_digit():
@@ -177,15 +171,13 @@ def test_leaf_record_is_immutable_and_hashed_by_its_fields():
         enumerate_expansions_of_one(ctx, 10, max_leaves=3)
     assert err.value.partial == leaves[:3]
     leaf = leaves[0]
-    fields = ("lam", "start", "digits", "orbit", "flags", "flagged_incomplete")
+    fields = ("lam", "start", "digits", "orbit", "flags")
     for field in fields:
         with pytest.raises(AttributeError):
             setattr(leaf, field, getattr(leaf, field))
     # A named tuple: equal to the plain tuple of its fields, in this order.
     assert leaf._fields == fields and leaf == tuple(getattr(leaf, f) for f in fields)
-    prefix = ExpansionPrefix(PHI, 1.0, (1, 1), (), ())
-    assert prefix.flagged_incomplete is False
-    assert not prefix.ambiguous
+    assert not ExpansionPrefix(PHI, 1.0, (1, 1), (), ()).ambiguous
 
 
 # phi, the smallest univoque base and a seeded sample of 298 of the bases
@@ -509,103 +501,27 @@ def test_failed_sign_check_raises(monkeypatch):
         specified_gap_set(1.8, 1e-12)
 
 
-def test_navigator_trap_geometry():
-    lam = 1.4
-    ctx = BetaContext(lam)
-    trap_lo, trap_hi = 1 / (lam**2 - 1), lam / (lam**2 - 1)
-    assert trap_lo == pytest.approx(1.0417, abs=1e-4)
-    assert trap_hi == pytest.approx(1.4583, abs=1e-4)
-    assert ctx.switch_lo < trap_lo and trap_hi < ctx.switch_hi
-
-
-def test_navigator_distinct_choices_distinct_digits():
-    ctx = BetaContext(1.4)
-    a = continuum_navigator(ctx, "0" * 40, 40)
-    b = continuum_navigator(ctx, "1" + "0" * 39, 40)
-    assert a.digits != b.digits
-
-
-def test_navigator_runs_and_confinement():
-    import random
-
-    rng = random.Random(5)
-    for _ in range(25):
-        lam = rng.uniform(1.2, PHI - 0.02)
-        ctx = BetaContext(lam)
-        choices = "".join(rng.choice("01") for _ in range(60))
-        prefix = continuum_navigator(ctx, choices, 48)
-        word = prefix.digit_word()
-        assert "11" in word
-        trap_lo, trap_hi = 1 / (lam**2 - 1), lam / (lam**2 - 1)
-        delta = lam * trap_lo - 1.0
-        bound = max_zero_run_bound(delta, ctx)
-        first_one = word.index("1")
-        assert oracles.max_zero_run(word[first_one:]) < bound
-        # After first reaching the trap the orbit stays in the closed box.
-        lo_box, hi_box = lam * trap_lo - 1.0, lam * trap_hi
-        entered = False
-        for y in prefix.orbit:
-            if entered:
-                assert lo_box - 1e-9 <= y <= hi_box + 1e-9
-            if trap_lo - 1e-12 <= y <= trap_hi + 1e-12:
-                entered = True
-        assert entered
-
-
-def test_navigator_choice_exhaustion_flagged():
-    prefix = continuum_navigator(BetaContext(1.4), "01", 40)
-    assert prefix.flagged_incomplete
-    assert len(prefix.digits) < 40
-
-
 def test_walks_are_incomplete_only_when_cut_short():
-    # Every walk that reaches its depth is complete; a navigator that runs
-    # out of choices before it stops short of its depth, and says so.
-    depth = 60
+    # No walk stops early: greedy, lazy and every leaf of the digit tree
+    # run to their depth, with one orbit point and one flag per digit.
     walks = [
-        greedy_expansion(1.0, BetaContext(1.3), depth),
-        lazy_expansion(0.5, BetaContext(1.9, membership_tol=0.0), depth),
-        *enumerate_expansions_of_one(BetaContext(1.7), 12),
+        (greedy_expansion(1.0, BetaContext(1.3), 60), 60),
+        (lazy_expansion(0.5, BetaContext(1.9, membership_tol=0.0), 60), 60),
+        *((leaf, 12) for leaf in enumerate_expansions_of_one(BetaContext(1.7), 12)),
     ]
-    for lam in (1.2, 1.4, 1.6):
-        walks.append(continuum_navigator(BetaContext(lam), "01" * depth, depth))
-    for prefix in walks:
-        assert not prefix.flagged_incomplete
-        assert len(prefix.digits) == len(prefix.orbit) == len(prefix.flags)
-    for lam in (1.2, 1.4, 1.6):
-        for choices in ("", "1", "0110"):
-            prefix = continuum_navigator(BetaContext(lam), choices, depth)
-            assert prefix.flagged_incomplete, (lam, choices)
-            assert len(prefix.digits) == len(prefix.orbit) == len(prefix.flags) < depth
-
-
-def test_navigator_rejects_large_base():
-    with pytest.raises(ValueError):
-        continuum_navigator(BetaContext(1.7), "0101", 20)
+    for prefix, depth in walks:
+        assert len(prefix.digits) == len(prefix.orbit) == len(prefix.flags) == depth
 
 
 def test_ehj_examples():
-    assert ehj_classify("10101").family == PERIODIC_10
-    match = ehj_classify("101100")
-    assert match.family == FAMILY_11_ZEROS and match.n == 1
-    assert ehj_classify("111").family == NOT_A_PREFIX
-    assert ehj_classify("01111").family == FAMILY_01_ONES
-    assert ehj_classify("01111").n == 0
-    assert ehj_classify("1100000").family == FAMILY_11_ZEROS
-
-
-def test_ehj_family_matches_definition_on_every_short_word():
-    for length in range(1, 15):
-        for bits in range(1 << length):
-            word = format(bits, f"0{length}b")
-            match = ehj_classify(word)
-            assert (match.family, match.n) == oracles.golden_family(word), word
-
-
-def test_ehj_compatible_field():
-    match = ehj_classify("10101")
-    assert (PERIODIC_10, None) in match.compatible
-    assert (FAMILY_11_ZEROS, 2) in match.compatible
+    # The golden-base expansion families of 1 (Erdős, Horváth & Joó 1991),
+    # read from their definitions by the oracle.
+    assert oracles.golden_family("10101")[0] == "Periodic10"
+    assert oracles.golden_family("101100") == ("Family11ZerosTail", 1)
+    assert oracles.golden_family("111")[0] == "NotAPrefix"
+    assert oracles.golden_family("01111")[0] == "Family01OnesTail"
+    assert oracles.golden_family("01111")[1] == 0
+    assert oracles.golden_family("1100000")[0] == "Family11ZerosTail"
 
 
 # The named bases and, to keep the runtime near a second, a seeded sample

@@ -465,6 +465,37 @@ def assert_one_line_failure(out, err):
     assert err.startswith("shiftlab: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
+# One request of each subcommand that has no CSV form.
+_JSON_ONLY_ARGVS = [
+    ["entropy", "--s", "co{0}"],
+    ["classify", "--s", "{0,2,5}"],
+    ["check-bsm", "--s", "co{}", "--depth", "3000"],
+    ["check-balanced", "--s", "{0,1}"],
+    ["expand", "--lambda", "1.5", "--x", "1"],
+    ["enumerate-one", "--lambda", "1.5"],
+    ["kl"],
+    ["bridge", "--digits", "1101"],
+]
+
+
+def test_every_command_but_blocks_and_gibbs_is_json_only():
+    json_only = {argv[0] for argv in _JSON_ONLY_ARGVS}
+    assert set(_build_parser().commands) - json_only == {"blocks", "gibbs"}
+
+
+@pytest.mark.parametrize("argv", _JSON_ONLY_ARGVS, ids=lambda argv: argv[0])
+def test_csv_without_a_csv_form_is_refused_before_any_work(monkeypatch, argv):
+    # The handler is stubbed: the JSON request reaches it, and the CSV one
+    # is a usage error before it runs.
+    seen = []
+    monkeypatch.setattr(cli, "cmd_" + argv[0].replace("-", "_"), seen.append)
+    assert call(argv) == (0, "", "") and len(seen) == 1
+    code, out, err = call([*argv, "--format", "csv"])
+    assert code == 2 and len(seen) == 1
+    assert_one_line_failure(out, err)
+    assert "--format" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["entropy", "--s", "{0,2,5}"], ["entropy", "--s", "co{0}"], ["gibbs", "--s", "co{0}"]],

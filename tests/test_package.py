@@ -14,10 +14,6 @@ SOURCES = sorted(Path(shiftlab.__file__).resolve().parent.glob("*.py"))
 # Defined in src/ but reached by no subcommand, each waiting on the ROADMAP
 # item that gives it a path or a fate.
 UNREACHED = {
-    "beta._alternation_prefix": "item 4: ehj_classify's helper",
-    "beta._family_word": "item 4: ehj_classify's helper",
-    "beta.continuum_navigator": "item 4: the bases below the golden ratio",
-    "beta.ehj_classify": "item 4: the golden-base case",
     "beta.max_zero_run_bound": "item 9: acceptance criterion 9",
     "beta.specified_gap_set": "item 12: a construct subcommand",
     "props.GibbsDiagnostics.finite_level_cells": "item 1: perfbench's tracer reads it",
