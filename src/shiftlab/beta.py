@@ -15,7 +15,11 @@ mathematically closed-endpoint digit (greedy 1, lazy 0) and are flagged as
 ambiguous rather than silently resolved, while the tree lets impossible
 branches die when their orbit leaves the interval.  Greedy and lazy are one
 walk, _expand, that reads the flag, takes the digit at its end of the
-flag's entry and maps y to lambda * y - d.
+flag's entry and maps y to lambda * y - d.  The three-way test is one
+function per base, BetaContext.region_of, built on first use with the
+tolerance and the region's ends bound; the walk and the tree both call it.
+The tree writes its path in place, step k at index k of three lists, and a
+leaf copies the lists.
 
 A prefix's report costs no Python call per digit: its digit word is one
 bytes.translate of the 0/1 digits, and its partial sums fsum the one
@@ -26,6 +30,7 @@ that every leaf of a tree shares it.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, compress, cycle, islice
@@ -76,7 +81,7 @@ class BetaContext:
         if not self.membership_tol >= 0.0:
             raise ValueError("membership tolerance must be >= 0")
 
-    # Computed on first read and kept: region_of reads them on every step.
+    # Computed on first read and kept, like the region test bound to them.
     @cached_property
     def interval_right(self) -> float:
         return 1.0 / (self.lam - 1.0)
@@ -89,16 +94,23 @@ class BetaContext:
     def switch_hi(self) -> float:
         return 1.0 / (self.lam * (self.lam - 1.0))
 
-    def region_of(self, y: float) -> str:
-        """Three-way switch-region test with the ambiguity band."""
-        tol = self.membership_tol
-        if abs(y - self.switch_lo) <= tol or abs(y - self.switch_hi) <= tol:
-            return AMBIGUOUS
-        if y < self.switch_lo:
-            return FORCED0
-        if y > self.switch_hi:
-            return FORCED1
-        return SWITCH
+    @cached_property
+    def region_of(self) -> Callable[[float], str]:
+        """The three-way switch-region test with the ambiguity band, y to
+        its flag: one function per base, with the tolerance and the region's
+        ends bound, so a step reads no attribute."""
+        tol, lo, hi = self.membership_tol, self.switch_lo, self.switch_hi
+
+        def region_of(y: float) -> str:
+            if abs(y - lo) <= tol or abs(y - hi) <= tol:
+                return AMBIGUOUS
+            if y < lo:
+                return FORCED0
+            if y > hi:
+                return FORCED1
+            return SWITCH
+
+        return region_of
 
     def require_in_interval(self, x: float) -> None:
         tol = max(self.membership_tol, 1e-12)
@@ -137,8 +149,8 @@ class ExpansionPrefix(NamedTuple):
         """sum of digit j * lam ** -j over the first upto digits (all by
         default): the weights of the one positions from the base's power
         table, rounded once from the exact sum (fsum)."""
-        table = _powers(self.lam, len(self.digits))
-        return math.fsum(compress(table, self.digits[:upto]))
+        digits = self.digits if upto is None else self.digits[:upto]
+        return math.fsum(compress(_powers(self.lam, len(self.digits)), digits))
 
     def residual(self) -> float:
         return abs(self.start - self.partial_sum())
@@ -213,34 +225,27 @@ def enumerate_expansions_of_one(
     low, high = -slack, ctx.interval_right + slack
     lam, region_of, last = ctx.lam, ctx.region_of, depth - 1
     leaves: list[ExpansionPrefix] = []
-    # The path from the root, one stack each: pushed on the way down and
-    # popped on the way back; a leaf's tuples are the stacks plus its last
-    # step.
-    digits, orbit, flags = [], [], []
+    # The path from the root, written in place: step k's digit, orbit point
+    # and flag at index k, so a leaf is a copy of the three lists.
+    digits, orbit, flags = [0] * depth, [0.0] * depth, [""] * depth
 
-    def grow(y: float):
-        flag = region_of(y)
-        at_leaf = len(digits) == last
+    def grow(y: float, k: int):
+        flags[k] = flag = region_of(y)
         scaled = lam * y
         for digit in _DIGITS[flag]:
             child = scaled - digit
             if not low <= child <= high:
                 continue
-            if not at_leaf:
-                digits.append(digit)
-                orbit.append(child)
-                flags.append(flag)
-                grow(child)
-                digits.pop()
-                orbit.pop()
-                flags.pop()
+            digits[k] = digit
+            orbit[k] = child
+            if k < last:
+                grow(child, k + 1)
             elif len(leaves) < max_leaves:
-                leaf = ExpansionPrefix(lam, 1.0, (*digits, digit), (*orbit, child), (*flags, flag))
-                leaves.append(leaf)
+                leaves.append(ExpansionPrefix(lam, 1.0, tuple(digits), tuple(orbit), tuple(flags)))
             else:
                 raise LeafBudgetError(f"leaf budget {max_leaves} exhausted", leaves)
 
-    grow(1.0)
+    grow(1.0, 0)
     return leaves
 
 

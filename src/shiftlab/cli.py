@@ -23,6 +23,9 @@ library's pure-Python indenting encoder: containers are joined from lists
 and each scalar is converted by the C or builtin function of its exact type,
 looked up in the comprehension that joins its container, so only nested
 containers and unknown types (which raise TypeError) make a recursive call.
+Dicts are written in runs that share one set of keys, which are checked,
+sorted and encoded once per run: a list whose items are all such dicts (the
+leaves of enumerate-one) is one run, and a lone dict is a run of one.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import math
 import os
 import sys
 from collections.abc import Callable
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from . import __version__, beta, blocks, entropy, props, sgap
@@ -99,28 +103,59 @@ def _dumps(value, indent: str = "\n") -> str:
     _SCALAR_TEXT; indent is the line break and indent of value's own line.
     Any other key or value type raises TypeError."""
     kind = type(value)
-    if kind is dict or kind is list or kind is tuple:
+    if kind is dict:
         if not value:
-            return "{}" if kind is dict else "[]"
-        inner = indent + "  "
-        # Scalars are written here; only containers and unknown types recurse.
-        scalar = _SCALAR_TEXT.get
-        if kind is not dict:
-            items = [text(v) if (text := scalar(type(v))) else _dumps(v, inner) for v in value]
-            return "[" + inner + ("," + inner).join(items) + indent + "]"
+            return "{}"
         if set(map(type, value)) != {str}:
             raise TypeError("report keys must be str")
-        items = [
-            encode_basestring_ascii(k)
-            + ": "
-            + (text(v) if (text := scalar(type(v := value[k]))) else _dumps(v, inner))
-            for k in sorted(value)
-        ]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
+        return _dict_texts((value,), indent)[0]
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        if _like_keyed(value):
+            items = _dict_texts(value, inner)
+        else:
+            # Scalars are written here; only containers and unknown types recurse.
+            scalar = _SCALAR_TEXT.get
+            items = [text(v) if (text := scalar(type(v))) else _dumps(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
     text = _SCALAR_TEXT.get(kind)
     if text is None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     return text(value)
+
+
+def _like_keyed(items) -> bool:
+    """Whether items are dicts with one nonempty set of str keys: a run
+    that _dict_texts writes at once."""
+    keys = items[0].keys() if type(items[0]) is dict else None
+    return (
+        bool(keys)
+        and set(map(type, items)) == {dict}
+        and all(map(keys.__eq__, map(dict.keys, items)))
+        and set(map(type, chain.from_iterable(items))) == {str}
+    )
+
+
+def _dict_texts(rows, indent: str) -> list[str]:
+    """The text of each of rows, nonempty dicts with one set of str keys,
+    as _dumps writes a dict on a line indented by indent.  The keys are
+    sorted and encoded once for all the rows; each value is converted as
+    in _dumps' lists."""
+    keys = sorted(rows[0])
+    inner = indent + "  "
+    heads = [encode_basestring_ascii(k) + ": " for k in keys]
+    scalar = _SCALAR_TEXT.get
+    sep = "," + inner
+    texts = []
+    for row in rows:
+        fields = [
+            head + (text(v) if (text := scalar(type(v := row[k]))) else _dumps(v, inner))
+            for head, k in zip(heads, keys)
+        ]
+        texts.append("{" + inner + sep.join(fields) + indent + "}")
+    return texts
 
 
 def _emit(args, result: dict, to_csv: Callable[[], str] | None = None) -> None:

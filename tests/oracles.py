@@ -366,36 +366,51 @@ def greedy_orbit_of_one(lam: float, tol: float, steps: int) -> list[str]:
     return out
 
 
-def digit_tree(lam: float, depth: int, tol: float) -> list[tuple]:
+class TreeBudgetExhausted(Exception):
+    """digit_tree reached leaf max_leaves + 1; partial holds the first max_leaves."""
+
+    def __init__(self, partial: list):
+        super().__init__(f"leaf budget {len(partial)} exhausted")
+        self.partial = partial
+
+
+def digit_tree(lam: float, depth: int, tol: float, max_leaves: int | None = None) -> list[tuple]:
     """(digits, orbit, flags) of every expansion of 1 in base lam to depth
-    digits, in digit order, grown one level at a time from the definition.
+    digits, in digit order, grown depth first from the definition.
 
     A point y within tol of an end of the switch region [1/lam,
     1/(lam*(lam-1))] reads 'ambiguous', one below it 'forced0', one above
     'forced1' and one inside 'switch'; a forced point admits its one digit,
-    the others both.  A digit d sends y to lam*y - d, and a child farther
-    than max(8 tol, 1e-10) outside [0, 1/(lam-1)] is dropped.
+    the others both, smallest first.  A digit d sends y to lam*y - d, and a
+    child farther than max(8 tol, 1e-10) outside [0, 1/(lam-1)] is dropped.
+    Reaching leaf max_leaves + 1 (None for no budget) raises
+    TreeBudgetExhausted holding the first max_leaves leaves.
     """
     lo, hi, right = 1.0 / lam, 1.0 / (lam * (lam - 1.0)), 1.0 / (lam - 1.0)
     slack = max(8.0 * tol, 1e-10)
-    level = [((), (), (), 1.0)]
-    for _ in range(depth):
-        grown = []
-        for digits, orbit, flags, y in level:
-            if abs(y - lo) <= tol or abs(y - hi) <= tol:
-                flag, admitted = "ambiguous", (0, 1)
-            elif y < lo:
-                flag, admitted = "forced0", (0,)
-            elif y > hi:
-                flag, admitted = "forced1", (1,)
-            else:
-                flag, admitted = "switch", (0, 1)
-            for d in admitted:
-                child = lam * y - d
-                if -slack <= child <= right + slack:
-                    grown.append((digits + (d,), orbit + (child,), flags + (flag,), child))
-        level = grown
-    return [node[:3] for node in level]
+    leaves = []
+
+    def walk(digits, orbit, flags, y):
+        if len(digits) == depth:
+            if len(leaves) == max_leaves:
+                raise TreeBudgetExhausted(leaves)
+            leaves.append((digits, orbit, flags))
+            return
+        if abs(y - lo) <= tol or abs(y - hi) <= tol:
+            flag, admitted = "ambiguous", (0, 1)
+        elif y < lo:
+            flag, admitted = "forced0", (0,)
+        elif y > hi:
+            flag, admitted = "forced1", (1,)
+        else:
+            flag, admitted = "switch", (0, 1)
+        for d in admitted:
+            child = lam * y - d
+            if -slack <= child <= right + slack:
+                walk(digits + (d,), orbit + (child,), flags + (flag,), child)
+
+    walk((), (), (), 1.0)
+    return leaves
 
 
 def random_spec(rng: random.Random):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -134,8 +135,8 @@ def test_enumerate_budget_error_carries_partial():
 
 
 def test_enumerate_leaves_keep_their_own_paths():
-    # Each leaf holds tuples of its own root-to-leaf path, so the stack the
-    # walk pushes and pops after taking a leaf never shows in an earlier one.
+    # Each leaf holds tuples of its own root-to-leaf path, so the path lists
+    # the walk overwrites after taking a leaf never show in an earlier one.
     ctx = BetaContext(1.442418082864579)
     leaves = enumerate_expansions_of_one(ctx, 18)
     assert len(leaves) == 592
@@ -209,6 +210,53 @@ def test_tree_matches_definition_oracle(tol):
                     enumerate_expansions_of_one(ctx, depth, max_leaves=len(expected) - 1)
                 partial = [(x.digits, x.orbit, x.flags) for x in err.value.partial]
                 assert partial == expected[:-1], (lam, depth)
+
+
+# Trees with more leaves than this get a budget below it, so the oracle
+# walks no more than this many leaves per draw.
+_DRAW_LEAF_CAP = 2000
+
+
+def _tree_outcome(walk, budget_error) -> tuple[str, list]:
+    """("leaves", the leaves) of walk(), or ("partial", the leaves held by
+    its budget_error)."""
+    try:
+        return "leaves", walk()
+    except budget_error as exc:
+        return "partial", exc.partial
+
+
+def test_tree_matches_depth_first_oracle_under_budgets():
+    # 300 seeded draws of base, depth and tolerance, each with a leaf budget
+    # that is unlimited or below the leaf count: the tree and the oracle
+    # give the same leaves, or the same partial list at the same leaf.
+    rng = random.Random(30)
+    outcomes = set()
+    for _ in range(300):
+        lam, depth = rng.uniform(1.05, 1.95), rng.randint(1, 20)
+        tol = rng.choice((0.0, 1e-12, 1e-9, 1e-6))
+        kind, leaves = _tree_outcome(
+            lambda: oracles.digit_tree(lam, depth, tol, _DRAW_LEAF_CAP),
+            oracles.TreeBudgetExhausted,
+        )
+        if kind == "partial":
+            budget = rng.randint(1, _DRAW_LEAF_CAP)
+        elif len(leaves) > 1 and rng.random() < 0.5:
+            budget = rng.randint(1, len(leaves) - 1)
+        else:
+            budget = None
+        expected = _tree_outcome(
+            lambda: oracles.digit_tree(lam, depth, tol, budget), oracles.TreeBudgetExhausted
+        )
+        ctx = BetaContext(lam, membership_tol=tol)
+        got = _tree_outcome(
+            lambda: enumerate_expansions_of_one(ctx, depth, max_leaves=budget or sys.maxsize),
+            LeafBudgetError,
+        )
+        records = [(x.digits, x.orbit, x.flags) for x in got[1]]
+        assert (got[0], records) == expected, (lam, depth, tol, budget)
+        outcomes.add((expected[0], tol))
+    assert len(outcomes) == 8  # both outcomes under every tolerance
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-6])

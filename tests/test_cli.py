@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import time
+from collections import OrderedDict
 from enum import IntEnum
 from fractions import Fraction
 from importlib import resources
@@ -795,15 +796,32 @@ _JSON_KEYS = ["", "a", "b", "B", "\u00e9", "\x01", "\"q\"", "10", "9", "\U0001d1
 
 
 def _json_value(rng, depth):
-    """A seeded nested value of dicts, lists and tuples over _JSON_SCALARS."""
-    kind = rng.randrange(4) if depth else 0
+    """A seeded nested value of dicts, lists, tuples and row lists over
+    _JSON_SCALARS."""
+    kind = rng.randrange(5) if depth else 0
     size = rng.randrange(5)  # 0 gives the empty containers
     if kind == 1:
         return {rng.choice(_JSON_KEYS): _json_value(rng, depth - 1) for _ in range(size)}
+    if kind == 4:
+        return _json_rows(rng, depth - 1, size)
     if kind in (2, 3):
         items = [_json_value(rng, depth - 1) for _ in range(size)]
         return items if kind == 2 else tuple(items)
     return rng.choice(_JSON_SCALARS)
+
+
+def _json_rows(rng, depth, size):
+    """A list of size dicts over one key set (none to three keys), some in
+    their own insertion order, whose values may be containers; sometimes a
+    scalar stands among them."""
+    keys = rng.sample(_JSON_KEYS, rng.randrange(4))
+    rows = []
+    for _ in range(size):
+        order = rng.sample(keys, len(keys)) if rng.randrange(3) else keys
+        rows.append({k: _json_value(rng, depth) for k in order})
+    if rows and not rng.randrange(4):
+        rows.insert(rng.randrange(len(rows) + 1), rng.choice(_JSON_SCALARS))
+    return rows
 
 
 def test_report_writer_matches_json_dumps():
@@ -848,6 +866,13 @@ class _Level(IntEnum):
         {"a": _Text("a")},
         [_Level.LOW],
         {"a": _Level.LOW},
+        # Rows: dicts of one key set in a list.
+        [{"a": Fraction(1, 3)}, {"a": 1}],
+        [{1: "a"}, {1: "b"}],
+        [{"a": _Text("x")}],
+        [{"a": _Level.LOW}],
+        [{"a": 1}, {_Text("a"): 2}],
+        [{"a": 1}, OrderedDict(a=2)],
     ],
 )
 def test_report_writer_refuses_other_types(value):

@@ -105,6 +105,10 @@ EDGE_ARGVS = [
     ["classify", "--s", "ep:pre=;pat=" + "0," * 399 + "1"],
     # The largest digit tree of the benchmark's bases: 592 leaves.
     ["enumerate-one", "--lambda", "1.442418082864579", "--depth", "18"],
+    # Deep trees at the depth cap: 763 leaves of 64 digits, and a leaf
+    # budget exhausted 64 levels down (exit 4).
+    ["enumerate-one", "--lambda", "1.8", "--depth", "64"],
+    ["enumerate-one", "--lambda", "1.3", "--depth", "64", "--max-leaves", "3000"],
     # Higher-block presentations: a stranded state that pruning removes, a
     # one-letter block, an empty shift (exit 2), the reducible shift avoiding
     # 20 and 21, and 3**6 states grown from blocks of length 7.
