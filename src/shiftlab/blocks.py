@@ -10,11 +10,9 @@ class in use.  Words of one class share one row, so a single pass to length
 n serves any number of start words at a cost set by their classes, at most
 2(q + p) + 2, not by their number.  The block counts of length n are the
 followers of the empty word.  All counts are exact Python integers.
-Finite-type shifts given by forbidden blocks are presented as higher-block
-automata.  A clean word plus a letter is clean exactly when no forbidden
-block ends at that letter, so the states grow from the empty word one letter
-at a time under that suffix rule, and the edges use the same rule; the
-2^20 guard bounds |A|^(m-1), the most states the longest block m allows.
+Finite-type shifts given by forbidden blocks are presented by the trie of
+their blocks: a state is the longest clean proper prefix of a block that the
+word read so far ends in, so there are at most 1 + sum(|b| - 1) states.
 These presentations are counted by determinising the label action over
 subsets of states; one pass of that construction yields the counts of every
 length up to n.  Each subset's letter images are computed once, on the step
@@ -153,18 +151,18 @@ class ShiftAutomaton:
 
 
 def build_sft_automaton(alphabet, forbidden) -> ShiftAutomaton:
-    """Higher-block presentation of the shift avoiding the given blocks.
+    """Presentation of the shift avoiding the given blocks by their trie.
 
-    States are the locally admissible (m-1)-blocks, where m is the longest
-    forbidden length, grown from the empty word one letter at a time: a
-    word is kept, and u -a-> (u + a)[1:] is an edge, exactly when no
-    forbidden block ends at the last letter.  More than 2^20 candidate
-    states, |A|^(m-1), raise SizeGuardError before any is built.  States
-    without both an incoming and an outgoing edge are pruned to a fixed
-    point so that readable words are exactly the factors of bi-infinite
-    admissible sequences.
+    States are the proper prefixes of the blocks in which no block occurs;
+    on a letter a, u goes to the longest suffix of u + a that is a state,
+    unless a block ends at a.  Built shortest first, fail(u), the longest
+    proper suffix of u that is a state, comes before u, and a block ends at
+    u + a when u + a is one or one ends at fail(u) + a.  The letters of the
+    prefixes and the rows, states times letters, are bounded by 2^20 before
+    any is built.  States lacking an incoming or an outgoing edge are pruned
+    to a fixed point, so readable words are the factors of the shift's points.
     """
-    letters = tuple(dict.fromkeys(alphabet))
+    letters = dict.fromkeys(alphabet)
     if not letters:
         raise ValueError("alphabet must be nonempty")
     bad = [str(w) for w in forbidden]
@@ -173,23 +171,25 @@ def build_sft_automaton(alphabet, forbidden) -> ShiftAutomaton:
     for w in bad:
         if any(ch not in letters for ch in w):
             raise ValueError(f"forbidden block {w!r} uses letters outside the alphabet")
-    m = max(len(w) for w in bad)
-    if m < 2:
-        raise ValueError("longest forbidden block must have length >= 2")
     bad_set = set(bad)
+    text = sum(len(w) * (len(w) - 1) // 2 for w in bad_set)
+    rows = (1 + sum(len(w) - 1 for w in bad_set)) * len(letters)
+    if max(text, rows) > SUBSET_STATE_LIMIT:
+        raise SizeGuardError("forbidden blocks exceed the presentation budget")
+    prefixes = {w[:i] for w in bad_set for i in range(len(w))}
 
-    def grows(word: str) -> bool:
-        # word[:-1] is clean, so only a suffix of word can be forbidden.
-        return not any(word[-L:] in bad_set for L in range(1, m + 1))
-
-    if len(letters) ** (m - 1) > SUBSET_STATE_LIMIT:
-        raise SizeGuardError("state space of the higher-block presentation too large")
-
-    states = {""}
-    for _ in range(m - 1):
-        states = {u + a for u in states for a in letters if grows(u + a)}
-    # A clean u + a ends in a clean (m - 1)-word, which is a state.
-    edges = {(u, a): (u + a)[1:] for u in states for a in letters if grows(u + a)}
+    states, fail, edges = [""], {}, {}
+    for u in states:  # appended to, shortest first, as it is read
+        for a in letters:
+            v = u + a
+            if v in bad_set or (u and (fail[u], a) not in edges):
+                continue
+            target = edges[(fail[u], a)] if u else ""
+            if v in prefixes:
+                fail[v], target = target, v
+                states.append(v)
+            edges[(u, a)] = target
+    states = set(states)
 
     # Prune to the essential part: states on bi-infinite paths.
     while True:
@@ -207,7 +207,7 @@ def build_sft_automaton(alphabet, forbidden) -> ShiftAutomaton:
 
     return ShiftAutomaton(
         states=tuple(sorted(states)),
-        alphabet=letters,
+        alphabet=tuple(letters),
         transitions=edges,
     )
 

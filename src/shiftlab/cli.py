@@ -74,7 +74,7 @@ def _table_builder(args) -> Callable[[int], blocks.BlockCountTable]:
         return functools.partial(blocks.sgap_count_table, sgap.periodic_gaps(b"", b"\1\0"))
     if args.s is not None:
         return functools.partial(blocks.sgap_count_table, sgap.parse_sgap_spec(args.s))
-    aut = blocks.build_sft_automaton(args.alphabet, [w for w in args.sft.split(",") if w])
+    aut = blocks.build_sft_automaton(args.alphabet, args.sft.split(","))
     return functools.partial(blocks.automaton_count_table, aut)
 
 

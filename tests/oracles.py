@@ -211,8 +211,8 @@ def sft_blocks(spec) -> list[str]:
     """Forbidden blocks of a finite or cofinite gap set: 1 0^k 1 for each
     excluded k, up to the largest member M of a finite set, which also
     forbids 0^(M + 1), written as its two one-letter extensions so that
-    the longest block has length 2 or more even for {0}.  Empty for co{},
-    the full shift."""
+    the presentation has a stranded state to prune.  Empty for co{}, the
+    full shift."""
     q = len(spec.preperiod)
     blocks = ["1" + "0" * k + "1" for k in range(q) if not member(spec, k)]
     if spec.is_finite():
@@ -242,6 +242,25 @@ def higher_block_graph(alphabet, forbidden) -> tuple[tuple[str, ...], dict]:
     m = max(map(len, bad))
     states = clean_words(letters, bad, m - 1)
     edges = {(w[:-1], w[-1]): w[1:] for w in clean_words(letters, bad, m)}
+    return _essential(states, letters, edges)
+
+
+def trie_graph(alphabet, forbidden) -> tuple[tuple[str, ...], dict]:
+    """The presentation of the shift avoiding forbidden by the trie of its
+    blocks, from its definition.  The states are the proper prefixes of the
+    blocks in which no block occurs; on a letter a, u goes to the longest
+    suffix of u + a that is a state, and has no edge when some block is a
+    suffix of u + a.  Pruned like higher_block_graph."""
+    letters = tuple(dict.fromkeys(alphabet))
+    bad = set(forbidden)
+    prefixes = {w[:i] for w in bad for i in range(len(w))}
+    states = {u for u in prefixes if not any(w in u for w in bad)}
+    edges = {}
+    for u in states:
+        for a in letters:
+            v = u + a
+            if not any(v.endswith(w) for w in bad):
+                edges[(u, a)] = next(v[i:] for i in range(len(v) + 1) if v[i:] in states)
     return _essential(states, letters, edges)
 
 

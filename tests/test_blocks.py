@@ -208,9 +208,10 @@ def test_build_sft_empty_shift():
 
 
 def test_build_sft_prunes_stranded_states():
-    # 'b' only appears as a dead end: ab admissible, but b has no successor.
+    # 'b' only appears as a dead end: ab admissible, but b has no successor,
+    # so only the empty prefix, with its a-loop, is left.
     aut = build_sft_automaton("ab", ["ba", "bb"])
-    assert aut.states == ("a",)
+    assert aut.states == ("",)
     assert len(aut.transitions) == 1
 
 
@@ -223,11 +224,13 @@ def _random_forbidden(rng):
     return letters, ["".join(rng.choices(letters, k=k)) for k in lengths]
 
 
-HIGHER_BLOCK_CASES = [
+PRESENTATION_CASES = [
     ("ab", ["ba", "bb"]),  # b is stranded
     ("abc", ["aa", "ab", "ac", "bb", "bc"]),  # a, then b, is stranded
     ("012", ["2", "00"]),  # a one-letter block
     ("012", ["1", "2", "00"]),  # only one-letter blocks survive: empty
+    ("01", ["1"]),  # only one-letter blocks: the shift of 0s
+    ("01", ["0", "1"]),  # only one-letter blocks: empty
     ("01", ["00", "01", "10", "11"]),  # empty
     ("0", ["00"]),  # empty
     ("012", ["20", "21"]),
@@ -237,7 +240,12 @@ HIGHER_BLOCK_CASES = [
 
 
 def _check_higher_block_oracle(alphabet, forbidden) -> tuple[str, ...]:
-    states, edges = oracles.higher_block_graph(alphabet, forbidden)
+    """build_sft_automaton is the oracles' trie presentation, state for
+    state; it is empty with the higher-block presentation, and otherwise
+    has no more states and the same count table to n = 12."""
+    states, edges = oracles.trie_graph(alphabet, forbidden)
+    block_states, block_edges = oracles.higher_block_graph(alphabet, forbidden)
+    assert bool(states) == bool(block_states)
     if not states:
         with pytest.raises(EmptyShiftError):
             build_sft_automaton(alphabet, forbidden)
@@ -248,13 +256,16 @@ def _check_higher_block_oracle(alphabet, forbidden) -> tuple[str, ...]:
         tuple(dict.fromkeys(alphabet)),
         edges,
     )
+    assert len(states) <= len(block_states)
+    higher_block = ShiftAutomaton(block_states, aut.alphabet, block_edges)
+    assert automaton_count_table(aut, 12).counts == automaton_count_table(higher_block, 12).counts
     return states
 
 
 @pytest.mark.parametrize(
     "alphabet, forbidden",
-    HIGHER_BLOCK_CASES,
-    ids=[f"{a}:{','.join(f)}" for a, f in HIGHER_BLOCK_CASES],
+    PRESENTATION_CASES,
+    ids=[f"{a}:{','.join(f)}" for a, f in PRESENTATION_CASES],
 )
 def test_build_sft_matches_higher_block_oracle(alphabet, forbidden):
     _check_higher_block_oracle(alphabet, forbidden)
@@ -266,22 +277,39 @@ def test_build_sft_matches_higher_block_oracle_on_random_blocks():
     for _ in range(600):
         alphabet, forbidden = _random_forbidden(rng)
         states = _check_higher_block_oracle(alphabet, forbidden)
-        m = max(map(len, forbidden))
+        prefixes = {w[:i] for w in forbidden for i in range(len(w))}
+        clean = [u for u in prefixes if not any(w in u for w in forbidden)]
         empty += not states
-        stranded += 0 < len(states) < len(
-            oracles.clean_words(alphabet, set(forbidden), m - 1)
-        )
+        stranded += 0 < len(states) < len(clean)
         one_letter += any(len(w) == 1 for w in forbidden)
     assert empty and stranded and one_letter
 
 
 def test_build_sft_grows_a_large_presentation_quickly():
-    # 4**7 states and 4**8 - 1 edges: each state costs one suffix test per
-    # letter, and each endpoint one set lookup, so this takes well under 3 s.
+    # The 8 proper prefixes of 0^8, where a higher-block presentation has
+    # 4**7 states: each is one more 0, and any other letter returns to the
+    # empty prefix.
     start = time.perf_counter()
     aut = build_sft_automaton("0123", ["0" * 8])
     assert time.perf_counter() - start < 3.0
-    assert len(aut.states) == 4**7 and len(aut.transitions) == 4**8 - 1
+    assert len(aut.states) == 8 and len(aut.transitions) == 7 + 8 * 3
+    assert (aut.states, aut.transitions) == oracles.trie_graph("0123", ["0" * 8])
+
+
+def test_presentation_budget_is_checked_on_the_blocks(monkeypatch):
+    # 0^100000 would spell about 5 * 10**9 prefix letters: refused unbuilt.
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardError, match="presentation budget"):
+        build_sft_automaton("01", ["0" * 100_000])
+    assert time.perf_counter() - start < 0.5
+    # Under a budget of 100, 0^14 spells 91 prefix letters and 0^15 105;
+    # over ten letters 0^10 has 10 * 10 rows and 0^11 11 * 10.
+    monkeypatch.setattr("shiftlab.blocks.SUBSET_STATE_LIMIT", 100)
+    assert len(build_sft_automaton("01", ["0" * 14]).states) == 14
+    assert len(build_sft_automaton("0123456789", ["0" * 10]).states) == 10
+    for alphabet, block in [("01", "0" * 15), ("0123456789", "0" * 11)]:
+        with pytest.raises(SizeGuardError):
+            build_sft_automaton(alphabet, [block])
 
 
 def test_four_letter_closed_form():

@@ -367,6 +367,46 @@ def test_empty_shift_reported_distinctly(capsys):
     assert code == 2 and "empty shift" in err
 
 
+def test_one_letter_blocks_alone_present_a_shift(capsys):
+    # Forbidding 1 leaves the point of 0s; forbidding both letters, nothing.
+    report = run_json(capsys, "blocks", "--sft", "1", "--alphabet", "01", "--n", "3")
+    assert report["result"]["counts"] == {"1": 1, "2": 1, "3": 1}
+    code, out, err = call(["blocks", "--sft", "0,1", "--alphabet", "01", "--n", "3"])
+    assert code == 2 and err == "shiftlab: empty shift: forbidden blocks leave an empty shift\n"
+    assert_one_line_failure(out, err)
+
+
+def _zero_run_counts(k: int, letters: int, n_max: int) -> dict[int, int]:
+    """The words of length 1..n_max over letters letters with no run of k
+    zeros, by a DP over the trailing zero run.  Each extends to a point by
+    nonzero letters, so these are the block counts of the shift avoiding
+    0^k."""
+    runs, counts = [1] + [0] * (k - 1), {}
+    for n in range(1, n_max + 1):
+        runs = [(letters - 1) * sum(runs), *runs[:-1]]
+        counts[n] = sum(runs)
+    return counts
+
+
+def test_long_forbidden_blocks_are_presented_quickly(capsys):
+    # A higher-block presentation of 0^11 and 0^40 has 4**10 and 4**39
+    # states; their tries have 11 and 40.
+    start = time.perf_counter()
+    report = run_json(capsys, "blocks", "--sft", "0" * 11, "--alphabet", "0123", "--n", "20")
+    assert time.perf_counter() - start < 1.0
+    counts = _zero_run_counts(11, 4, 20)
+    assert report["result"]["counts"] == {str(n): c for n, c in counts.items()}
+    start = time.perf_counter()
+    argv = ["check-bsm", "--sft", "0" * 40, "--alphabet", "0123", "--depth", "30"]
+    report = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    K, witness, verdict = oracles.bsm_reference(_zero_run_counts(40, 4, 60), 30)
+    result = report["result"]
+    assert (result["K_estimate"], result["witness"], result["verdict"]) == (
+        str(K), list(witness), verdict,
+    )
+
+
 def test_reports_are_deterministic(capsys):
     _, first = run(capsys, "gibbs", "--s", "co{0}", "--depth", "10")
     _, second = run(capsys, "gibbs", "--s", "co{0}", "--depth", "10")
@@ -664,6 +704,9 @@ ARGUMENT_ERRORS = [
     ["expand", "--lambda", "1.5", "--x", "0.5", "--mode", "sideways"],
     ["bridge", "--s", "{0}", "--length", "3", "--tol", "0"],
     ["bridge", "--s", "{0}", "--length", "3", "--tol=-1"],
+    # An empty piece of --sft is an empty block, as all of --sft '' is.
+    ["blocks", "--sft", "11,", "--alphabet", "01", "--n", "3"],
+    ["check-bsm", "--sft", ",11", "--alphabet", "01", "--depth", "3"],
 ]
 
 
@@ -930,7 +973,8 @@ FUZZ_VALUES = {
         st.text(alphabet="{}co0123,;:=-ep x", max_size=14),
     ),
     "--sft": st.sampled_from(
-        ["ac,ad,bd,ca,cb,da,db", "00,01,10,11", "11", "", ",", "z", *_SFT_GAP_SETS]
+        ["ac,ad,bd,ca,cb,da,db", "00,01,10,11", "11", "", ",", "z", *_SFT_GAP_SETS,
+         "0" * 12, "0" * 40, "1"]
     ),
     "--alphabet": st.sampled_from(["abcd", "01", "", "a"]),
     "--even-shift": st.none(),

@@ -109,14 +109,17 @@ EDGE_ARGVS = [
     # budget exhausted 64 levels down (exit 4).
     ["enumerate-one", "--lambda", "1.8", "--depth", "64"],
     ["enumerate-one", "--lambda", "1.3", "--depth", "64", "--max-leaves", "3000"],
-    # Higher-block presentations: a stranded state that pruning removes, a
+    # Forbidden-block presentations: a stranded state that pruning removes, a
     # one-letter block, an empty shift (exit 2), the reducible shift avoiding
-    # 20 and 21, and 3**6 states grown from blocks of length 7.
+    # 20 and 21, and single blocks of length 7 over three letters and of
+    # length 10 over four, which a higher-block presentation gives 3**6 and
+    # 4**9 states.
     ["blocks", "--sft", "ba,bb", "--alphabet", "ab", "--n", "6"],
     ["blocks", "--sft", "2,00", "--alphabet", "012", "--n", "30", "--format", "csv"],
     ["blocks", "--sft", "00,01,10,11", "--alphabet", "01", "--n", "3"],
     ["check-bsm", "--sft", "20,21", "--alphabet", "012", "--depth", "40"],
     ["blocks", "--sft", "0000000", "--alphabet", "012", "--n", "40"],
+    ["blocks", "--sft", "0" * 10, "--alphabet", "0123", "--n", "20"],
     # Leaf edges at lambda 1.5: a leaf budget of exactly its 28 leaves at
     # depth 10 (exit 0) and one fewer (exit 4), and tolerances so wide that
     # every step is ambiguous, 1e308 with an infinite orbit slack 8 * tol.
