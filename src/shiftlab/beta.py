@@ -288,19 +288,16 @@ def sgap_from_expansion(digits, length: int | None = None) -> SGapSpec:
     digits is either a finite 0/1 word (optionally truncated to length) or
     a (preperiod, period) pair of 0/1 words for an eventually periodic
     sequence.  Because members are digit positions shifted down by one, the
-    characteristic bits of the set are the digit word itself.  Every word
-    is checked to be binary before any digit is read.
+    characteristic bits of the set are the digit word itself, then zeros if
+    finite.  Every word is checked to be binary before any digit is read.
     """
     pair = isinstance(digits, tuple)
-    words = digits if pair else (str(digits)[:length],)
+    words = digits if pair else (str(digits)[:length].rstrip("0"), "0")
     if any(ch not in "01" for word in words for ch in word):
         raise ValueError("digit word must be binary")
-    if pair:
-        return sgap.periodic_gaps(*words)
-    members = [j - 1 for j, ch in enumerate(words[0], start=1) if ch == "1"]
-    if not members:
+    if not pair and not words[0]:
         raise sgap.EmptySetError("digit word with no ones encodes the empty set")
-    return sgap.explicit_gaps(members)
+    return sgap.periodic_gaps(*words)
 
 
 def expansion_from_sgap(spec: SGapSpec, length: int) -> str:

@@ -9,13 +9,13 @@ render() picks the first that fits:
 
 * a finite set, period (0,)          ``{0,2,5}``
 * a cofinite set, period (1,)        ``co{3}``       (``co{}`` is all naturals)
-* any other period, kept as given    ``ep:pre=1,0;pat=0,1``
+* any other set                      ``ep:pre=1,0;pat=0,1``
 
-Descriptions are normalised on construction: a constant period collapses to
-one bit and the preperiod drops trailing bits equal to it, the empty set is
-rejected, and a description longer than DESCRIPTION_BIT_LIMIT bits raises
-SizeGuardError before it is built.  This keeps every classification
-predicate decidable by finite inspection.
+Each value is the shortest description of its set (periodic_gaps), so
+equal values are equal sets and render() prints one text per set.  The
+empty set is rejected, and a description longer than DESCRIPTION_BIT_LIMIT
+bits raises SizeGuardError before it is built.  This keeps every
+classification predicate decidable by finite inspection.
 
 Parsing costs time linear in the text, with no Python loop over the bits of
 an ep: description: a regular expression checks the grammar, and each bit
@@ -53,10 +53,10 @@ DESCRIPTION_BIT_LIMIT = 1 << 20
 class SGapSpec:
     """A gap set as an eventually periodic characteristic sequence.
 
-    Bit n of preperiod + period + period + ... is set iff n is in S.  Build
-    one with explicit_gaps, cofinite_gaps or periodic_gaps, which normalise:
-    a finite set has period (0,), a cofinite one period (1,), and in both
-    the preperiod ends at the last bit differing from the period.
+    Bit n of preperiod + period + period + ... is set iff n is in S.  Only
+    periodic_gaps builds one: its period is primitive and its preperiod is
+    empty or ends in a bit unlike the period's last, so a finite set has
+    period (0,) and a cofinite one period (1,).
     """
 
     preperiod: tuple[int, ...]
@@ -117,13 +117,13 @@ def _check_size(bits: int) -> None:
         )
 
 
-def _marked(length: int, fill: int, positions) -> tuple[int, ...]:
-    """length bits equal to fill, flipped at the given positions."""
+def _marked(length: int, fill: int, positions) -> SGapSpec:
+    """length bits equal to fill, flipped at the given positions, then fill."""
     _check_size(length + 1)
-    bits = [fill] * length
+    bits = bytearray([fill]) * length
     for n in positions:
         bits[n] = 1 - fill
-    return tuple(bits)
+    return periodic_gaps(bytes(bits), bytes([fill]))
 
 
 def explicit_gaps(values) -> SGapSpec:
@@ -133,7 +133,7 @@ def explicit_gaps(values) -> SGapSpec:
         raise EmptySetError("gap set must be nonempty")
     if min(elems) < 0:
         raise SpecSyntaxError("gap set members must be naturals")
-    return SGapSpec(_marked(max(elems) + 1, 0, elems), (0,))
+    return _marked(max(elems) + 1, 0, elems)
 
 
 def cofinite_gaps(excluded) -> SGapSpec:
@@ -141,7 +141,7 @@ def cofinite_gaps(excluded) -> SGapSpec:
     excl = set(int(v) for v in excluded)
     if excl and min(excl) < 0:
         raise SpecSyntaxError("excluded values must be naturals")
-    return SGapSpec(_marked(max(excl, default=-1) + 1, 1, excl), (1,))
+    return _marked(max(excl, default=-1) + 1, 1, excl)
 
 
 # Byte 0 to bit 0 and every other byte to bit 1.
@@ -149,12 +149,12 @@ _BYTE_BITS = bytes([0]) + bytes([1]) * 255
 
 
 def periodic_gaps(preperiod, period) -> SGapSpec:
-    """Eventually periodic description, normalised.
+    """The shortest description of an eventually periodic set.
 
-    A constant period collapses to that one bit, and trailing preperiod bits
-    equal to it are trimmed, so an all-zero period gives the finite form
-    (rejected when it has no member) and an all-one period the cofinite
-    form.  A mixed period is kept exactly as given.
+    The period is cut to its primitive root, and the preperiod before its
+    trailing bits that the period continues backwards, the period turning
+    with them.  So an all-zero period gives the finite form (rejected when
+    it has no member) and an all-one period the cofinite form.
     """
     _check_size(len(preperiod) + len(period))
     # Each bit is read as a number and becomes 0 or 1; a byte string does
@@ -165,32 +165,35 @@ def periodic_gaps(preperiod, period) -> SGapSpec:
     )
     if not pat:
         raise SpecSyntaxError("period must be nonempty")
-    if not pat.strip(pat[:1]):  # a constant period
-        pat = pat[:1]
-        pre = pre.rstrip(pat)
-        if pat == b"\0" and not pre:
-            raise EmptySetError("all-zero tail with empty preperiod support")
+    pat = pat[: (pat + pat).find(pat, 1)]
+    if pre[-1:] == pat[-1:]:
+        # Tile the period back over the preperiod; each trailing zero byte of
+        # their XOR is one bit that the period continues.
+        tiled = pat * (len(pre) // len(pat) + 1)
+        diff = int.from_bytes(pre, "big") ^ int.from_bytes(tiled[len(tiled) - len(pre) :], "big")
+        cut = len(pre) - ((diff & -diff).bit_length() - 1) // 8 if diff else 0
+        pre, pat = pre[:cut], (pre + pat)[cut : cut + len(pat)]
+    if pat == b"\0" and not pre:
+        raise EmptySetError("all-zero tail with empty preperiod support")
     return SGapSpec(tuple(pre), tuple(pat))
 
 
-_EXPLICIT_RE = re.compile(r"^\{\s*(\d+(?:\s*,\s*\d+)*)?\s*\}$")
-_COFINITE_RE = re.compile(r"^co\{\s*(\d+(?:\s*,\s*\d+)*)?\s*\}$")
+_SET_RE = re.compile(r"^(co)?\{\s*(\d+(?:\s*,\s*\d+)*)?\s*\}$")
 _PERIODIC_RE = re.compile(r"^ep:pre=([01](?:,[01])*)?;pat=([01](?:,[01])*)$")
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def parse_sgap_spec(text: str) -> SGapSpec:
-    """Parse a gap-set description; returns the normalised form."""
+    """Parse a gap-set description; returns the shortest form of its set."""
     text = text.strip()
-    m = _EXPLICIT_RE.match(text)
+    m = _SET_RE.match(text)
     if m:
-        if m.group(1) is None:
+        vals = [] if m.group(2) is None else [int(v) for v in m.group(2).split(",")]
+        if m.group(1):
+            return cofinite_gaps(vals)
+        if not vals:
             raise EmptySetError("explicit gap set must be nonempty")
-        return explicit_gaps(int(v) for v in m.group(1).split(","))
-    m = _COFINITE_RE.match(text)
-    if m:
-        vals = [] if m.group(1) is None else [int(v) for v in m.group(1).split(",")]
-        return cofinite_gaps(vals)
+        return explicit_gaps(vals)
     m = _PERIODIC_RE.match(text)
     if m:
         # The grammar puts one bit at every even offset of a bit list.

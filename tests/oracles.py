@@ -45,6 +45,15 @@ def member(spec, n: int) -> bool:
     return bool(spec.period[(n - q) % len(spec.period)])
 
 
+def same_set(a, b) -> bool:
+    """Whether two descriptions encode one set.  Past both preperiods the
+    bits have periods p1 and p2, so agreeing on p1 + p2 more positions
+    makes them agree everywhere (Fine and Wilf 1965); the first
+    q1 + q2 + p1 + p2 bits cover that window."""
+    window = len(a.preperiod) + len(b.preperiod) + len(a.period) + len(b.period)
+    return all(member(a, n) == member(b, n) for n in range(window))
+
+
 def tail_ok(spec, k: int) -> bool:
     """Some member is >= k: the largest member of a finite set is its last
     preperiod bit."""

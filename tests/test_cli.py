@@ -221,6 +221,41 @@ def test_sft_blocks_of_a_gap_set_give_its_reports(capsys, command, size, s):
         assert sft["result"] == gaps["result"], value
 
 
+# Three descriptions of {0} and the odd naturals, as --s texts and as
+# --pre/--pat digit words.
+_ODD_TEXTS = ["ep:pre=1,1;pat=0,1", "ep:pre=1;pat=1,0", "ep:pre=1;pat=1,0,1,0"]
+_ODD_WORDS = [("11", "01"), ("1", "10"), ("1", "1010")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify"],
+        ["entropy"],
+        ["blocks", "--n", "12"],
+        ["blocks", "--n", "12", "--format", "csv"],
+        ["check-bsm", "--depth", "30"],
+        ["check-balanced", "--word-max", "10", "--r-max", "8"],
+        ["gibbs", "--depth", "6"],
+        ["gibbs", "--depth", "6", "--format", "csv"],
+        ["bridge"],
+    ],
+    ids=" ".join,
+)
+def test_descriptions_of_one_set_print_one_result(argv):
+    # Byte for byte, but for the config that echoes the text as typed.
+    if argv == ["bridge"]:
+        argvs = [[*argv, "--pre", pre, "--pat", pat] for pre, pat in _ODD_WORDS]
+    else:
+        argvs = [[*argv, "--s", s] for s in _ODD_TEXTS]
+    outputs = set()
+    for one in argvs:
+        code, out, err = call(one)
+        assert (code, err) == (0, ""), one
+        outputs.add(out if "csv" in one else out[out.index('"result": ') :])
+    assert len(outputs) == 1
+
+
 def test_check_balanced_decay(capsys):
     rep = run_json(
         capsys,
@@ -968,7 +1003,8 @@ FUZZ_VALUES = {
     "--s": _mostly(
         st.sampled_from(
             ["{0}", "{0,1}", "{0,2,5}", "co{}", "co{0}", "co{3}", "ep:pre=;pat=0,1",
-             "ep:pre=1;pat=1,0", "ep:pre=;pat=0", "{0,1000000000}"]
+             "ep:pre=1;pat=1,0", "ep:pre=;pat=0", "{0,1000000000}",
+             "ep:pre=1;pat=1,0,1,0", "ep:pre=0,1,0,1;pat=0,1", "ep:pre=1,1;pat=1,1"]
         ),
         st.text(alphabet="{}co0123,;:=-ep x", max_size=14),
     ),

@@ -1,4 +1,7 @@
+import random
+import time
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -190,6 +193,119 @@ def spec_strategy(draw):
 @given(spec_strategy())
 def test_render_parse_round_trip(spec):
     assert parse_sgap_spec(spec.render()) == spec
+
+
+def _description(pre, pat):
+    """A raw description, as typed, for the oracles."""
+    return SimpleNamespace(preperiod=tuple(pre), period=tuple(pat))
+
+
+def _random_pairs(count: int, seed: int):
+    """Pairs of raw (preperiod, period) bit lists of nonempty sets.  Each
+    draw makes a variant of one description that encodes its set: the
+    period repeated up to three times, with j of those bits rotated into
+    the preperiod.  A third of the pairs are a description and its variant,
+    a third a variant and the last pair's first description, and a third a
+    description and its variant with one bit flipped.  A quarter of the
+    periods are constant."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        pre = [rng.randint(0, 1) for _ in range(rng.randint(0, 5))]
+        pat = [rng.randint(0, 1) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.25:
+            pat = pat[:1] * len(pat)
+        if not any(pre + pat):
+            continue
+        tiled = pat * rng.randint(1, 3)
+        j = rng.randrange(len(tiled) + 1)
+        variant = (pre + tiled[:j], tiled[j:] + tiled[:j])
+        kind = rng.randrange(3)
+        if kind == 0 or not pairs:
+            pairs.append(((pre, pat), variant))
+        elif kind == 1:
+            pairs.append((pairs[-1][0], variant))
+        else:
+            flipped = [list(variant[0]), list(variant[1])]
+            part = flipped[0] if flipped[0] and rng.random() < 0.5 else flipped[1]
+            part[rng.randrange(len(part))] ^= 1
+            if any(flipped[0] + flipped[1]):
+                pairs.append(((pre, pat), tuple(flipped)))
+    return pairs
+
+
+def test_render_parse_round_trip_on_random_descriptions():
+    # Raw descriptions, most of them not in their shortest form, and the
+    # oracles' random specs: each value encodes what was typed and its
+    # text parses back to it.
+    for a, b in _random_pairs(1500, seed=41):
+        for pre, pat in (a, b):
+            spec = periodic_gaps(pre, pat)
+            assert oracles.same_set(spec, _description(pre, pat)), (pre, pat)
+            assert parse_sgap_spec(spec.render()) == spec, (pre, pat)
+    for spec in oracles.random_specs(300, seed=37):
+        assert parse_sgap_spec(spec.render()) == spec
+
+
+def test_equal_values_are_equal_sets():
+    for a, b in _random_pairs(3000, seed=43):
+        one_set = oracles.same_set(_description(*a), _description(*b))
+        assert (periodic_gaps(*a) == periodic_gaps(*b)) == one_set, (a, b)
+    odds = ["ep:pre=1,1;pat=0,1", "ep:pre=1;pat=1,0", "ep:pre=1;pat=1,0,1,0"]
+    assert {parse_sgap_spec(text).render() for text in odds} == {"ep:pre=1;pat=1,0"}
+
+
+def _small_descriptions(bits: int):
+    """Every raw description of at most bits bits that encodes a nonempty set."""
+    for length in range(1, bits + 1):
+        for word in product((0, 1), repeat=length):
+            if any(word):
+                for cut in range(length):
+                    yield word[:cut], word[cut:]
+
+
+def test_values_are_the_shortest_descriptions():
+    # Among the 3550 descriptions of at most 8 bits, two encode one set
+    # exactly when their first 16 bits agree (Fine and Wilf): 1715 sets.
+    # Each set's value has the shortest preperiod and the shortest period
+    # of any of them, and one text.
+    by_set = {}
+    for pre, pat in _small_descriptions(8):
+        key = tuple(oracles.member(_description(pre, pat), n) for n in range(16))
+        by_set.setdefault(key, []).append((pre, pat))
+    texts = set()
+    for descriptions in by_set.values():
+        values = {periodic_gaps(pre, pat) for pre, pat in descriptions}
+        assert len(values) == 1, descriptions
+        (value,) = values
+        assert len(value.preperiod) == min(len(pre) for pre, _ in descriptions)
+        assert len(value.period) == min(len(pat) for _, pat in descriptions)
+        texts.add(value.render())
+    assert len(texts) == len(by_set) == 1715
+
+
+def test_render_gives_one_text_per_set():
+    for a, b in _random_pairs(3000, seed=47):
+        specs = periodic_gaps(*a), periodic_gaps(*b)
+        same = oracles.same_set(*specs)
+        assert (specs[0].render() == specs[1].render()) == same, (a, b)
+        for spec in specs:
+            rendered = parse_sgap_spec(spec.render())
+            assert rendered == spec and rendered.render() == spec.render()
+
+
+def test_long_descriptions_shorten_in_linear_time():
+    # (1,0) typed 2**19 times, and a preperiod that the period continues
+    # for all but its first bit, each at or just under the description limit.
+    start = time.perf_counter()
+    spec = parse_sgap_spec("ep:pre=;pat=" + ",".join("10" * (DESCRIPTION_BIT_LIMIT // 2)))
+    assert spec == periodic_gaps([], [1, 0])
+    pre = "0" + "01" * (DESCRIPTION_BIT_LIMIT // 2 - 3)
+    spec = parse_sgap_spec(f"ep:pre={','.join(pre)};pat=0,1,0,1")
+    assert spec == periodic_gaps([0], [0, 1])
+    assert time.perf_counter() - start < 2.0
+    with pytest.raises(SizeGuardError):
+        parse_sgap_spec("ep:pre=1;pat=" + ",".join("10" * (DESCRIPTION_BIT_LIMIT // 2)))
 
 
 @given(spec_strategy(), st.integers(0, 400))

@@ -1,6 +1,6 @@
 """One digest of everything the CLI prints for the benchmark's requests.
 
-    python3 tools/output_digest.py ROOT SEED [SEED ...]
+    python3 tools/output_digest.py [--each] ROOT SEED [SEED ...]
 
 Builds the request lists of every workload in ``perfbench/workloads.py``
 (taken from the checkout this script sits in) for each seed, adds a
@@ -12,7 +12,10 @@ name order, and last the line ``argvs N sha256 HEX`` over all of them:
 the number of argvs and one SHA-256 over their exit codes, standard output
 and standard error.  Two checkouts print the same line exactly when those
 outputs are byte-identical, so a mismatch in the last line is named by the
-command lines above it.  Standard library only.
+command lines above it.  With ``--each`` these lines follow one
+``SHA256 ARGV-JSON`` line per argv, in run order, so a diff of two
+checkouts' outputs names each argv whose output moved.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -103,6 +106,15 @@ EDGE_ARGVS = [
         for spec in ("ep:pre=0,1,0;pat=0,0", "ep:pre=1,1;pat=1,1", "ep:pre=0,0;pat=0")
     ),
     ["classify", "--s", "ep:pre=;pat=" + "0," * 399 + "1"],
+    # Three descriptions of {0} and the odd naturals, one as --pre/--pat
+    # words, and (1,0) typed 500 times, whose period is two bits.
+    *(
+        ["classify", "--s", spec]
+        for spec in ("ep:pre=1,1;pat=0,1", "ep:pre=1;pat=1,0", "ep:pre=1;pat=1,0,1,0")
+    ),
+    ["bridge", "--pre", "1", "--pat", "1010"],
+    ["entropy", "--s", "ep:pre=;pat=" + ",".join("10" * 500)],
+    ["check-bsm", "--s", "ep:pre=;pat=" + ",".join("10" * 500), "--depth", "750"],
     # The largest digit tree of the benchmark's bases: 592 leaves.
     ["enumerate-one", "--lambda", "1.442418082864579", "--depth", "18"],
     # Deep trees at the depth cap: 763 leaves of 64 digits, and a leaf
@@ -178,6 +190,7 @@ def run(main, argv) -> tuple[int, str, str]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--each", action="store_true", help="also print one line per argv")
     parser.add_argument("root", type=Path, help="checkout whose src/shiftlab is run")
     parser.add_argument("seeds", type=int, nargs="+")
     args = parser.parse_args()
@@ -196,6 +209,8 @@ def main() -> None:
     counts, digests = Counter(), defaultdict(hashlib.sha256)
     for argv in requests:
         record = json.dumps(run(shiftlab.cli.main, argv)).encode() + b"\n"
+        if args.each:
+            print(hashlib.sha256(record).hexdigest(), json.dumps(argv))
         digest.update(record)
         counts[argv[0]] += 1
         digests[argv[0]].update(record)
