@@ -8,8 +8,8 @@ modulo its period p, so the pass keeps one extension count per run class
 the member classes, so it costs O(members below q + p) plus one read per
 class in use.  Words of one class share one row, so a single pass to length
 n serves any number of start words at a cost set by their classes, at most
-2(q + p) + 2, not by their number.  The block counts of length n are the
-followers of the empty word.  All counts are exact Python integers.
+2(q + p) + 2, not by their number.  The count row counts[0..n], the
+empty word's followers, comes first.  All counts are exact Python integers.
 Finite-type shifts given by forbidden blocks are presented by the trie of
 their blocks: a state is the longest clean proper prefix of a block that the
 word read so far ends in, so there are at most 1 + sum(|b| - 1) states.
@@ -48,12 +48,12 @@ class EmptyShiftError(ValueError):
     """The forbidden blocks leave no bi-infinite sequence at all."""
 
 
-def _follower_profiles(spec: SGapSpec, starts, r_max: int) -> list[list[int]]:
-    """Follower counts of each start for every length 0..r_max, in one pass.
+def _follower_profiles(spec: SGapSpec, starts, r_max: int) -> tuple[list[int], list[list[int]]]:
+    """The count row, then each start's follower counts to r_max, in one pass.
 
     A start is what the followers of a word depend on: whether it holds a
-    one, and its trailing zero run.  (False, 0) is the empty word, whose
-    row is the count table.  ext[c] counts the extensions of a word
+    one, and its trailing zero run.  The count row is the row of (False, 0),
+    the empty word, so counts[0] = 1.  ext[c] counts the extensions of a word
     that holds a one and ends in a run of class c (SGapSpec.run_classes);
     ext starts at 1 for every class and one backward step shifts it by one
     class (the last class wraps to class q, or dies when p == 0) and then
@@ -83,7 +83,7 @@ def _follower_profiles(spec: SGapSpec, starts, r_max: int) -> list[list[int]]:
         return has_one, run
 
     keys = [class_key(*start) for start in starts]
-    rows: dict[tuple[bool, int], list[int]] = {key: [] for key in keys}
+    rows: dict[tuple[bool, int], list[int]] = {key: [] for key in (_EMPTY, *keys)}
     # The count of class c sits at ext[(base + c) % size].
     ext, base = [1] * size, 0
     reads = []
@@ -121,7 +121,7 @@ def _follower_profiles(spec: SGapSpec, starts, r_max: int) -> list[list[int]]:
         d = r_max + 1 if p else q - run
         row.extend(1 + s for s in sums[:d])
         row.extend(map(sub, sums[d:], sums))
-    return [rows[key] for key in keys]
+    return rows[_EMPTY], [rows[key] for key in keys]
 
 
 @dataclass
@@ -214,19 +214,14 @@ def build_sft_automaton(alphabet, forbidden) -> ShiftAutomaton:
 
 @dataclass
 class BlockCountTable:
-    """Exact block counts by length."""
+    """Exact block counts by length; the benchmark tracer reads them off both kernels."""
 
     counts: dict[int, int]
 
-    def require(self, n_max: int) -> None:
-        missing = [n for n in range(1, n_max + 1) if n not in self.counts]
-        if missing:
-            raise ValueError(f"table missing counts for lengths {missing}")
-
 
 def sgap_count_table(spec: SGapSpec, n_max: int) -> BlockCountTable:
-    profile = _follower_profiles(spec, [_EMPTY], n_max)[0]
-    return BlockCountTable(counts=dict(enumerate(profile[1:], start=1)))
+    counts = _follower_profiles(spec, [], n_max)[0]
+    return BlockCountTable(counts=dict(enumerate(counts[1:], start=1)))
 
 
 def automaton_count_table(aut: ShiftAutomaton, n_max: int) -> BlockCountTable:

@@ -62,20 +62,22 @@ def _cell_budget() -> int:
     return value
 
 
-def _table_builder(args) -> Callable[[int], blocks.BlockCountTable]:
-    """Resolve --s / --sft / --even-shift into the count-table builder of
-    that source, which takes the largest length.  --even-shift names the
-    gap set of the even numbers, ep:pre=;pat=1,0, counted like any --s."""
+def _count_row(args, n: int) -> list[int]:
+    """The count row counts[0..n] of the source --s / --sft / --even-shift
+    names, counts[0] = 1 for the empty word.  --even-shift names the gap
+    set of the even numbers, ep:pre=;pat=1,0, counted like any --s."""
     if sum((args.s is not None, args.sft is not None, args.even_shift)) != 1:
         raise sgap.SpecSyntaxError("exactly one of --s, --sft, --even-shift is required")
     if (args.alphabet is None) != (args.sft is None):
         raise sgap.SpecSyntaxError("--alphabet applies only to --sft, which requires it")
     if args.even_shift:
-        return functools.partial(blocks.sgap_count_table, sgap.periodic_gaps(b"", b"\1\0"))
-    if args.s is not None:
-        return functools.partial(blocks.sgap_count_table, sgap.parse_sgap_spec(args.s))
-    aut = blocks.build_sft_automaton(args.alphabet, args.sft.split(","))
-    return functools.partial(blocks.automaton_count_table, aut)
+        table = blocks.sgap_count_table(sgap.periodic_gaps(b"", b"\1\0"), n)
+    elif args.s is not None:
+        table = blocks.sgap_count_table(sgap.parse_sgap_spec(args.s), n)
+    else:
+        aut = blocks.build_sft_automaton(args.alphabet, args.sft.split(","))
+        table = blocks.automaton_count_table(aut, n)
+    return [1, *table.counts.values()]
 
 
 # json.dumps spells these three floats unlike float.__repr__.
@@ -232,10 +234,10 @@ def _require_printable(flag: str, value: int, what: str, numbers) -> None:
         )
 
 
-def _counts_csv(counts: dict[int, int]) -> str:
-    """The CSV of a table's counts, one CRLF-ended line per length."""
+def _counts_csv(counts: list[int]) -> str:
+    """The CSV of a count row, one CRLF-ended line per length from 1."""
     rows = ["n,count,log2_count,log2_count_over_n\r\n"]
-    for n, c in counts.items():
+    for n, c in enumerate(counts[1:], start=1):
         l2 = blocks.log2_int(c)
         rows.append(f"{n},{c},{l2:.12g},{l2 / n:.12g}\r\n")
     return "".join(rows)
@@ -243,11 +245,11 @@ def _counts_csv(counts: dict[int, int]) -> str:
 
 def cmd_blocks(args) -> None:
     _require_positive("--n", args.n)
-    counts = _table_builder(args)(args.n).counts
-    _require_printable("--n", args.n, "count", counts.values())
+    counts = _count_row(args, args.n)
+    _require_printable("--n", args.n, "count", counts)
     result = {
         "n": args.n,
-        "counts": {str(n): c for n, c in counts.items()},
+        "counts": {str(n): c for n, c in enumerate(counts[1:], start=1)},
         "count_at_n": counts[args.n],
     }
     _emit(args, result, functools.partial(_counts_csv, counts))
@@ -267,7 +269,7 @@ def _estimate_result(flag: str, value: int, name: str, report) -> dict:
 
 def cmd_check_bsm(args) -> None:
     _require_positive("--depth", args.depth)
-    report = props.bsm_estimate(_table_builder(args)(2 * args.depth), args.depth)
+    report = props.bsm_estimate(_count_row(args, 2 * args.depth), args.depth)
     _emit(args, _estimate_result("--depth", args.depth, "K_estimate", report))
 
 
@@ -415,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None, help="write the report to a file")
 
-    def sources(p):  # the flags _table_builder reads
+    def sources(p):  # the flags _count_row reads
         p.add_argument("--s")
         p.add_argument("--sft", help="comma-separated forbidden blocks")
         p.add_argument("--alphabet")

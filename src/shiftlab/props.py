@@ -2,7 +2,8 @@
 
 All verdicts here are explicitly finite-depth observations with witnesses,
 never proofs: the underlying properties quantify over all lengths.  The
-estimates are exact rationals.
+estimates are exact rationals.  Counts pass as the count row
+counts[0..n], with counts[0] = 1 for the empty word.
 
 bsm_estimate and balanced_estimate each return a PropertyReport holding
 one estimate, a verdict and a witness.  bsm_estimate's estimate is K, the
@@ -25,7 +26,7 @@ from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from operator import le, mul, sub
 
-from .blocks import _EMPTY, BlockCountTable, SizeGuardError, _follower_profiles
+from .blocks import SizeGuardError, _follower_profiles
 # A private name, so the benchmark tracer (which wraps public names) charges
 # the 2 * depth calls per bsm_estimate to bsm_estimate itself.
 from .blocks import log2_int as _log2_int
@@ -49,18 +50,18 @@ class PropertyReport:
     witness: tuple
 
 
-def bsm_estimate(table: BlockCountTable, depth: int) -> PropertyReport:
+def bsm_estimate(counts: list[int], depth: int) -> PropertyReport:
     """Largest product-over-sum count ratio for lengths up to depth.
 
-    Needs counts up to 2 * depth.  The verdict is consistency, not proof:
+    Needs the count row to 2 * depth.  The verdict is consistency, not proof:
     stable maxima over the last quartile of depths read as consistent with
     bounded supermultiplicativity, growing maxima as inconclusive.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    table.require(2 * depth)
-    counts = table.counts
-    if not all(counts[n] for n in range(1, 2 * depth + 1)):
+    if len(counts) <= 2 * depth:
+        raise ValueError(f"count row stops before length {2 * depth}")
+    if not all(counts[1 : 2 * depth + 1]):
         raise ZeroDivisionError("block count of zero in the table")
 
     # Pair (m, d) scores L[m] - L[m + d] + L[d], a float log2 of its ratio;
@@ -104,7 +105,7 @@ def bsm_estimate(table: BlockCountTable, depth: int) -> PropertyReport:
     # R * counts[d] beats the best, to the first m reaching R: a later tie
     # never replaces.  So K, the witness and the verdict are unchanged, at
     # two products per pair instead of three.
-    logs = [0.0] + [_log2_int(counts[n]) for n in range(1, 2 * depth + 1)]
+    logs = [0.0, *map(_log2_int, counts[1 : 2 * depth + 1])]
     margin = (1.0 + max(logs)) * 2.0**-44
     h = (logs[2 * depth] - logs[depth]) / depth
     g = [x - n * h for n, x in enumerate(logs)]
@@ -234,11 +235,11 @@ def balanced_estimate(
         raise ValueError("window sizes must be >= 1")
     starts = _class_starts(spec, *_suffix_runs(spec, word_length_max))
     _check_cells(len(starts) * r_max, max_cells)
-    counts, *profiles = _follower_profiles(spec, [_EMPTY, *starts], r_max)
+    counts, profiles = _follower_profiles(spec, starts, r_max)
     return _min_density(starts, profiles, counts, r_max)
 
 
-def almost_specified_floor(table: BlockCountTable, connector_max: int) -> Fraction:
+def almost_specified_floor(counts: list[int], connector_max: int) -> Fraction:
     """Connector-based lower bound for follower densities.
 
     For a shift in which any two words u, w have a connector v with
@@ -248,8 +249,9 @@ def almost_specified_floor(table: BlockCountTable, connector_max: int) -> Fracti
     not one, since in the shift of {3,10} (gap supremum 7) the shortest
     connector from 10000 to 0^9 1 is 00000010, of length 8.
     """
-    table.require(connector_max)
-    return Fraction(1, 1 + sum(table.counts[j] for j in range(1, connector_max + 1)))
+    if len(counts) <= connector_max:
+        raise ValueError(f"count row stops before length {connector_max}")
+    return Fraction(1, 1 + sum(counts[1 : connector_max + 1]))
 
 
 @dataclass(frozen=True)
@@ -358,11 +360,11 @@ def gibbs_diagnostics(
     starts = _class_starts(spec, ones, zeros)
     # Sorted representatives: all-zero words, then '1' + zeros.
     runs = [(False, run) for run in zeros] + [(True, run) for run in ones]
-    counts, *rows = _follower_profiles(spec, [_EMPTY, *runs], depth)
+    counts, rows = _follower_profiles(spec, runs, depth)
     row_of = dict(zip(runs, rows))  # every class start is one of the runs
     return GibbsDiagnostics(
         ratios={n: _ratio(n * h, counts[n]) for n in range(1, depth + 1)},
-        c2=bsm_estimate(BlockCountTable(dict(enumerate(counts[1:], start=1))), window).estimate,
+        c2=bsm_estimate(counts, window).estimate,
         c1=_min_density(starts, map(row_of.get, starts), counts, window).estimate,
         window=window,
         reps=["1" * has_one + "0" * run for has_one, run in runs],

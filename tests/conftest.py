@@ -27,6 +27,12 @@ CORPUS_STRINGS = [
 ]
 
 
+def count_row(table):
+    """The count row counts[0..n] of a count kernel's table, which the
+    estimators take: counts[0] = 1 for the empty word, then counts[1..n]."""
+    return [1, *table.counts.values()]
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return [parse_sgap_spec(s) for s in CORPUS_STRINGS]

@@ -355,6 +355,34 @@ def reference_bracket(spec, tol: float) -> tuple[float, float, int]:
     return lo, hi, steps
 
 
+def count_constants(spec, lam: float) -> tuple[int, list[float]]:
+    """(d, [C_0, ..., C_(d-1)]) with c(n) / lam**n -> C_(n mod d), for the
+    shift of S at its root lam, from renewal theory (Feller vol. 1 ch. XIII)
+    and no counting DP.
+
+    A word with a one is 0^a 1 v 1 0^b: interior runs in S, and boundary
+    runs a, b admissible (some member is >= a).  The words 1 v 1 of length
+    k + 1 are the renewals at k of the block lengths n + 1, n in S, whose
+    weights lam**-(n + 1) sum to 1; with mean M = sum (n + 1) lam**-(n + 1)
+    and span d = gcd{n + 1 : n in S} their count over lam**k tends to d / M
+    when d divides k, else 0.  Summed over a and b, that is
+    C_r = d / (lam M) * sum of lam**-(a + b) over a + b = r - 1 (mod d).
+    The all-zero words add at most one word per length.  Sums over an
+    infinite set stop where lam**-n falls below 2**-80.
+    """
+    q, p = len(spec.preperiod), len(spec.period)
+    top = q + 2 * p + math.ceil(80 / math.log2(lam))
+    members = [n for n in range(top) if member(spec, n)]
+    d = math.gcd(*(n + 1 for n in members))
+    mean = math.fsum((n + 1) * lam ** -(n + 1) for n in members)
+    # The weight of the admissible runs a = j (mod d).
+    runs = [math.fsum(lam**-a for a in range(j, top, d) if tail_ok(spec, a)) for j in range(d)]
+    scale = d / (lam * mean)
+    return d, [
+        scale * math.fsum(runs[j] * runs[(r - 1 - j) % d] for j in range(d)) for r in range(d)
+    ]
+
+
 def gap_series_exact(members, x) -> Fraction:
     """sum over n in members of x**-(n+1), exactly, for a rational x."""
     y = 1 / Fraction(x)

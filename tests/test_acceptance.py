@@ -40,7 +40,7 @@ from shiftlab.props import (
 from shiftlab.sgap import classify, parse_sgap_spec
 
 import oracles
-from conftest import CORPUS_STRINGS
+from conftest import CORPUS_STRINGS, count_row
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -82,8 +82,8 @@ def test_criterion_2b_deep_bsm_search():
     # rules out all but a few of the 3000 rows before any float is scored,
     # and the float filter sends few pairs to the exact integer test.
     def body():
-        table = sgap_count_table(parse_sgap_spec("co{0}"), 6000)
-        rep = bsm_estimate(table, 3000)
+        counts = count_row(sgap_count_table(parse_sgap_spec("co{0}"), 6000))
+        rep = bsm_estimate(counts, 3000)
         assert rep.witness == (1, 1) and rep.estimate == Fraction(4, 3)
 
     _gate("2b deep BSM search", 5.0, body)
@@ -206,8 +206,8 @@ def test_criterion_7_connector_floor():
             if gap_sup == 0:
                 floor = Fraction(1)
             else:
-                table = sgap_count_table(spec, gap_sup)
-                floor = almost_specified_floor(table, gap_sup)
+                counts = count_row(sgap_count_table(spec, gap_sup))
+                floor = almost_specified_floor(counts, gap_sup)
             rep = balanced_estimate(spec, max(12, gap_sup + 2), 10)
             assert rep.estimate >= floor, text
 

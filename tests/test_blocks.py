@@ -15,9 +15,10 @@ from shiftlab.blocks import (
     sgap_count_table,
 )
 from shiftlab.cli import _counts_csv
-from shiftlab.sgap import SizeGuardError, parse_sgap_spec, periodic_gaps
+from shiftlab.sgap import SizeGuardError, classify, parse_sgap_spec, periodic_gaps
 
 import oracles
+from conftest import count_row
 
 EX31_FORBIDDEN = ["ac", "ad", "bd", "ca", "cb", "da", "db"]
 # The even shift twice: its gap set, ep:pre=;pat=1,0, and the oracles'
@@ -33,7 +34,7 @@ def _followers(spec, words, r_max):
     """Follower rows of the words for lengths 0..r_max, in one kernel call:
     a word enters as whether it holds a one and its trailing zero run."""
     starts = [("1" in w, len(w) - len(w.rstrip("0"))) for w in words]
-    return _follower_profiles(spec, starts, r_max)
+    return _follower_profiles(spec, starts, r_max)[1]
 
 
 def test_count_single_zero_gap():
@@ -166,6 +167,47 @@ def test_class_rows_match_unbounded_dp(text):
     assert rows[0] == [1] + [table[n] for n in range(1, r_max + 1)]
     # Words of one class share one row.
     assert len({id(row) for row in rows}) <= 2 * (q + p) + 2
+
+
+@pytest.mark.parametrize("text", CLASS_ROW_SETS)
+def test_count_row_comes_first(text):
+    # The pass returns the count row before the start rows, with or
+    # without starts: the row the count table holds, after counts[0] = 1.
+    spec = parse_sgap_spec(text)
+    for n in (1, 12, 60):
+        counts = count_row(sgap_count_table(spec, n))
+        assert _follower_profiles(spec, [], n) == (counts, [])
+        assert counts == oracles.run_length_counts(spec, n)
+        assert _follower_profiles(spec, [(True, 0)], n)[0] == counts
+
+
+# Gap sets of gcd 1, 2 ({1,3}) and 3 (ep:pre=;pat=0,0,1 and {2,5}).
+CONSTANT_SETS = [
+    "{0,2,5}",
+    "co{0}",
+    "ep:pre=;pat=1,0",
+    "{1,3}",
+    "ep:pre=;pat=0,0,1",
+    "{2,5}",
+    "ep:pre=1;pat=1,1,0",
+    "co{1,3}",
+]
+
+
+@pytest.mark.parametrize("text", CONSTANT_SETS)
+def test_count_row_tends_to_renewal_constants(text):
+    # c(n) / lambda**n tends to C_(n mod d), which the oracle takes from
+    # renewal theory: the relative error falls over n = 8, 16, 32 and is
+    # within 1e-9 at n = 800.
+    spec = parse_sgap_spec(text)
+    lo, hi, _ = oracles.reference_bracket(spec, 1e-15)
+    lam = (lo + hi) / 2
+    d, constants = oracles.count_constants(spec, lam)
+    assert d == classify(spec).gcd_value
+    counts = count_row(sgap_count_table(spec, 800))
+    errors = [abs(counts[n] / lam**n / constants[n % d] - 1) for n in (8, 16, 32, 800)]
+    assert errors[0] > errors[1] > errors[2], errors
+    assert errors[3] <= 1e-9, errors
 
 
 def test_follower_profile_dead_starts():
@@ -346,7 +388,7 @@ def test_higher_block_automaton_counts_match_gap_dp():
 
 def test_csv_export():
     table = sgap_count_table(parse_sgap_spec("co{}"), 4)
-    lines = _counts_csv(table.counts).strip().splitlines()
+    lines = _counts_csv(count_row(table)).strip().splitlines()
     assert lines[0] == "n,count,log2_count,log2_count_over_n"
     assert lines[1] == "1,2,1,1"
     assert lines[4].startswith("4,16,4,")
@@ -418,7 +460,7 @@ def _csv_writer_oracle(table) -> str:
 )
 def test_csv_export_matches_csv_writer_bytes(build):
     table = build(1500)
-    text = _counts_csv(table.counts)
+    text = _counts_csv(count_row(table))
     assert text == _csv_writer_oracle(table)
     assert text.count("\r\n") == 1501 and text.endswith("\r\n")
 

@@ -20,7 +20,7 @@ from shiftlab.props import bsm_estimate
 from shiftlab.sgap import parse_sgap_spec, periodic_gaps
 
 import oracles
-from conftest import CORPUS_STRINGS
+from conftest import CORPUS_STRINGS, count_row
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -309,7 +309,7 @@ def test_bounds_even_shift_sandwich():
 def test_bounds_positive_gaps_with_estimated_constant():
     spec = parse_sgap_spec("co{0}")
     table = sgap_count_table(spec, 16)
-    k_est = bsm_estimate(table, 8).estimate
+    k_est = bsm_estimate(count_row(table), 8).estimate
     log2_k = log2_int(k_est.numerator) - log2_int(k_est.denominator)
     l2 = log2_int(table.counts[16])
     lower, upper = (l2 - log2_k) / 16, l2 / 16
@@ -344,7 +344,7 @@ def test_slope_excess_bounded_by_estimated_constant(corpus):
     for spec in corpus:
         res = solve_sgap_entropy(spec, tol=1e-10)
         table = sgap_count_table(spec, 18)
-        k_est = bsm_estimate(table, 9).estimate
+        k_est = bsm_estimate(count_row(table), 9).estimate
         c = math.log2(float(k_est)) if k_est > 1 else 0.0
         # Window-certified constant: counts(n) <= K * lam^n on the window.
         k_window = max(

@@ -7,7 +7,6 @@ from itertools import product
 import pytest
 
 from shiftlab.blocks import (
-    BlockCountTable,
     _follower_profiles,
     automaton_count_table,
     build_sft_automaton,
@@ -28,7 +27,7 @@ from shiftlab.props import (
 from shiftlab.sgap import SizeGuardError, classify, parse_sgap_spec
 
 import oracles
-from conftest import CORPUS_STRINGS
+from conftest import CORPUS_STRINGS, count_row
 
 DOUBLING = "{0,1,2,4,8,16,32}"
 # The even shift's gap set, which --even-shift names.
@@ -51,7 +50,7 @@ BSM_SOURCES = (
 
 
 def test_bsm_full_shift_is_exactly_one():
-    table = sgap_count_table(parse_sgap_spec("co{}"), 20)
+    table = count_row(sgap_count_table(parse_sgap_spec("co{}"), 20))
     rep = bsm_estimate(table, 10)
     assert rep.estimate == 1 and rep.verdict == VERDICT_BSM
     # Every pair ties, and a tie never replaces the first maximum.
@@ -59,7 +58,7 @@ def test_bsm_full_shift_is_exactly_one():
 
 
 def test_bsm_even_shift_constant_below_four():
-    table = sgap_count_table(EVEN, 28)
+    table = count_row(sgap_count_table(EVEN, 28))
     rep = bsm_estimate(table, 10)
     assert 1 < rep.estimate <= 4
     # The maximum approaches phi^3 / sqrt(5); it reads stable at depth 14.
@@ -76,7 +75,7 @@ def test_bsm_even_shift_exact_inequality():
 
 def test_bsm_four_letter_example_grows():
     aut = build_sft_automaton("abcd", ["ac", "ad", "bd", "ca", "cb", "da", "db"])
-    table = automaton_count_table(aut, 24)
+    table = count_row(automaton_count_table(aut, 24))
     rep = bsm_estimate(table, 12)
     assert rep.verdict == VERDICT_INCONCLUSIVE
     assert rep.estimate > bsm_estimate(table, 8).estimate
@@ -84,11 +83,11 @@ def test_bsm_four_letter_example_grows():
 
 def test_bsm_maximising_pair_identity(corpus):
     for spec in corpus:
-        table = sgap_count_table(spec, 16)
-        rep = bsm_estimate(table, 8)
+        counts = count_row(sgap_count_table(spec, 16))
+        rep = bsm_estimate(counts, 8)
         m, n = rep.witness
-        lhs = rep.estimate * table.counts[m + n]
-        assert lhs == table.counts[m] * table.counts[n]
+        lhs = rep.estimate * counts[m + n]
+        assert lhs == counts[m] * counts[n]
         assert rep.estimate >= 1
 
 
@@ -100,10 +99,11 @@ def test_bsm_matches_reference(source):
         table = automaton_count_table(BSM_AUTOMATA[source](), 600)
     else:
         table = sgap_count_table(parse_sgap_spec(source), 600)
+    counts = count_row(table)
     for depth in [*range(1, 41), 300]:
-        rep = bsm_estimate(table, depth)
+        rep = bsm_estimate(counts, depth)
         got = (rep.estimate, rep.witness, rep.verdict)
-        assert got == oracles.bsm_reference(table.counts, depth), depth
+        assert got == oracles.bsm_reference(counts, depth), depth
 
 
 def test_bsm_margin_covers_float_rounding():
@@ -113,21 +113,19 @@ def test_bsm_margin_covers_float_rounding():
     c1 = 1 << 100
     c2 = (1 << 150) + int(0.9 * math.log(2) * 2**104)
     c3 = (c2 * c2 - 1) >> 100  # the largest c3 with c2 / c3 > c1 / c2
-    table = BlockCountTable({1: c1, 2: c2, 3: c3, 4: 1 << 400})
-    logs = {n: log2_int(c) for n, c in table.counts.items()}
+    counts = [1, c1, c2, c3, 1 << 400]
+    logs = list(map(log2_int, counts))
     assert logs[1] - logs[3] + logs[2] < 2 * logs[1] - logs[2]
-    rep = bsm_estimate(table, 2)
+    rep = bsm_estimate(counts, 2)
     assert rep.witness == (1, 2)
-    assert (rep.estimate, rep.witness, rep.verdict) == oracles.bsm_reference(
-        table.counts, 2
-    )
+    assert (rep.estimate, rep.witness, rep.verdict) == oracles.bsm_reference(counts, 2)
 
 
 def _random_counts(rng, n_max):
     """Positive counts no shift produces: runs of counts below 4, flat runs,
     jumps of hundreds of bits, drops and small steps, so the slope fitted
-    to L[depth..2 * depth] often fits the rest of the table badly."""
-    counts, c = {}, rng.randint(1, 3)
+    to L[depth..2 * depth] often fits the rest of the row badly."""
+    counts, c = [1], rng.randint(1, 3)
     for n in range(1, n_max + 1):
         kind = rng.randrange(6)
         if kind == 0:
@@ -138,16 +136,15 @@ def _random_counts(rng, n_max):
             c = max(1, c >> rng.randint(1, 60))
         elif kind > 3:
             c = c * rng.randint(1, 5) + rng.randint(0, 3)
-        counts[n] = c  # kind 1 repeats the last count
+        counts.append(c)  # kind 1 repeats the last count
     return counts
 
 
 @pytest.mark.parametrize("seed", range(16))
 def test_bsm_row_bound_matches_reference_on_random_tables(seed):
     counts = _random_counts(random.Random(seed), 80)
-    table = BlockCountTable(counts)
     for depth in range(1, 41):
-        rep = bsm_estimate(table, depth)
+        rep = bsm_estimate(counts, depth)
         got = (rep.estimate, rep.witness, rep.verdict)
         assert got == oracles.bsm_reference(counts, depth), depth
 
@@ -159,24 +156,22 @@ def test_bsm_row_bound_within_margin_of_cut_still_scans():
     c1, c2, c4 = 1 << 100, 1 << 150, 1 << 400
     margin = (1.0 + log2_int(c4)) * 2.0**-44
     c3 = (1 << 200) + int(2.5 * margin * math.log(2) * 2**200)
-    table = BlockCountTable({1: c1, 2: c2, 3: c3, 4: c4})
-    logs = [0.0] + [log2_int(table.counts[n]) for n in range(1, 5)]
+    counts = [1, c1, c2, c3, c4]
+    logs = [0.0] + [log2_int(counts[n]) for n in range(1, 5)]
     h = (logs[4] - logs[2]) / 2
     g = [x - n * h for n, x in enumerate(logs)]
     bound = max(g[1], g[2]) + g[2] - min(g[3], g[4])
     cut = 2 * logs[1] - logs[2] - 2 * margin
     assert cut - margin <= bound < cut
-    rep = bsm_estimate(table, 2)
+    rep = bsm_estimate(counts, 2)
     assert rep.witness == (1, 1)
-    assert (rep.estimate, rep.witness, rep.verdict) == oracles.bsm_reference(
-        table.counts, 2
-    )
+    assert (rep.estimate, rep.witness, rep.verdict) == oracles.bsm_reference(counts, 2)
 
 
 # Ratios c(m) * c(d) / c(m + d) by row d: 3; 3/2, 3/2; 3, 18, 18;
 # 18, 9, 9, 3; then 6 and 12 at most in rows 5 and 6.  Row 3 holds two exact
 # maxima above the best, and row 4's maximum only equals it.
-TIE_ROWS = BlockCountTable(dict(enumerate([3, 3, 6, 6, 1, 2, 4, 12, 1, 9, 16, 2], 1)))
+TIE_ROWS = [1, 3, 3, 6, 6, 1, 2, 4, 12, 1, 9, 16, 2]
 
 
 @pytest.mark.parametrize("depth", range(1, 7))
@@ -185,7 +180,7 @@ def test_bsm_row_ties_keep_the_first_maximum(depth):
     # 6.  Neither tie moves the witness off (2, 3).
     rep = bsm_estimate(TIE_ROWS, depth)
     got = (rep.estimate, rep.witness, rep.verdict)
-    assert got == oracles.bsm_reference(TIE_ROWS.counts, depth)
+    assert got == oracles.bsm_reference(TIE_ROWS, depth)
     if depth >= 3:
         assert (rep.estimate, rep.witness) == (18, (2, 3))
     if depth in (4, 6):
@@ -209,9 +204,8 @@ def _tied_counts(rng, n_max):
 @pytest.mark.parametrize("seed", range(16))
 def test_bsm_planted_ties_match_reference_on_random_tables(seed):
     counts = _tied_counts(random.Random(seed), 80)
-    table = BlockCountTable(counts)
     for depth in range(1, 41):
-        rep = bsm_estimate(table, depth)
+        rep = bsm_estimate(counts, depth)
         got = (rep.estimate, rep.witness, rep.verdict)
         assert got == oracles.bsm_reference(counts, depth), depth
 
@@ -234,20 +228,36 @@ def test_bsm_near_ties_cost_two_products_per_pair():
     # The even shift's ratios creep up to their supremum, so every row
     # keeps near-ties for the exact stage.  Three products per passing
     # pair, each tested against the best, took 95 938 here.
-    table = sgap_count_table(EVEN, 600)
-    counted = BlockCountTable({n: _CountedInt(c) for n, c in table.counts.items()})
+    counts = count_row(sgap_count_table(EVEN, 600))
+    counted = list(map(_CountedInt, counts))
     _CountedInt.products = 0
     rep = bsm_estimate(counted, 300)
     assert 0 < _CountedInt.products <= 70_000
-    assert rep == bsm_estimate(table, 300)
+    assert rep == bsm_estimate(counts, 300)
 
 
 @pytest.mark.parametrize("zero_at", [1, 2, 5, 8])
 def test_bsm_zero_count_raises_one_error(zero_at):
-    counts = {n: 1 << n for n in range(1, 9)}
+    counts = [1 << n for n in range(9)]
     counts[zero_at] = 0
     with pytest.raises(ZeroDivisionError, match="block count of zero in the table"):
-        bsm_estimate(BlockCountTable(counts), 4)
+        bsm_estimate(counts, 4)
+
+
+def test_estimators_refuse_a_row_one_entry_short():
+    # bsm_estimate reads counts[0..2 * depth] and almost_specified_floor
+    # counts[0..connector_max]: a row one entry shorter is refused, and the
+    # exact length reads as the whole row.
+    counts = count_row(sgap_count_table(EVEN, 40))
+    for depth in (1, 4, 20):
+        with pytest.raises(ValueError, match="count row stops before"):
+            bsm_estimate(counts[: 2 * depth], depth)
+        assert bsm_estimate(counts[: 2 * depth + 1], depth) == bsm_estimate(counts, depth)
+    for n in (1, 5, 40):
+        with pytest.raises(ValueError, match="count row stops before"):
+            almost_specified_floor(counts[:n], n)
+        assert almost_specified_floor(counts[: n + 1], n) == almost_specified_floor(counts, n)
+    assert almost_specified_floor(counts, 2) == Fraction(1, 1 + 2 + 4)
 
 
 def test_balanced_full_shift():
@@ -269,7 +279,7 @@ def test_balanced_doubling_gaps_decay():
 def test_balanced_positive_gaps_bounded_below():
     spec = parse_sgap_spec("co{0}")
     rep = balanced_estimate(spec, 16, 12)
-    table = sgap_count_table(spec, 4)
+    table = count_row(sgap_count_table(spec, 4))
     assert rep.verdict == VERDICT_BALANCED
     assert rep.estimate >= almost_specified_floor(table, classify(spec).gap_sup)
 
@@ -280,7 +290,7 @@ def test_connector_floor_across_corpus(corpus):
         if gap_sup == 0:
             floor = Fraction(1)
         else:
-            floor = almost_specified_floor(sgap_count_table(spec, gap_sup), gap_sup)
+            floor = almost_specified_floor(count_row(sgap_count_table(spec, gap_sup)), gap_sup)
         rep = balanced_estimate(spec, max(12, gap_sup + 2), 10)
         assert rep.estimate >= floor, spec
 
@@ -304,7 +314,7 @@ def test_k_bounded_by_inverse_b(corpus):
     # Balance at a window forces supermultiplicativity on the same window.
     for spec in corpus:
         d = 6
-        table = sgap_count_table(spec, 2 * d)
+        table = count_row(sgap_count_table(spec, 2 * d))
         k_rep = bsm_estimate(table, d)
         b_rep = balanced_estimate(spec, d, d)
         assert k_rep.estimate <= 1 / b_rep.estimate
@@ -319,7 +329,7 @@ def test_ratio_band_implies_k_band(corpus):
         table = sgap_count_table(spec, 2 * d)
         ratios = [2.0 ** (n * res.entropy) / table.counts[n] for n in range(1, 2 * d + 1)]
         c1, c2 = min(ratios), max(ratios)
-        k_est = float(bsm_estimate(table, d).estimate)
+        k_est = float(bsm_estimate(count_row(table), d).estimate)
         assert k_est <= c2 / c1**2 * (1 + 1e-9), spec
 
 
@@ -400,9 +410,9 @@ def test_gibbs_reads_every_row_from_one_kernel_pass(monkeypatch, corpus):
     calls = []
 
     def recording(spec, starts, r_max):
-        rows = _follower_profiles(spec, starts, r_max)
-        calls.append((list(starts), rows))
-        return rows
+        counts, rows = _follower_profiles(spec, starts, r_max)
+        calls.append((list(starts), counts, rows))
+        return counts, rows
 
     monkeypatch.setattr("shiftlab.props._follower_profiles", recording)
     for spec in corpus + oracles.random_specs(20, 3301):
@@ -410,14 +420,39 @@ def test_gibbs_reads_every_row_from_one_kernel_pass(monkeypatch, corpus):
             calls.clear()
             diag = gibbs_diagnostics(spec, 1.0, depth)
             assert len(calls) == 1, (spec, depth)
-            starts, rows = calls[0]
+            starts, counts, rows = calls[0]
             assert len(set(starts)) == len(starts), (spec, depth)
-            assert diag.counts is rows[0]
-            assert all(got is row for got, row in zip(diag.profiles, rows[1:], strict=True))
+            assert diag.counts is counts
+            assert all(got is row for got, row in zip(diag.profiles, rows, strict=True))
             assert all(len(row) == depth + 1 for row in diag.profiles)
             window = depth // 2
             expected = balanced_estimate(spec, window, window).estimate
             assert diag.c1 == expected, (spec, depth)
+
+
+def test_gibbs_hands_its_kernel_row_to_bsm_estimate(monkeypatch, corpus):
+    # c2 is estimated on the very count row the kernel pass returned, not
+    # on a copy or a table rebuilt from it.
+    returned, estimated = [], []
+
+    def kernel(spec, starts, r_max):
+        counts, rows = _follower_profiles(spec, starts, r_max)
+        returned.append(counts)
+        return counts, rows
+
+    def estimate(counts, depth):
+        estimated.append(counts)
+        return bsm_estimate(counts, depth)
+
+    monkeypatch.setattr("shiftlab.props._follower_profiles", kernel)
+    monkeypatch.setattr("shiftlab.props.bsm_estimate", estimate)
+    for spec in corpus:
+        returned.clear()
+        estimated.clear()
+        diag = gibbs_diagnostics(spec, 1.0, 12)
+        assert len(returned) == len(estimated) == 1, spec
+        assert estimated[0] is returned[0] is diag.counts, spec
+        assert diag.c2 == bsm_estimate(returned[0], 6).estimate
 
 
 def _band_readings(diag):
@@ -514,7 +549,7 @@ def test_balanced_cell_budget_counts_follower_rows(corpus):
     # window, times r_max: a budget one cell short refuses it.
     for spec in corpus + oracles.random_specs(20, 8081):
         for word_max in (1, 2, 5, 17, 40):
-            rows = _follower_profiles(spec, _representatives(spec, word_max), 3)
+            _, rows = _follower_profiles(spec, _representatives(spec, word_max), 3)
             cells = len({id(row) for row in rows}) * 3
             balanced_estimate(spec, word_max, 3, max_cells=cells)
             with pytest.raises(SizeGuardError, match=f"^{cells} follower cells exceed"):

@@ -115,6 +115,12 @@ EDGE_ARGVS = [
     ["bridge", "--pre", "1", "--pat", "1010"],
     ["entropy", "--s", "ep:pre=;pat=" + ",".join("10" * 500)],
     ["check-bsm", "--s", "ep:pre=;pat=" + ",".join("10" * 500), "--depth", "750"],
+    # A cofinite set with a dense head of 20000 members, so the count
+    # kernel, the entropy head and the follower pass each cost 20000 per
+    # step: pinned before their cost is made to follow the description's runs.
+    ["check-bsm", "--s", "co{20000}", "--depth", "50"],
+    ["entropy", "--s", "co{20000}"],
+    ["check-balanced", "--s", "co{20000}", "--r-max", "5"],
     # The largest digit tree of the benchmark's bases: 592 leaves.
     ["enumerate-one", "--lambda", "1.442418082864579", "--depth", "18"],
     # Deep trees at the depth cap: 763 leaves of 64 digits, and a leaf
