@@ -46,5 +46,4 @@ from .beta import (  # noqa: F401
     max_zero_run_bound,
     sgap_from_expansion,
     specified_gap_set,
-    thue_morse,
 )

@@ -37,7 +37,14 @@ from itertools import chain, compress, cycle, islice
 from typing import NamedTuple
 
 from . import sgap
-from .entropy import _MAX_PRECISION_BITS, _MIN_TOL, _exact_sign, _gap_terms, _root_bracket
+from .entropy import (
+    _MAX_PRECISION_BITS,
+    _MIN_TOL,
+    _THUE_MORSE,
+    _exact_sign,
+    _gap_terms,
+    _root_bracket,
+)
 from .sgap import SGapSpec
 
 FORCED0 = "forced0"
@@ -249,36 +256,24 @@ def enumerate_expansions_of_one(
     return leaves
 
 
-def thue_morse(n: int) -> int:
-    """n-th bit of the parity-doubling sequence, t(2i) = t(i) and
-    t(2i+1) = 1 - t(i): the parity of the ones in the binary digits of n."""
-    if n < 0:
-        raise ValueError("index must be a natural")
-    return bin(n).count("1") & 1
-
-
-_KL_SERIES_TERMS = 256
-
-
 def komornik_loreti_constant(tol: float = 1e-12) -> float:
-    """Root of sum_j t(j) * lambda**-j = 1 over the parity-doubling bits.
+    """Root of sum_j t(j) * lambda**-j = 1 over the Thue-Morse digits t(j),
+    the parity of the ones in the binary digits of j.
 
-    This is the smallest base in which 1 has a unique binary expansion.  The
-    digits t(1..256), read as a gap set (a digit word is its set's
-    characteristic bits), go through the entropy solver's certified
+    This is the smallest base in which 1 has a unique binary expansion
+    (Komornik & Loreti 1998).  The full series, summed as a product
+    (entropy._THUE_MORSE), goes through the entropy solver's certified
     bisection, entropy._root_bracket, down to tol / 2 or adjacent doubles:
-    their series exceeds 1 at lo, and so does the full series, which only
-    adds terms.  At hi the set that adds every position after 256 has a
-    series above the full one and above the 256 digits' one, and its exact
-    sign must be negative, or ArithmeticError is raised; so the constant
-    lies in [lo, hi], and hi needs no sign of its own.
+    the series exceeds 1 at lo, exactly, and one exact sign of it at hi
+    must be negative, or ArithmeticError is raised; hi = 2 needs none, as
+    the series is below 1 there.  So the constant lies in [lo, hi], and the
+    midpoint is returned.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    bits = [thue_morse(j) for j in range(1, _KL_SERIES_TERMS + 1)]
-    lo, hi, _ = _root_bracket(_gap_terms(sgap.periodic_gaps(bits, [0])), tol)
-    if _exact_sign(_gap_terms(sgap.periodic_gaps(bits, [1])), hi) > 0:
-        raise ArithmeticError(f"the series tail may exceed 1 at {hi!r}")
+    lo, hi, _ = _root_bracket(_THUE_MORSE, tol)
+    if hi < 2.0 and _THUE_MORSE.sign(hi) > 0:
+        raise ArithmeticError(f"the series exceeds 1 at {hi!r}")
     return 0.5 * (lo + hi)
 
 

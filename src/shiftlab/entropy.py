@@ -39,11 +39,15 @@ double: the float bracket moves an end only on such a value, and bisection
 steps whose value lies nearer take the exact sign, so no step leaves the
 exact bracket.
 
-_root_bracket is the package's one certified bisection: solve_sgap_entropy
-and beta.komornik_loreti_constant both take their bracket from it, and
-each certifies its upper end against its own series.  The closed form sums
-its two parts with _series, which powers each member afresh, since every
-evaluation has a new base.
+_root_bracket is the package's one certified bisection.  It takes a
+series, two callables of a double x: side(x), the float value of f(x) with
+the sign of f(x) - 1 that value proves (0 when it proves none), and
+sign(x), the exact sign.  solve_sgap_entropy passes the closed form above,
+built once per solve; beta.komornik_loreti_constant passes _THUE_MORSE, the
+Thue-Morse digits' series summed as a product.  Each caller certifies its
+upper end against its own series.  The closed form sums its two parts with
+_series, which powers each member afresh, since every evaluation has a new
+base.
 beta.ExpansionPrefix.partial_sum sums the same terms lam ** -(j + 1), but
 reads them from a power table that every prefix of its base shares.
 """
@@ -51,8 +55,10 @@ reads them from a power table that every prefix of its base shares.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import compress
+from functools import partial
+from itertools import compress, repeat
 from typing import NamedTuple
 
 from .sgap import SGapSpec, SizeGuardError
@@ -90,15 +96,16 @@ class EntropyResult:
     iterations: int
 
 
-def _series(members, lam: float) -> float:
-    """sum over n in members of lam ** -(n + 1), rounded once from the
-    exact sum (fsum), so the order of the members does not matter."""
-    return math.fsum(lam ** (-(n + 1)) for n in reversed(members))
+def _series(exponents: list[int], lam: float) -> float:
+    """sum over e in exponents of lam ** e, rounded once from the exact sum
+    (fsum), so the order of the terms does not matter."""
+    return math.fsum(map(pow, repeat(lam), exponents))
 
 
 class _GapTerms(NamedTuple):
-    """Members of a description: head in the preperiod, cycle in the first
-    period copy (empty for a finite set), and the period length p."""
+    """The exponents -(n + 1) of the members n of a description: head in
+    the preperiod, cycle in the first period copy (empty for a finite set),
+    each increasing in n; and the period length p."""
 
     head: list[int]
     cycle: list[int]
@@ -107,8 +114,8 @@ class _GapTerms(NamedTuple):
 
 def _gap_terms(spec: SGapSpec) -> _GapTerms:
     q, p = len(spec.preperiod), len(spec.period)
-    head = list(compress(range(q), spec.preperiod))
-    cycle = list(compress(range(q, q + p), spec.period))
+    head = list(compress(range(-1, -q - 1, -1), spec.preperiod))
+    cycle = list(compress(range(-q - 1, -q - p - 1, -1), spec.period))
     return _GapTerms(head, cycle, p)
 
 
@@ -146,13 +153,13 @@ def _sign_interval(terms: _GapTerms, lam: float, w: int) -> tuple[int, int]:
     # times y to the gap, and the head and cycle sums of them.
     gaps: dict[int, tuple[int, int]] = {}
     power, exponent, sums = (one, one), 0, []
-    for members in (terms.head, terms.cycle):
+    for exponents in (terms.head, terms.cycle):
         low = high = 0
-        for n in members:
-            gap = n + 1 - exponent
+        for e in exponents:
+            gap = -e - exponent
             if gap not in gaps:
                 gaps[gap] = _power(y, gap, w)
-            power, exponent = _mul(power, gaps[gap], w), n + 1
+            power, exponent = _mul(power, gaps[gap], w), -e
             low, high = low + power[0], high + power[1]
         sums.append((low, high))
     (a_lo, a_hi), (c_lo, c_hi) = sums
@@ -163,18 +170,24 @@ def _sign_interval(terms: _GapTerms, lam: float, w: int) -> tuple[int, int]:
     return min(ends) + (c_lo << w), max(ends) + (c_hi << w)
 
 
-def _exact_sign(terms: _GapTerms, lam: float) -> int:
-    """The sign of f(lam) - 1, +1 or -1, for a double lam in (1, 2]."""
+def _certified_sign(interval: Callable[[float, int], tuple[int, int]], x: float) -> int:
+    """The sign, +1 or -1, of the integer interval interval(x, w) once it
+    excludes 0, its precision w doubling from _START_PRECISION_BITS."""
     w = _START_PRECISION_BITS
     while w <= _MAX_PRECISION_BITS:
-        low, high = _sign_interval(terms, lam, w)
+        low, high = interval(x, w)
         if low > 0 or high < 0:
             return 1 if low > 0 else -1
         w *= 2
     raise SizeGuardError(
-        f"the sign of the gap series at {lam!r} needs more than "
+        f"the sign of the series at {x!r} needs more than "
         f"{_MAX_PRECISION_BITS} bits of precision"
     )
+
+
+def _exact_sign(terms: _GapTerms, lam: float) -> int:
+    """The sign of f(lam) - 1, +1 or -1, for a double lam in (1, 2]."""
+    return _certified_sign(partial(_sign_interval, terms), lam)
 
 
 def _float_side(terms: _GapTerms, x: float) -> tuple[float, int]:
@@ -185,7 +198,90 @@ def _float_side(terms: _GapTerms, x: float) -> tuple[float, int]:
     return value, (value - 1.0 > margin) - (1.0 - value > margin)
 
 
-def _float_bracket(terms: _GapTerms, tol: float) -> tuple[float, float]:
+class _Series(NamedTuple):
+    """A series f, decreasing on (1, 2], as the bisection reads it: side(x)
+    is f(x) in floats with the sign of f(x) - 1 that value proves (+1 or
+    -1 when it lies farther than its error bound from 1, else 0), and
+    sign(x) is the exact sign of f(x) - 1, +1 or -1."""
+
+    side: Callable[[float], tuple[float, int]]
+    sign: Callable[[float], int]
+
+
+def _gap_series(terms: _GapTerms) -> _Series:
+    """The closed form of a gap set's series."""
+    return _Series(partial(_float_side, terms), partial(_exact_sign, terms))
+
+
+# The Thue-Morse digits t(j), the parity of the ones in the binary digits of
+# j, have the series f(x) = sum over j >= 1 of t(j) * x ** -j.  With y = 1/x,
+# sum over j >= 0 of (-1) ** t(j) * y ** j = prod over k >= 0 of
+# (1 - y ** 2 ** k) (Allouche & Shallit 1999), and (-1) ** t = 1 - 2t, so
+#
+#     f(x) = (1 / (1 - y) - P(y)) / 2 ,  P(y) = prod over k of (1 - y ** 2 ** k) ,
+#
+# and f(x) - 1 has the sign of 1 - (1 - y) * (P(y) + 2).  The factors from
+# k = K on multiply to R in [0, 1], and with z = y ** 2 ** K to R >= 1 - 2z:
+# 1 - R <= z + z**2 + z**4 + ..., which is at most 2z for z <= 1/2.
+_THUE_MORSE_FACTORS = 9
+
+
+def _thue_morse_float(x: float) -> tuple[float, float]:
+    """f(x) from the first _THUE_MORSE_FACTORS factors, in floats, and a
+    bound on its error, for a double x in (1, 2].
+
+    With u = 2**-53: x - 1 is exact, so 1 / (1 - y) = x / (x - 1) is off
+    by at most 2u / (x - 1).  The float y ** 2 ** k is off by at most
+    2 ** (k + 1) * u relatively, and 2 ** k * y ** 2 ** k is at most twice
+    the sum of y ** n over 2 ** (k - 1) < n <= 2 ** k, so the factors are
+    off by at most 4u / (x - 1) + 9u together, and the products add 9u.  The
+    difference rounds within 2u / (x - 1); halved, the value is within
+    4u / (x - 1) + 9u < 2**-49 / (x - 1) of the truncated series.  The
+    truncation moves f by P_K * (1 - R) / 2 <= min(1, 2z) / 2 <= z.  The
+    bound 2**-48 / (x - 1) + 2z doubles both, to cover the second-order
+    terms and the rounding of z itself.
+    """
+    y = 1.0 / x
+    product = 1.0
+    for _ in range(_THUE_MORSE_FACTORS):
+        product *= 1.0 - y
+        y *= y
+    return 0.5 * (x / (x - 1.0) - product), 2.0**-48 / (x - 1.0) + 2.0 * y
+
+
+def _thue_morse_side(x: float) -> tuple[float, int]:
+    value, margin = _thue_morse_float(x)
+    return value, (value - 1.0 > margin) - (1.0 - value > margin)
+
+
+def _thue_morse_interval(x: float, w: int) -> tuple[int, int]:
+    """An integer interval holding (1 - (1 - y) * (P(y) + 2)) * 2**(2w),
+    y = 1/x, for a double x in (1, 2]: factors are taken until z, the next
+    factor's power of y, is at most 2**-w, and the omitted ones lie in
+    [1 - 2z, 1]."""
+    num, den = x.as_integer_ratio()
+    one = 1 << w
+    y = ((den << w) // num, -(-(den << w) // num))
+    product, z = (one, one), y
+    while z[1] > 1:
+        product = _mul(product, (one - z[1], one - z[0]), w)
+        z = _mul(z, z, w)
+    low = (product[0] * (one - 2 * z[1]) >> w) + 2 * one
+    high = product[1] + 2 * one
+    return one * one - (one - y[0]) * high, one * one - (one - y[1]) * low
+
+
+def _thue_morse_sign(x: float) -> int:
+    """The sign of f(x) - 1, +1 or -1, for a double x in [1, 2].  The series
+    diverges at 1, where no factor count bounds the product: +1."""
+    return 1 if x == 1.0 else _certified_sign(_thue_morse_interval, x)
+
+
+# The Thue-Morse digits' series, the one of beta.komornik_loreti_constant.
+_THUE_MORSE = _Series(_thue_morse_side, _thue_morse_sign)
+
+
+def _float_bracket(series: _Series, tol: float) -> tuple[float, float]:
     """(a, b) with a < root < b, every move proven by a float value alone.
 
     Halves [1, 2] while f(a) is still unknown (a = 1), then steps by
@@ -196,7 +292,8 @@ def _float_bracket(terms: _GapTerms, tol: float) -> tuple[float, float]:
     point's value lies within its error bound of 1; the points tol / 8
     either side of that one may then still move an end.
     """
-    a, b, g_a, g_b = 1.0, 2.0, math.inf, _closed_series(terms, 2.0) - 1.0
+    float_side = series.side
+    a, b, g_a, g_b = 1.0, 2.0, math.inf, float_side(2.0)[0] - 1.0
     moved = 0  # +1 after a move of a, -1 after a move of b
     while b - a > tol / 4:
         x = 0.5 * (a + b)
@@ -204,10 +301,10 @@ def _float_bracket(terms: _GapTerms, tol: float) -> tuple[float, float]:
             x = y
         if not a < x < b:  # a and b are adjacent doubles
             break
-        value, side = _float_side(terms, x)
+        value, side = float_side(x)
         if not side:
             for y in (x - tol / 8, x + tol / 8):
-                side = _float_side(terms, y)[1] if a < y < b and y != x else 0
+                side = float_side(y)[1] if a < y < b and y != x else 0
                 if side > 0:
                     a = y
                 elif side < 0:
@@ -224,7 +321,7 @@ def _float_bracket(terms: _GapTerms, tol: float) -> tuple[float, float]:
     return a, b
 
 
-def _root_bracket(terms: _GapTerms, tol: float) -> tuple[float, float, int]:
+def _root_bracket(series: _Series, tol: float) -> tuple[float, float, int]:
     """Halve [1, 2] around the root of f = 1 and certify the lower end.
 
     A step whose float value of f lies farther than its error bound from 1
@@ -242,26 +339,27 @@ def _root_bracket(terms: _GapTerms, tol: float) -> tuple[float, float, int]:
     f(lo) > 1 is checked exactly, else EntropySolveError is raised; the
     callers certify hi, each against its own series.
     """
-    a, b = _float_bracket(terms, tol)
+    float_side, exact_sign = series
+    a, b = _float_bracket(series, tol)
     lo, hi, steps = 1.0, 2.0, 0
     while hi - lo > tol / 2 and lo < (mid := 0.5 * (lo + hi)) < hi and not a < mid < b:
         lo, hi = (mid, hi) if mid <= a else (lo, mid)
         steps += 1
     # f tends to |S| >= 2 or to infinity as x -> 1+, so lo = 1 lies above
     # the root; f_lo = inf keeps the bisection going until lo has moved.
-    f_lo = math.inf if lo == 1.0 else _closed_series(terms, lo)
-    f_hi = _closed_series(terms, hi)
+    f_lo = math.inf if lo == 1.0 else float_side(lo)[0]
+    f_hi = float_side(hi)[0]
     while hi - lo > tol / 2 or f_lo - f_hi > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # lo and hi are adjacent doubles
             break
-        value, side = _float_side(terms, mid)
-        if side > 0 or not side and _exact_sign(terms, mid) > 0:
+        value, side = float_side(mid)
+        if side > 0 or not side and exact_sign(mid) > 0:
             lo, f_lo = mid, value
         else:
             hi, f_hi = mid, value
         steps += 1
-    if _exact_sign(terms, lo) < 0:
+    if exact_sign(lo) < 0:
         raise EntropySolveError(f"bracket [{lo!r}, {hi!r}] failed its exact sign check")
     return lo, hi, steps
 
@@ -288,10 +386,10 @@ def solve_sgap_entropy(spec: SGapSpec, tol: float = DEFAULT_TOL) -> EntropyResul
     if spec.is_full():
         return EntropyResult(2.0, 1.0, 2.0, 2.0, 0)
 
-    terms = _gap_terms(spec)
-    lo, hi, iterations = _root_bracket(terms, tol)
+    series = _gap_series(_gap_terms(spec))
+    lo, hi, iterations = _root_bracket(series, tol)
     # f(2) <= 1 for every gap set, so hi = 2 needs no check.
-    if hi < 2.0 and _exact_sign(terms, hi) > 0:
+    if hi < 2.0 and series.sign(hi) > 0:
         raise EntropySolveError(f"bracket [{lo!r}, {hi!r}] failed its exact sign check")
     lam = 0.5 * (lo + hi)
     return EntropyResult(lam, math.log2(lam), lo, hi, iterations)

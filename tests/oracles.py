@@ -389,6 +389,22 @@ def gap_series_exact(members, x) -> Fraction:
     return sum((y ** (n + 1) for n in members), Fraction(0))
 
 
+def thue_morse_series_exact(x, n: int) -> tuple[Fraction, Fraction]:
+    """An interval of fractions holding sum over j >= 1 of t(j) * x**-j for
+    x > 1, t(j) the parity of the ones in the binary digits of j: the first
+    n terms summed exactly, plus the rest, which lies between 0 and the
+    all-ones tail x**-(n+1) / (1 - 1/x)."""
+    x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    # sum over j <= n of t(j) * den**j * num**(n - j), by Horner's rule.
+    total, power = 0, 1
+    for j in range(1, n + 1):
+        power *= den
+        total = total * num + (bin(j).count("1") & 1) * power
+    head = Fraction(total, num**n)
+    return head, head + x ** -(n + 1) / (1 - 1 / x)
+
+
 def bisect_decreasing(f, lo: float, hi: float, target: float, tol: float) -> float:
     """Root of a strictly decreasing f on [lo, hi] with f(lo) > target > f(hi)."""
     assert f(lo) > target > f(hi)

@@ -23,9 +23,15 @@ from shiftlab.beta import (
     max_zero_run_bound,
     sgap_from_expansion,
     specified_gap_set,
-    thue_morse,
 )
-from shiftlab.entropy import _gap_terms, _root_bracket, solve_sgap_entropy
+from shiftlab.entropy import (
+    _THUE_MORSE,
+    _exact_sign,
+    _gap_series,
+    _gap_terms,
+    _root_bracket,
+    solve_sgap_entropy,
+)
 from shiftlab.sgap import (
     EmptySetError,
     SizeGuardError,
@@ -121,7 +127,7 @@ def test_enumerate_univoque_base_single_leaf():
     leaves = enumerate_expansions_of_one(BetaContext(KL_REF), 30, 64)
     assert len(leaves) == 1
     digits = leaves[0].digits
-    assert digits == tuple(thue_morse(j) for j in range(1, 31))
+    assert digits == tuple(bin(j).count("1") & 1 for j in range(1, 31))
 
 
 def test_enumerate_budget_error_carries_partial():
@@ -341,15 +347,6 @@ def test_univoque_at_kl_never_strictly_branches():
     assert _first_choice(BetaContext(KL_REF), 28) == (None, None)
 
 
-def test_thue_morse_recurrence_start():
-    assert [thue_morse(n) for n in range(8)] == [0, 1, 1, 0, 1, 0, 0, 1]
-
-
-def test_thue_morse_popcount_oracle():
-    for n in range(1 << 16):
-        assert thue_morse(n) == bin(n).count("1") % 2
-
-
 def test_komornik_loreti_value():
     lam = komornik_loreti_constant(1e-6)
     assert round(lam, 3) == 1.787
@@ -360,7 +357,7 @@ def test_komornik_loreti_value():
 def test_komornik_loreti_residual():
     lam = komornik_loreti_constant(1e-12)
     residual = abs(
-        math.fsum(thue_morse(j) * lam**-j for j in range(64, 0, -1)) - 1.0
+        math.fsum((bin(j).count("1") & 1) * lam**-j for j in range(64, 0, -1)) - 1.0
     )
     assert residual < 1e-9
 
@@ -385,18 +382,43 @@ def test_komornik_loreti_exact_values(tol, lam):
     assert komornik_loreti_constant(tol) == lam
 
 
-@pytest.mark.parametrize("tol", [1.0, 1e-10, 1e-15, 2.0**-50, 4e-16, 5e-324])
+_KL_TOLS_RNG = random.Random(34)
+# 200 tolerances drawn log-uniformly in [1e-17, 1].
+_KL_TOLS = [10.0 ** _KL_TOLS_RNG.uniform(-17.0, 0.0) for _ in range(200)]
+
+
+@pytest.mark.parametrize("tol", [1.0, 1e-10, 1e-15, 2.0**-50, 4e-16, 5e-324, *_KL_TOLS])
 def test_komornik_loreti_bracket_holds_the_constant_exactly(tol):
     # The first 256 digits' series exceeds 1 at lo, and with the tail
     # sum_{j>256} x**-j = x**-256 / (x - 1) added it is at most 1 at hi, so
     # the root of the infinite series lies in [lo, hi].
     bits = [bin(j).count("1") % 2 for j in range(1, 257)]
     members = [n for n, bit in enumerate(bits) if bit]
-    lo, hi, _ = _root_bracket(_gap_terms(periodic_gaps(bits, [0])), tol)
+    lo, hi, _ = _root_bracket(_gap_series(_gap_terms(periodic_gaps(bits, [0]))), tol)
     assert komornik_loreti_constant(tol) == 0.5 * (lo + hi)
     assert oracles.gap_series_exact(members, lo) > 1
     x = Fraction(hi)
     assert oracles.gap_series_exact(members, x) + x**-256 / (x - 1) <= 1
+
+
+def test_both_series_sign_the_doubles_around_the_constant_alike():
+    # The roots of the 256 digits' series and of the full one lie within
+    # about 4e-65 of each other, and these two adjacent doubles straddle
+    # both: every double gets the same exact sign from either series, so
+    # no kl report depends on which series is bisected.
+    below, above = 1.787231650182966, 1.7872316501829661
+    assert math.nextafter(below, 2.0) == above
+    bits = [bin(j).count("1") & 1 for j in range(1, 257)]
+    terms = _gap_terms(periodic_gaps(bits, [0]))
+    assert (_exact_sign(terms, below), _exact_sign(terms, above)) == (1, -1)
+    assert (_THUE_MORSE.sign(below), _THUE_MORSE.sign(above)) == (1, -1)
+
+
+def test_infinite_tolerance_takes_no_step():
+    # No halving is needed, so the bracket stays [1, 2] and its lower end
+    # is signed at 1, where the product has no finite factor count.
+    assert _THUE_MORSE.sign(1.0) == 1
+    assert komornik_loreti_constant(math.inf) == 1.5
 
 
 def test_nan_tolerance_is_refused():
@@ -473,7 +495,7 @@ def test_bridge_round_trip(corpus):
 
 
 def test_bridge_thue_morse_prefix_hits_kl():
-    word = "".join(str(thue_morse(j)) for j in range(1, 49))
+    word = "".join(str(bin(j).count("1") & 1) for j in range(1, 49))
     spec = sgap_from_expansion((word, "10"))
     res = solve_sgap_entropy(spec, tol=1e-12)
     assert abs(res.lam - KL_REF) < 1e-10

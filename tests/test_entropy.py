@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,13 @@ from shiftlab.beta import komornik_loreti_constant, specified_gap_set
 from shiftlab.blocks import log2_int, sgap_count_table
 from shiftlab.entropy import (
     EntropySolveError,
+    _THUE_MORSE,
     _exact_sign,
+    _gap_series,
     _gap_terms,
     _root_bracket,
     _sign_interval,
+    _thue_morse_float,
     solve_sgap_entropy,
 )
 from shiftlab.props import bsm_estimate
@@ -130,7 +134,7 @@ def test_bisect_reaches_half_tolerance(rng, tol):
     spec = oracles.random_spec(rng)
     assume(spec.size() != 1)
     terms = _gap_terms(spec)
-    a, b, steps = _root_bracket(terms, tol)
+    a, b, steps = _root_bracket(_gap_series(terms), tol)
     assert 1.0 < a < b <= 2.0 and b - a <= tol / 2
     assert steps <= 52
     assert _exact_sign(terms, a) > 0
@@ -166,26 +170,53 @@ def test_root_bracket_is_the_reference_bisection(tol):
     # count are those of a bisection that takes every side exactly.
     for spec in _REFERENCE_SETS:
         expected = oracles.reference_bracket(spec, tol)
-        assert _root_bracket(_gap_terms(spec), tol) == expected, spec.render()
+        assert _root_bracket(_gap_series(_gap_terms(spec)), tol) == expected, spec.render()
 
 
 @pytest.mark.parametrize(
-    "solve, most",
+    "solve, counted, most",
     [
-        (lambda: komornik_loreti_constant(1e-10), 20),
-        (lambda: solve_sgap_entropy(parse_sgap_spec("{0,2,5,8}"), 1e-10), 20),
-        (lambda: solve_sgap_entropy(periodic_gaps([], [0] * 299 + [1]), 1e-10), 32),
+        (lambda: komornik_loreti_constant(1e-10), "_thue_morse_float", 20),
+        (lambda: solve_sgap_entropy(parse_sgap_spec("{0,2,5,8}"), 1e-10), "_closed_series", 20),
+        (
+            lambda: solve_sgap_entropy(periodic_gaps([], [0] * 299 + [1]), 1e-10),
+            "_closed_series",
+            32,
+        ),
     ],
     ids=["kl", "{0,2,5,8}", "period300"],
 )
-def test_series_evaluations_per_solve(monkeypatch, solve, most):
+def test_series_evaluations_per_solve(monkeypatch, solve, counted, most):
     # A bisection alone evaluates the series 36 times for the first two and
-    # 44 times for period 300; the counts are deterministic.
-    calls = []
-    series = entropy._closed_series
-    monkeypatch.setattr(entropy, "_closed_series", lambda *args: calls.append(1) or series(*args))
+    # 44 times for period 300; the counts are deterministic.  kl sums the
+    # Thue-Morse product and never the gap closed form.
+    calls = {}
+    for name in ("_closed_series", "_thue_morse_float"):
+        series = getattr(entropy, name)
+        monkeypatch.setattr(
+            entropy,
+            name,
+            lambda *args, name=name, series=series: calls.setdefault(name, []).append(1)
+            or series(*args),
+        )
     solve()
-    assert 0 < len(calls) <= most
+    assert 0 < len(calls.get(counted, [])) <= most
+    assert calls.keys() == {counted}
+
+
+def test_thue_morse_product_within_its_margin_of_the_series():
+    # The float product lies within its proven bound of the series, and the
+    # exact sign agrees with the exact partial sum wherever the sum's
+    # interval, tail included, excludes 1.
+    rng = random.Random(34)
+    for _ in range(500):
+        x = rng.uniform(1.05, 2.0)
+        # Enough terms that the tail is below 2**-60.
+        low, high = oracles.thue_morse_series_exact(x, int(70 / math.log2(x)))
+        value, margin = _thue_morse_float(x)
+        assert low - Fraction(margin) <= value <= high + Fraction(margin), x
+        if low > 1 or high < 1:
+            assert _THUE_MORSE.sign(x) == (1 if low > 1 else -1), x
 
 
 # Each gap set with a polynomial in lambda, negative below its root and
