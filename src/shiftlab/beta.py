@@ -41,9 +41,9 @@ from .entropy import (
     _MAX_PRECISION_BITS,
     _MIN_TOL,
     _THUE_MORSE,
-    _exact_sign,
-    _gap_terms,
+    _gap_series,
     _root_bracket,
+    _sign,
 )
 from .sgap import SGapSpec
 
@@ -263,17 +263,14 @@ def komornik_loreti_constant(tol: float = 1e-12) -> float:
     This is the smallest base in which 1 has a unique binary expansion
     (Komornik & Loreti 1998).  The full series, summed as a product
     (entropy._THUE_MORSE), goes through the entropy solver's certified
-    bisection, entropy._root_bracket, down to tol / 2 or adjacent doubles:
-    the series exceeds 1 at lo, exactly, and one exact sign of it at hi
-    must be negative, or ArithmeticError is raised; hi = 2 needs none, as
-    the series is below 1 there.  So the constant lies in [lo, hi], and the
-    midpoint is returned.
+    bisection, entropy._root_bracket, down to tol / 2 or adjacent doubles.
+    It checks exactly that the series exceeds 1 at lo and is below 1 at hi
+    (unless hi = 2), else raises EntropySolveError, an ArithmeticError.  So
+    the constant lies in [lo, hi], and the midpoint is returned.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     lo, hi, _ = _root_bracket(_THUE_MORSE, tol)
-    if hi < 2.0 and _THUE_MORSE.sign(hi) > 0:
-        raise ArithmeticError(f"the series exceeds 1 at {hi!r}")
     return 0.5 * (lo + hi)
 
 
@@ -335,6 +332,6 @@ def specified_gap_set(lam: float, tol: float) -> SGapSpec:
             rem -= scale
             members.append(j)
     spec = sgap.explicit_gaps(members)
-    if _exact_sign(_gap_terms(spec), lam - tol) <= 0:
+    if _sign(_gap_series(spec), lam - tol) <= 0:
         raise ArithmeticError(f"the gap series at {lam - tol!r} failed its exact sign check")
     return spec

@@ -6,18 +6,22 @@ trailing zero run; runs at or past the preperiod q of the gap set matter only
 modulo its period p, so the pass keeps one extension count per run class
 (SGapSpec.run_classes).  Each step moves a ring offset and adds one count to
 the member classes, so it costs O(members below q + p) plus one read per
-class in use.  Words of one class share one row, so a single pass to length
-n serves any number of start words at a cost set by their classes, at most
-2(q + p) + 2, not by their number.  The count row counts[0..n], the
-empty word's followers, comes first.  All counts are exact Python integers.
+class in use.  A pass to length n from runs up to b sees only the members
+below w = b + n and whether S reaches w, so a description longer than that
+window is counted on its members below w and w itself.  Words of one class
+share one row, so a single pass to length n serves any number of start
+words at a cost set by their classes, at most 2(q + p) + 2, not by their
+number.  The count row counts[0..n], the empty word's followers, comes
+first.  All counts are exact Python integers.
 Finite-type shifts given by forbidden blocks are presented by the trie of
 their blocks: a state is the longest clean proper prefix of a block that the
 word read so far ends in, so there are at most 1 + sum(|b| - 1) states.
 These presentations are counted by determinising the label action over
 subsets of states; one pass of that construction yields the counts of every
 length up to n.  Each subset's letter images are computed once, on the step
-after it is found, as integer (source, target) edges; each length then costs
-O(edges) big-integer additions.
+after it is found, through one successor map per letter, as integer
+(source, target) edges; each length then costs O(edges) big-integer
+additions.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
 
-from .sgap import SGapSpec, SizeGuardError
+from .sgap import SGapSpec, SizeGuardError, explicit_gaps
 
 SUBSET_STATE_LIMIT = 1 << 20
 # The start of the empty word, whose followers are the block counts.
@@ -59,10 +63,12 @@ def _follower_profiles(spec: SGapSpec, starts, r_max: int) -> tuple[list[int], l
     class (the last class wraps to class q, or dies when p == 0) and then
     adds ext[0], the count after a closing one, to every member class.  ext
     lives in a ring with a moving base, so after an O(q + p) setup a step
-    costs O(members below q + p) plus one read per class.  A word with
-    no one may close its run at any boundary run that some member reaches,
-    so its counts are prefix sums of the successive ext[0].  An inadmissible
-    word keeps the convention of the empty extension: 1 at length 0 for an
+    costs O(members below q + p) plus one read per class.  When q + p
+    exceeds w + 1, w the longest run of a start's class plus r_max, the
+    pass runs on the members below w and w instead.  A word with no one
+    may close its run at any boundary run that some member reaches, so its
+    counts are prefix sums of the successive ext[0].  An inadmissible word
+    keeps the convention of the empty extension: 1 at length 0 for an
     all-zero word, 0 after a one.
 
     Words of one class share one row, built once: after a one, the run
@@ -72,8 +78,6 @@ def _follower_profiles(spec: SGapSpec, starts, r_max: int) -> tuple[list[int], l
     The returned lists are shared between starts and must not be mutated.
     """
     q, p = spec.run_classes()
-    size = q + p
-    closing = spec.members_up_to(size - 1)
 
     def class_key(has_one: bool, run: int) -> tuple[bool, int]:
         if p and not has_one:
@@ -84,6 +88,17 @@ def _follower_profiles(spec: SGapSpec, starts, r_max: int) -> tuple[list[int], l
 
     keys = [class_key(*start) for start in starts]
     rows: dict[tuple[bool, int], list[int]] = {key: [] for key in (_EMPTY, *keys)}
+    # The rows see the members below w and whether S reaches w, which it
+    # does whenever q + p > w + 1; so past that the pass runs on the finite
+    # set of those members and w, and reads each class at its own run.  As
+    # w >= r_max, the runs are read only when that can hold.
+    if q + p > r_max + 1:
+        w = max(run for _, run in rows) + r_max
+        if w and q + p > w + 1:
+            spec = explicit_gaps([*spec.members_up_to(w - 1), w])
+            q, p = spec.run_classes()
+    size = q + p
+    closing = spec.members_up_to(size - 1)
     # The count of class c sits at ext[(base + c) % size].
     ext, base = [1] * size, 0
     reads = []
@@ -241,14 +256,17 @@ def automaton_count_table(aut: ShiftAutomaton, n_max: int) -> BlockCountTable:
     layer = [1]
     expanded = 0
     counts = {}
+    # One successor map per letter; states are selected by membership, as
+    # the trie's root state "" is falsy.
+    steps: dict[str, dict[str, str]] = {a: {} for a in aut.alphabet}
+    for (q, a), target in aut.transitions.items():
+        steps[a][q] = target
     for n in range(1, n_max + 1):
         found = len(subsets)
         for source in range(expanded, found):
             subset = subsets[source]
-            for a in aut.alphabet:
-                target = frozenset(
-                    aut.transitions[(q, a)] for q in subset if (q, a) in aut.transitions
-                )
+            for step in steps.values():
+                target = frozenset(map(step.__getitem__, filter(step.__contains__, subset)))
                 if not target:
                     continue
                 t = index.get(target)

@@ -20,7 +20,7 @@ evaluation costs O(members of the description), whatever the tolerance and
 however close the root lies to 1.  The solver bisects [1, 2] on it, but
 first narrows a float bracket around the root by Illinois regula falsi; a
 halving whose midpoint lies outside that bracket takes its side without an
-evaluation.  At tolerance 1e-10 that is ~15 evaluations where the halvings
+evaluation.  At tolerance 1e-10 that is ~13 evaluations where the halvings
 alone take 36, and the bracket and halving count reported are still those
 of the bisection.
 
@@ -39,13 +39,15 @@ double: the float bracket moves an end only on such a value, and bisection
 steps whose value lies nearer take the exact sign, so no step leaves the
 exact bracket.
 
-_root_bracket is the package's one certified bisection.  It takes a
-series, two callables of a double x: side(x), the float value of f(x) with
-the sign of f(x) - 1 that value proves (0 when it proves none), and
-sign(x), the exact sign.  solve_sgap_entropy passes the closed form above,
-built once per solve; beta.komornik_loreti_constant passes _THUE_MORSE, the
-Thue-Morse digits' series summed as a product.  Each caller certifies its
-upper end against its own series.  The closed form sums its two parts with
+_root_bracket is the package's one certified bisection, and it certifies
+both ends of its bracket.  It takes a series as two primitives of a double
+x: value(x), f(x) in floats with a proven bound on its error, and
+interval(x, w), an integer interval holding 2**(2w) times a function with
+the sign of f(x) - 1.  _side (the sign a float value proves) and _sign (the
+precision loop) are derived from them once, for every series.
+solve_sgap_entropy passes the closed form above (_gap_series);
+beta.komornik_loreti_constant passes _THUE_MORSE, the Thue-Morse digits'
+series summed as a product.  The closed form sums its two parts with
 _series, which powers each member afresh, since every evaluation has a new
 base.
 beta.ExpansionPrefix.partial_sum sums the same terms lam ** -(j + 1), but
@@ -170,12 +172,30 @@ def _sign_interval(terms: _GapTerms, lam: float, w: int) -> tuple[int, int]:
     return min(ends) + (c_lo << w), max(ends) + (c_hi << w)
 
 
-def _certified_sign(interval: Callable[[float, int], tuple[int, int]], x: float) -> int:
-    """The sign, +1 or -1, of the integer interval interval(x, w) once it
-    excludes 0, its precision w doubling from _START_PRECISION_BITS."""
+class _Series(NamedTuple):
+    """A series f, decreasing on (1, 2], by the two primitives the bisection
+    reads: value(x) is f(x) in floats with a proven bound on its error, and
+    interval(x, w) an integer interval holding 2**(2w) * g(x), where g has
+    the sign of f(x) - 1."""
+
+    value: Callable[[float], tuple[float, float]]
+    interval: Callable[[float, int], tuple[int, int]]
+
+
+def _side(series: _Series, x: float) -> tuple[float, int]:
+    """f(x) in floats and the sign of f(x) - 1 it proves: +1 or -1 when it
+    lies farther than its error bound from 1, else 0."""
+    value, bound = series.value(x)
+    return value, (value - 1.0 > bound) - (1.0 - value > bound)
+
+
+def _sign(series: _Series, x: float) -> int:
+    """The exact sign of f(x) - 1, +1 or -1: the sign of series.interval(x,
+    w) once it excludes 0, its precision w doubling from
+    _START_PRECISION_BITS."""
     w = _START_PRECISION_BITS
     while w <= _MAX_PRECISION_BITS:
-        low, high = interval(x, w)
+        low, high = series.interval(x, w)
         if low > 0 or high < 0:
             return 1 if low > 0 else -1
         w *= 2
@@ -185,32 +205,15 @@ def _certified_sign(interval: Callable[[float, int], tuple[int, int]], x: float)
     )
 
 
-def _exact_sign(terms: _GapTerms, lam: float) -> int:
-    """The sign of f(lam) - 1, +1 or -1, for a double lam in (1, 2]."""
-    return _certified_sign(partial(_sign_interval, terms), lam)
+def _gap_series(spec: SGapSpec) -> _Series:
+    """The closed form of a gap set's series, its terms built once."""
+    terms = _gap_terms(spec)
 
+    def value(x: float) -> tuple[float, float]:
+        bound = _FLOAT_MARGIN / (1.0 - x**-terms.p) if terms.cycle else _FLOAT_MARGIN
+        return _closed_series(terms, x), bound
 
-def _float_side(terms: _GapTerms, x: float) -> tuple[float, int]:
-    """f(x) in floats and the sign of f(x) - 1 it proves: +1 or -1 when it
-    lies farther than its error bound from 1, else 0."""
-    value = _closed_series(terms, x)
-    margin = _FLOAT_MARGIN / (1.0 - x**-terms.p if terms.cycle else 1.0)
-    return value, (value - 1.0 > margin) - (1.0 - value > margin)
-
-
-class _Series(NamedTuple):
-    """A series f, decreasing on (1, 2], as the bisection reads it: side(x)
-    is f(x) in floats with the sign of f(x) - 1 that value proves (+1 or
-    -1 when it lies farther than its error bound from 1, else 0), and
-    sign(x) is the exact sign of f(x) - 1, +1 or -1."""
-
-    side: Callable[[float], tuple[float, int]]
-    sign: Callable[[float], int]
-
-
-def _gap_series(terms: _GapTerms) -> _Series:
-    """The closed form of a gap set's series."""
-    return _Series(partial(_float_side, terms), partial(_exact_sign, terms))
+    return _Series(value, partial(_sign_interval, terms))
 
 
 # The Thue-Morse digits t(j), the parity of the ones in the binary digits of
@@ -249,16 +252,14 @@ def _thue_morse_float(x: float) -> tuple[float, float]:
     return 0.5 * (x / (x - 1.0) - product), 2.0**-48 / (x - 1.0) + 2.0 * y
 
 
-def _thue_morse_side(x: float) -> tuple[float, int]:
-    value, margin = _thue_morse_float(x)
-    return value, (value - 1.0 > margin) - (1.0 - value > margin)
-
-
 def _thue_morse_interval(x: float, w: int) -> tuple[int, int]:
     """An integer interval holding (1 - (1 - y) * (P(y) + 2)) * 2**(2w),
-    y = 1/x, for a double x in (1, 2]: factors are taken until z, the next
+    y = 1/x, for a double x in [1, 2]: factors are taken until z, the next
     factor's power of y, is at most 2**-w, and the omitted ones lie in
-    [1 - 2z, 1]."""
+    [1 - 2z, 1].  The series diverges at 1, where no factor count bounds
+    the product; its sign there is +1."""
+    if x == 1.0:
+        return 1, 1
     num, den = x.as_integer_ratio()
     one = 1 << w
     y = ((den << w) // num, -(-(den << w) // num))
@@ -271,14 +272,8 @@ def _thue_morse_interval(x: float, w: int) -> tuple[int, int]:
     return one * one - (one - y[0]) * high, one * one - (one - y[1]) * low
 
 
-def _thue_morse_sign(x: float) -> int:
-    """The sign of f(x) - 1, +1 or -1, for a double x in [1, 2].  The series
-    diverges at 1, where no factor count bounds the product: +1."""
-    return 1 if x == 1.0 else _certified_sign(_thue_morse_interval, x)
-
-
 # The Thue-Morse digits' series, the one of beta.komornik_loreti_constant.
-_THUE_MORSE = _Series(_thue_morse_side, _thue_morse_sign)
+_THUE_MORSE = _Series(_thue_morse_float, _thue_morse_interval)
 
 
 def _float_bracket(series: _Series, tol: float) -> tuple[float, float]:
@@ -292,8 +287,7 @@ def _float_bracket(series: _Series, tol: float) -> tuple[float, float]:
     point's value lies within its error bound of 1; the points tol / 8
     either side of that one may then still move an end.
     """
-    float_side = series.side
-    a, b, g_a, g_b = 1.0, 2.0, math.inf, float_side(2.0)[0] - 1.0
+    a, b, g_a, g_b = 1.0, 2.0, math.inf, series.value(2.0)[0] - 1.0
     moved = 0  # +1 after a move of a, -1 after a move of b
     while b - a > tol / 4:
         x = 0.5 * (a + b)
@@ -301,10 +295,10 @@ def _float_bracket(series: _Series, tol: float) -> tuple[float, float]:
             x = y
         if not a < x < b:  # a and b are adjacent doubles
             break
-        value, side = float_side(x)
+        value, side = _side(series, x)
         if not side:
             for y in (x - tol / 8, x + tol / 8):
-                side = float_side(y)[1] if a < y < b and y != x else 0
+                side = _side(series, y)[1] if a < y < b and y != x else 0
                 if side > 0:
                     a = y
                 elif side < 0:
@@ -322,44 +316,47 @@ def _float_bracket(series: _Series, tol: float) -> tuple[float, float]:
 
 
 def _root_bracket(series: _Series, tol: float) -> tuple[float, float, int]:
-    """Halve [1, 2] around the root of f = 1 and certify the lower end.
+    """Halve [1, 2] around the root of f = 1 and certify both ends.
 
-    A step whose float value of f lies farther than its error bound from 1
-    takes that value's side; nearer ones take the exact sign.  Stops when
-    the bracket is at most tol / 2 wide and the float values of f at its
-    ends differ by at most tol, or when its ends are adjacent doubles.
-
-    Each step thus takes the side of the exact sign of f(mid) - 1, so the
+    Every halving takes the side of the exact sign of f(mid) - 1, so the
     bracket after k halvings is the dyadic cell of width 2**-k that holds
-    the root.  _float_bracket narrows (a, b) around the root first, so a
-    halving whose midpoint lies outside (a, b) takes its side unevaluated;
-    f is evaluated at the cell's ends once a midpoint falls inside (a, b)
-    or the cell is tol / 2 wide, and every later step evaluates as above.
-    The (lo, hi, halvings) returned are those of the plain bisection.
-    f(lo) > 1 is checked exactly, else EntropySolveError is raised; the
-    callers certify hi, each against its own series.
+    the root: (lo, hi, halvings) are those of the plain bisection.
+    _float_bracket first narrows (a, b) around the root, so a midpoint
+    outside (a, b) takes its side unevaluated; one inside takes _side, and
+    _sign when the float value proves nothing.  Stops when the bracket is
+    at most tol / 2 wide and the float values of f at its ends differ by
+    at most tol, or when its ends are adjacent doubles; an end's value is
+    the one that moved it, or is evaluated for that test.  f(lo) > 1 and,
+    unless hi = 2 (f(2) <= 1 for both series), f(hi) < 1 are checked
+    exactly, else EntropySolveError is raised.
     """
-    float_side, exact_sign = series
     a, b = _float_bracket(series, tol)
-    lo, hi, steps = 1.0, 2.0, 0
-    while hi - lo > tol / 2 and lo < (mid := 0.5 * (lo + hi)) < hi and not a < mid < b:
-        lo, hi = (mid, hi) if mid <= a else (lo, mid)
-        steps += 1
     # f tends to |S| >= 2 or to infinity as x -> 1+, so lo = 1 lies above
     # the root; f_lo = inf keeps the bisection going until lo has moved.
-    f_lo = math.inf if lo == 1.0 else float_side(lo)[0]
-    f_hi = float_side(hi)[0]
-    while hi - lo > tol / 2 or f_lo - f_hi > tol:
+    lo, hi, f_lo, f_hi, steps = 1.0, 2.0, math.inf, None, 0
+    while True:
+        if hi - lo <= tol / 2:
+            if f_lo is None:
+                f_lo = series.value(lo)[0]
+            if f_hi is None:
+                f_hi = series.value(hi)[0]
+            if f_lo - f_hi <= tol:
+                break
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # lo and hi are adjacent doubles
             break
-        value, side = float_side(mid)
-        if side > 0 or not side and exact_sign(mid) > 0:
-            lo, f_lo = mid, value
+        if mid <= a:
+            lo, f_lo = mid, None
+        elif mid >= b:
+            hi, f_hi = mid, None
         else:
-            hi, f_hi = mid, value
+            value, side = _side(series, mid)
+            if side > 0 or not side and _sign(series, mid) > 0:
+                lo, f_lo = mid, value
+            else:
+                hi, f_hi = mid, value
         steps += 1
-    if exact_sign(lo) < 0:
+    if _sign(series, lo) < 0 or hi < 2.0 and _sign(series, hi) > 0:
         raise EntropySolveError(f"bracket [{lo!r}, {hi!r}] failed its exact sign check")
     return lo, hi, steps
 
@@ -368,11 +365,10 @@ def solve_sgap_entropy(spec: SGapSpec, tol: float = DEFAULT_TOL) -> EntropyResul
     """Solve f(lambda) = 1 for the gap set, with an exact bracket.
 
     The bracket is _root_bracket's on the closed form: at most tol / 2
-    wide, with its lower end's sign checked there and its upper end's here,
-    exactly.  A singleton set has its root exactly at 1 (entropy zero) and
-    the full set of naturals at 2; both are returned directly.  A
-    tolerance below 2**-50, four ulps at 1, raises EntropySolveError
-    before any evaluation, and a NaN one ValueError.
+    wide, both ends' signs checked exactly.  A singleton set has its root
+    exactly at 1 (entropy zero) and the full set of naturals at 2; both are
+    returned directly.  A tolerance below 2**-50, four ulps at 1, raises
+    EntropySolveError before any evaluation, and a NaN one ValueError.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -386,10 +382,6 @@ def solve_sgap_entropy(spec: SGapSpec, tol: float = DEFAULT_TOL) -> EntropyResul
     if spec.is_full():
         return EntropyResult(2.0, 1.0, 2.0, 2.0, 0)
 
-    series = _gap_series(_gap_terms(spec))
-    lo, hi, iterations = _root_bracket(series, tol)
-    # f(2) <= 1 for every gap set, so hi = 2 needs no check.
-    if hi < 2.0 and series.sign(hi) > 0:
-        raise EntropySolveError(f"bracket [{lo!r}, {hi!r}] failed its exact sign check")
+    lo, hi, iterations = _root_bracket(_gap_series(spec), tol)
     lam = 0.5 * (lo + hi)
     return EntropyResult(lam, math.log2(lam), lo, hi, iterations)

@@ -26,10 +26,9 @@ from shiftlab.beta import (
 )
 from shiftlab.entropy import (
     _THUE_MORSE,
-    _exact_sign,
     _gap_series,
-    _gap_terms,
     _root_bracket,
+    _sign,
     solve_sgap_entropy,
 )
 from shiftlab.sgap import (
@@ -394,7 +393,7 @@ def test_komornik_loreti_bracket_holds_the_constant_exactly(tol):
     # the root of the infinite series lies in [lo, hi].
     bits = [bin(j).count("1") % 2 for j in range(1, 257)]
     members = [n for n, bit in enumerate(bits) if bit]
-    lo, hi, _ = _root_bracket(_gap_series(_gap_terms(periodic_gaps(bits, [0]))), tol)
+    lo, hi, _ = _root_bracket(_gap_series(periodic_gaps(bits, [0])), tol)
     assert komornik_loreti_constant(tol) == 0.5 * (lo + hi)
     assert oracles.gap_series_exact(members, lo) > 1
     x = Fraction(hi)
@@ -409,15 +408,15 @@ def test_both_series_sign_the_doubles_around_the_constant_alike():
     below, above = 1.787231650182966, 1.7872316501829661
     assert math.nextafter(below, 2.0) == above
     bits = [bin(j).count("1") & 1 for j in range(1, 257)]
-    terms = _gap_terms(periodic_gaps(bits, [0]))
-    assert (_exact_sign(terms, below), _exact_sign(terms, above)) == (1, -1)
-    assert (_THUE_MORSE.sign(below), _THUE_MORSE.sign(above)) == (1, -1)
+    series = _gap_series(periodic_gaps(bits, [0]))
+    assert (_sign(series, below), _sign(series, above)) == (1, -1)
+    assert (_sign(_THUE_MORSE, below), _sign(_THUE_MORSE, above)) == (1, -1)
 
 
 def test_infinite_tolerance_takes_no_step():
     # No halving is needed, so the bracket stays [1, 2] and its lower end
     # is signed at 1, where the product has no finite factor count.
-    assert _THUE_MORSE.sign(1.0) == 1
+    assert _sign(_THUE_MORSE, 1.0) == 1
     assert komornik_loreti_constant(math.inf) == 1.5
 
 
@@ -566,7 +565,7 @@ def test_specified_gap_set_is_the_cut_greedy_expansion(seed):
 
 
 def test_failed_sign_check_raises(monkeypatch):
-    monkeypatch.setattr(beta, "_exact_sign", lambda terms, lam: -1)
+    monkeypatch.setattr(beta, "_sign", lambda series, x: -1)
     with pytest.raises(ArithmeticError):
         specified_gap_set(1.8, 1e-12)
 

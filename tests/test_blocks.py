@@ -181,6 +181,40 @@ def test_count_row_comes_first(text):
         assert _follower_profiles(spec, [(True, 0)], n)[0] == counts
 
 
+def test_follower_rows_on_short_windows_of_long_descriptions():
+    # Rows to r_max from runs up to b see only the members below
+    # w = b + r_max and whether S reaches w, so a long description counts
+    # on that window; its start classes still come from the whole
+    # description.  Starts past a finite set's maximum (dead after a one)
+    # and past two periods, and r_max = 0, are drawn too.
+    rng = random.Random(35)
+    cut = 0
+    for _ in range(300):
+        density = rng.random()
+        pre = [int(rng.random() < density) for _ in range(rng.randint(0, 60))]
+        pat = [int(rng.random() < density) for _ in range(rng.choice((1, rng.randint(1, 30))))]
+        if not any(pre + pat):
+            pre.append(1)
+        spec = periodic_gaps(pre, pat)
+        q, p = spec.run_classes()
+        starts = [
+            (rng.random() < 0.7, rng.choice((rng.randint(0, 8), rng.randint(0, q + 2 * p + 3))))
+            for _ in range(rng.randint(0, 5))
+        ]
+        r_max = rng.choice((0, rng.randint(1, 10)))
+        counts, rows = _follower_profiles(spec, starts, r_max)
+        assert counts == oracles.run_length_counts(spec, r_max), spec.render()
+        for (has_one, run), row in zip(starts, rows, strict=True):
+            omega = "1" * has_one + "0" * run
+            expected = oracles.run_length_counts(spec, r_max, prefix=omega)
+            if not has_one and not oracles.sgap_word_ok(spec, omega):
+                expected[0] = 1  # the empty extension, by convention
+            assert row == expected, (spec.render(), omega, r_max)
+        w = max((run for _, run in starts), default=0) + r_max
+        cut += 0 < w < q + p - 1
+    assert cut > 150
+
+
 # Gap sets of gcd 1, 2 ({1,3}) and 3 (ep:pre=;pat=0,0,1 and {2,5}).
 CONSTANT_SETS = [
     "{0,2,5}",

@@ -583,7 +583,7 @@ def test_tolerance_below_float_floor_fails_before_solving(monkeypatch, argv):
         raise AssertionError("series evaluated")
 
     monkeypatch.setattr("shiftlab.entropy._closed_series", no_series)
-    monkeypatch.setattr("shiftlab.entropy._exact_sign", no_series)
+    monkeypatch.setattr("shiftlab.entropy._sign_interval", no_series)
     code, out, err = call([*argv, "--tol", "1e-300"])
     assert code == 3
     assert_one_line_failure(out, err)
@@ -618,6 +618,16 @@ def test_entropy_cost_follows_the_description():
         env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
     assert child.returncode == 0 and json.loads(child.stdout)["result"] == result
+
+
+@pytest.mark.parametrize("argv", [["check-bsm", "--depth", "50"], ["check-balanced", "--r-max", "5"]])
+def test_count_cost_follows_the_window(capsys, argv):
+    # co{1000000} holds every run these requests read, as co{} does: the
+    # counts see only the members below their window, whatever max S is.
+    start = time.perf_counter()
+    report = run_json(capsys, *argv, "--s", "co{1000000}")
+    assert time.perf_counter() - start < 1.0
+    assert report["result"] == run_json(capsys, *argv, "--s", "co{}")["result"]
 
 
 def test_expand_digit_follows_its_flag(capsys):

@@ -6,16 +6,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from shiftlab import entropy
+from shiftlab import beta, entropy
 from shiftlab.beta import komornik_loreti_constant, specified_gap_set
 from shiftlab.blocks import log2_int, sgap_count_table
 from shiftlab.entropy import (
     EntropySolveError,
+    _MIN_TOL,
     _THUE_MORSE,
-    _exact_sign,
     _gap_series,
     _gap_terms,
     _root_bracket,
+    _side,
+    _sign,
     _sign_interval,
     _thue_morse_float,
     solve_sgap_entropy,
@@ -133,12 +135,12 @@ def test_bisect_reaches_half_tolerance(rng, tol):
     # directly.
     spec = oracles.random_spec(rng)
     assume(spec.size() != 1)
-    terms = _gap_terms(spec)
-    a, b, steps = _root_bracket(_gap_series(terms), tol)
+    series = _gap_series(spec)
+    a, b, steps = _root_bracket(series, tol)
     assert 1.0 < a < b <= 2.0 and b - a <= tol / 2
     assert steps <= 52
-    assert _exact_sign(terms, a) > 0
-    assert b == 2.0 or _exact_sign(terms, b) < 0
+    assert _sign(series, a) > 0
+    assert b == 2.0 or _sign(series, b) < 0
 
 
 def _small_descriptions(max_bits):
@@ -170,13 +172,14 @@ def test_root_bracket_is_the_reference_bisection(tol):
     # count are those of a bisection that takes every side exactly.
     for spec in _REFERENCE_SETS:
         expected = oracles.reference_bracket(spec, tol)
-        assert _root_bracket(_gap_series(_gap_terms(spec)), tol) == expected, spec.render()
+        assert _root_bracket(_gap_series(spec), tol) == expected, spec.render()
 
 
 @pytest.mark.parametrize(
     "solve, counted, most",
     [
         (lambda: komornik_loreti_constant(1e-10), "_thue_morse_float", 20),
+        (lambda: komornik_loreti_constant(1e-15), "_thue_morse_float", 40),
         (lambda: solve_sgap_entropy(parse_sgap_spec("{0,2,5,8}"), 1e-10), "_closed_series", 20),
         (
             lambda: solve_sgap_entropy(periodic_gaps([], [0] * 299 + [1]), 1e-10),
@@ -184,7 +187,7 @@ def test_root_bracket_is_the_reference_bisection(tol):
             32,
         ),
     ],
-    ids=["kl", "{0,2,5,8}", "period300"],
+    ids=["kl", "kl1e-15", "{0,2,5,8}", "period300"],
 )
 def test_series_evaluations_per_solve(monkeypatch, solve, counted, most):
     # A bisection alone evaluates the series 36 times for the first two and
@@ -199,6 +202,9 @@ def test_series_evaluations_per_solve(monkeypatch, solve, counted, most):
             lambda *args, name=name, series=series: calls.setdefault(name, []).append(1)
             or series(*args),
         )
+    # kl's series holds the product itself, so it counts through a copy.
+    counted_product = beta._THUE_MORSE._replace(value=entropy._thue_morse_float)
+    monkeypatch.setattr(beta, "_THUE_MORSE", counted_product)
     solve()
     assert 0 < len(calls.get(counted, [])) <= most
     assert calls.keys() == {counted}
@@ -216,7 +222,36 @@ def test_thue_morse_product_within_its_margin_of_the_series():
         value, margin = _thue_morse_float(x)
         assert low - Fraction(margin) <= value <= high + Fraction(margin), x
         if low > 1 or high < 1:
-            assert _THUE_MORSE.sign(x) == (1 if low > 1 else -1), x
+            assert _sign(_THUE_MORSE, x) == (1 if low > 1 else -1), x
+
+
+def test_proven_float_sides_agree_with_exact_signs():
+    # Wherever a float value lies farther than its error bound from 1, the
+    # sign it proves is the exact one: at seeded doubles in (1, 2], at the
+    # doubles next to the root and at 2**k ulps from it, where the value
+    # crosses its bound.  The series are 200 seeded gap sets, three of them
+    # with roots close to 1, and the Thue-Morse product.
+    specs = [spec for spec in oracles.random_specs(260, 35) if spec.size() != 1]
+    specs = [spec for spec in specs if not spec.is_full()][:197]
+    specs += [periodic_gaps([], [0] * (p - 1) + [1]) for p in (50, 257, 400)]
+    named = [(spec.render(), _gap_series(spec)) for spec in specs] + [("kl", _THUE_MORSE)]
+    rng = random.Random(35)
+    proven = 0
+    for name, series in named:
+        lo, hi, _ = _root_bracket(series, _MIN_TOL)
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (mid, hi) if _sign(series, mid) > 0 else (lo, mid)
+        near = [lo + k * math.ulp(lo) for k in range(-3, 4)]
+        steps = [lo + sign * 2.0**k * math.ulp(lo) for k in range(2, 40, 3) for sign in (-1, 1)]
+        seeded = [rng.uniform(1.0, 2.0) for _ in range(10)] + [2.0]
+        for x in near + steps + seeded:
+            if not 1.0 < x <= 2.0:
+                continue
+            side = _side(series, x)[1]
+            if side:
+                proven += 1
+                assert side == _sign(series, x), (name, x)
+    assert proven > 3000
 
 
 # Each gap set with a polynomial in lambda, negative below its root and
@@ -257,12 +292,12 @@ def test_exact_sign_at_the_doubles_around_the_root(text, poly):
     lo, hi = 1.0, 2.0
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         lo, hi = (mid, hi) if poly(Fraction(mid)) < 0 else (lo, mid)
-    terms = _gap_terms(parse_sgap_spec(text))
+    series = _gap_series(parse_sgap_spec(text))
     x = lo
     for _ in range(3):
         x = math.nextafter(x, 0.0)
     for _ in range(7):
-        assert _exact_sign(terms, x) == (1 if poly(Fraction(x)) < 0 else -1), x
+        assert _sign(series, x) == (1 if poly(Fraction(x)) < 0 else -1), x
         x = math.nextafter(x, 2.0)
 
 
