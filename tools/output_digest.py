@@ -84,6 +84,11 @@ EDGE_ARGVS = [
     ["check-bsm", "--even-shift", "--depth", "400"],
     ["check-bsm", "--s", "{2,5}", "--depth", "400"],
     ["check-bsm", "--s", "ep:pre=;pat=0,0,1", "--depth", "800"],
+    # Deep scans whose counts oscillate with the gcd 3 of {2,5} and 2 of
+    # {1,3}, and a gibbs window over the oscillating rows of {1,3}.
+    ["check-bsm", "--s", "{2,5}", "--depth", "800"],
+    ["check-bsm", "--s", "{1,3}", "--depth", "1500"],
+    ["gibbs", "--s", "{1,3}", "--depth", "60"],
     # Usage errors (exit 2): a non-binary --pre/--pat word, a leaf budget
     # below one, a --length below one or given with --pre/--pat.
     ["bridge", "--pre", "1", "--pat", "2"],
