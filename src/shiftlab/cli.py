@@ -62,22 +62,23 @@ def _cell_budget() -> int:
     return value
 
 
-def _count_row(args, n: int) -> list[int]:
+def _count_row(args, n: int) -> tuple[list[int], sgap.SGapSpec | None]:
     """The count row counts[0..n] of the source --s / --sft / --even-shift
-    names, counts[0] = 1 for the empty word.  --even-shift names the gap
-    set of the even numbers, ep:pre=;pat=1,0, counted like any --s."""
+    names, counts[0] = 1 for the empty word, and its gap set (None for
+    --sft).  --even-shift names the gap set of the even numbers,
+    ep:pre=;pat=1,0, counted like any --s."""
     if sum((args.s is not None, args.sft is not None, args.even_shift)) != 1:
         raise sgap.SpecSyntaxError("exactly one of --s, --sft, --even-shift is required")
     if (args.alphabet is None) != (args.sft is None):
         raise sgap.SpecSyntaxError("--alphabet applies only to --sft, which requires it")
-    if args.even_shift:
-        table = blocks.sgap_count_table(sgap.periodic_gaps(b"", b"\1\0"), n)
-    elif args.s is not None:
-        table = blocks.sgap_count_table(sgap.parse_sgap_spec(args.s), n)
-    else:
+    if args.sft is not None:
         aut = blocks.build_sft_automaton(args.alphabet, args.sft.split(","))
-        table = blocks.automaton_count_table(aut, n)
-    return [1, *table.counts.values()]
+        return [1, *blocks.automaton_count_table(aut, n).counts.values()], None
+    if args.even_shift:
+        spec = sgap.periodic_gaps(b"", b"\1\0")
+    else:
+        spec = sgap.parse_sgap_spec(args.s)
+    return [1, *blocks.sgap_count_table(spec, n).counts.values()], spec
 
 
 # json.dumps spells these three floats unlike float.__repr__.
@@ -245,7 +246,7 @@ def _counts_csv(counts: list[int]) -> str:
 
 def cmd_blocks(args) -> None:
     _require_positive("--n", args.n)
-    counts = _count_row(args, args.n)
+    counts, _ = _count_row(args, args.n)
     _require_printable("--n", args.n, "count", counts)
     result = {
         "n": args.n,
@@ -269,7 +270,9 @@ def _estimate_result(flag: str, value: int, name: str, report) -> dict:
 
 def cmd_check_bsm(args) -> None:
     _require_positive("--depth", args.depth)
-    report = props.bsm_estimate(_count_row(args, 2 * args.depth), args.depth)
+    counts, spec = _count_row(args, 2 * args.depth)
+    # A gap set's counts oscillate with its gcd; --sft carries no period.
+    report = props.bsm_estimate(counts, args.depth, spec.gcd() if spec else 1)
     _emit(args, _estimate_result("--depth", args.depth, "K_estimate", report))
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import le, mul, sub
 
 from .blocks import SizeGuardError, _follower_profiles
@@ -41,6 +41,10 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 # counts as stable.
 _STABLE_FACTOR = Fraction(101, 100)
 _DECAY_FACTOR = 4
+# bsm_estimate bounds a row per residue class only when each class holds
+# this many of its m: shorter classes cost more to bound and score one by
+# one than they save (for gcd 2 and 3 the two break even near 30).
+_CLASS_MEMBERS = 30
 
 
 @dataclass(frozen=True)
@@ -50,15 +54,43 @@ class PropertyReport:
     witness: tuple
 
 
-def bsm_estimate(counts: list[int], depth: int) -> PropertyReport:
+def _extremes(g: list[float], depth: int, period: int) -> tuple[list[float], list[float]]:
+    """Per residue class mod period, for period <= depth: top[n], for
+    1 <= n <= depth, is the largest g[k] over 1 <= k <= n, and low[n], for
+    n <= depth + period, the smallest g[k] over n <= k <= 2 * depth, with
+    k = n (mod period) in both.
+
+    One strided accumulate per class builds each; low starts from one
+    C-level min over the class's tail past depth + period, the last index
+    bsm_estimate reads.
+    """
+    top, low = g[: depth + 1], g[: depth + period + 1]
+    for r in range(1, period + 1):
+        top[r::period] = accumulate(g[r : depth + 1 : period], max)
+        end = depth + r
+        tail = min(g[end::period])
+        low[end::-period] = accumulate(g[end - period :: -period], min, initial=tail)
+    return top, low
+
+
+def bsm_estimate(counts: list[int], depth: int, period: int = 1) -> PropertyReport:
     """Largest product-over-sum count ratio for lengths up to depth.
 
-    Needs the count row to 2 * depth.  The verdict is consistency, not proof:
-    stable maxima over the last quartile of depths read as consistent with
-    bounded supermultiplicativity, growing maxima as inconclusive.
+    Needs the count row to 2 * depth.  period sets only the speed: every
+    period >= 1 gives the same report.  For an S-gap shift pass the gcd d
+    of {n + 1 : n in S}.  Its counts oscillate as c(n) ~ C_(n mod d) *
+    lambda**n, so one bound over a whole row mixes the largest C with the
+    smallest and rules out few rows.  A row whose residue classes mod d
+    hold _CLASS_MEMBERS m or more is bounded class by class, and only the
+    classes whose bound reaches the best so far are scored.  The verdict
+    is consistency, not proof: stable maxima over the last quartile of
+    depths read as consistent with bounded supermultiplicativity, growing
+    maxima as inconclusive.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if period < 1:
+        raise ValueError("period must be >= 1")
     if len(counts) <= 2 * depth:
         raise ValueError(f"count row stops before length {2 * depth}")
     if not all(counts[1 : 2 * depth + 1]):
@@ -78,24 +110,32 @@ def bsm_estimate(counts: list[int], depth: int) -> PropertyReport:
     # Every float below is a sum of at most three L values and 2 * margin,
     # so at most 3 * B in size, and each of the five roundings (row entry,
     # best_score twice, cut, floor) moves it by at most 1.5 * B * 2**-52.
-    # So row[m - 1] < floor gives s < s* - 2 * margin + 43.5 * B * 2**-52,
+    # So a row entry below floor gives s < s* - 2 * margin + 43.5 * B * 2**-52,
     # and 2 * margin = B * 2**-43 > 43.5 * B * 2**-52 gives s < s*.
     #
-    # A whole row is ruled out at once by a slope h: with g[n] = L[n] - n*h,
-    # L[m] + L[d] - L[m + d] = g[m] + g[d] - g[m + d] for every h, so no
-    # score in row d exceeds top[d] + g[d] - low[d + 1], where top is the
-    # prefix max and low the suffix min of g.  |h| is B / depth at most, up
-    # to rounding, so |n*h| < 3 * B and |g[n]| < 4 * B, and two roundings
-    # put each g within 3.5 * B * 2**-52 of L[n] - n*h.  Its three g and its
-    # own two roundings (of sums below 8 * B and 12 * B) leave the float
-    # bound at most 20.5 * B * 2**-52 below the exact L[m] + L[d] - L[m + d]
-    # of any pair in the row.  Rounding skip = cut - margin, the row entry
-    # and floor adds 4.5 * B * 2**-52, and margin = B * 2**-44 exceeds
-    # 25 * B * 2**-52: a row whose bound is below skip has every
-    # row[m - 1] < floor, so skipping it is the float test above rejecting
-    # it whole.  When the counts settle on a slope (c(n) ~ C * lambda**n,
-    # C periodic in n) the bound rules out all but a few rows; ratios that
-    # tie or creep up to their supremum keep near-ties in every row.
+    # Pairs are ruled out by a slope h: with g[n] = L[n] - n*h,
+    # L[m] + L[d] - L[m + d] = g[m] + g[d] - g[m + d] for every h.  Let D be
+    # the period and take the pairs of row d whose m = m0 (mod D), the class
+    # of its first m0, 1 <= m0 <= D, and let e <= d be its last m.  With top
+    # and low the _extremes of g mod D, each g[m] is at most top[e], and
+    # each g[m + d] is at least low[m0 + d], since m + d >= m0 + d in that
+    # class.  So no score of the class exceeds its bound top[e] + g[d] -
+    # low[m0 + d].  Only these two memberships are used, so the bound holds
+    # for every D >= 1, and for D = 1 it bounds the whole row.  |h| is
+    # B / depth at most, up to rounding, so |n*h| < 3 * B and |g[n]| < 4 * B,
+    # and two roundings put each g within 3.5 * B * 2**-52 of L[n] - n*h.
+    # Its three g and its own two roundings (of sums below 8 * B and
+    # 12 * B) leave the float bound at most 20.5 * B * 2**-52 below the
+    # exact L[m] + L[d] - L[m + d] of any pair in the class.  Rounding
+    # skip = cut - margin, the row entry and floor adds 4.5 * B * 2**-52,
+    # and margin = B * 2**-44 exceeds 25 * B * 2**-52: a class whose bound
+    # is below skip has every row entry below floor, so skipping it is the
+    # float test above rejecting it whole.  Each row is tested by its bound
+    # for D = 1, then, from split on, class by class; the passing m of the
+    # kept classes, merged in ascending order, are those of the whole row
+    # in its order.  When the counts settle on c(n) ~ C_(n mod D) *
+    # lambda**n the bounds rule out all but a few classes; ratios that tie
+    # or creep up to their supremum keep near-ties in every row.
     #
     # Such a row's passing pairs are settled by their exact maximum R of
     # counts[m] / counts[m + d], kept under a strict > so that the first m
@@ -109,8 +149,12 @@ def bsm_estimate(counts: list[int], depth: int) -> PropertyReport:
     margin = (1.0 + max(logs)) * 2.0**-44
     h = (logs[2 * depth] - logs[depth]) / depth
     g = [x - n * h for n, x in enumerate(logs)]
-    top = [0.0, *accumulate(g[1 : depth + 1], max)]
-    low = [*accumulate(reversed(g), min)][::-1]
+    top, low = _extremes(g, depth, 1)
+    # Rows from split on also bound their classes, whose _extremes are
+    # built when a row first needs them.
+    split = period * _CLASS_MEMBERS if period > 1 else depth + 1
+    class_top = class_low = None
+    starts = range(1, period + 1)
     cut = skip = best_score = -math.inf
 
     # Ratios stay integer pairs (numerator, denominator) compared by
@@ -121,22 +165,46 @@ def bsm_estimate(counts: list[int], depth: int) -> PropertyReport:
     anchor = (0, 1)
     for d in range(1, depth + 1):
         # Pairs with max(m, n) == d extend the previous depth's maximum;
-        # row[m - 1] = L[m] - L[m + d], compared with cut - L[d].
+        # each row entry L[m] - L[m + d] is compared with cut - L[d].
         if top[d] + g[d] - low[d + 1] >= skip:
-            row = list(map(sub, logs[1 : d + 1], logs[d + 1 : 2 * d + 1]))
             floor = cut - logs[d]
-            if max(row) >= floor:
+            if d >= split:
+                if class_top is None:
+                    class_top, class_low = _extremes(g, depth, period)
+                # The classes whose own bound reaches skip, top at their
+                # last m <= d.
+                kept = [
+                    m0
+                    for m0 in starts
+                    if class_top[d - (d - m0) % period] + g[d] - class_low[m0 + d] >= skip
+                ]
+            passing = ()
+            if d < split or len(kept) == period:
+                # Every class at once.
+                row = list(map(sub, logs[1 : d + 1], logs[d + 1 : 2 * d + 1]))
+                if max(row) >= floor:
+                    passing = compress(range(1, d + 1), map(le, repeat(floor), row))
+            else:
+                # The kept classes' passing m, merged in ascending order.
+                for m0 in kept:
+                    row = list(
+                        map(sub, logs[m0 : d + 1 : period], logs[m0 + d : 2 * d + 1 : period])
+                    )
+                    if max(row) >= floor:
+                        m = compress(range(m0, d + 1, period), map(le, repeat(floor), row))
+                        passing = sorted(chain(passing, m)) if passing else m
+            if passing:
                 # The row's exact maximum of counts[m] / counts[m + d] over
                 # the pairs that pass, its first m on a tie; then one test.
                 row_num, row_den = 0, 1
-                for m in compress(range(1, d + 1), map(le, repeat(floor), row)):
+                for m in passing:
                     num, den = counts[m], counts[m + d]
                     if num * row_den > row_num * den:
                         row_num, row_den, row_m = num, den, m
                 num = row_num * counts[d]
                 if num * best_den > best_num * row_den:
                     best_num, best_den, witness = num, row_den, (row_m, d)
-                    best_score = row[row_m - 1] + logs[d]
+                    best_score = logs[row_m] - logs[row_m + d] + logs[d]
                 cut = best_score - 2 * margin
                 skip = cut - margin
         if d == anchor_depth:
@@ -364,7 +432,7 @@ def gibbs_diagnostics(
     row_of = dict(zip(runs, rows))  # every class start is one of the runs
     return GibbsDiagnostics(
         ratios={n: _ratio(n * h, counts[n]) for n in range(1, depth + 1)},
-        c2=bsm_estimate(counts, window).estimate,
+        c2=bsm_estimate(counts, window, spec.gcd()).estimate,
         c1=_min_density(starts, map(row_of.get, starts), counts, window).estimate,
         window=window,
         reps=["1" * has_one + "0" * run for has_one, run in runs],

@@ -94,6 +94,14 @@ class SGapSpec:
         q = len(self.preperiod)
         return q, 0 if self.is_finite() else len(self.period)
 
+    def gcd(self) -> int:
+        """gcd{n + 1 : n in S}, read off the bits below q + 2p.
+
+        For an infinite set they hold some member n >= q and n + p, so the
+        gcd divides p and every later member's n + 1.
+        """
+        return gcd(*compress(count(1), self.preperiod + self.period * 2))
+
     def render(self) -> str:
         """The shortest text form: {..} if finite, co{..} if cofinite,
         ep:pre=..;pat=.. otherwise."""
@@ -225,16 +233,14 @@ class Classification:
 def classify(spec: SGapSpec) -> Classification:
     """Classify the shift of a gap set by finite inspection.
 
-    The gap supremum and the gcd of shifted members both stabilise within
-    one window of the description, the preperiod plus three periods, so one
-    list of members serves both (the window holds some member n and n + p,
-    so the gcd divides p).  Period (0,) or (1,) means a finite or cofinite
-    set, whose shift is of finite type.
+    The gap supremum stabilises within the preperiod plus three periods.
+    Period (0,) or (1,) means a finite or cofinite set, whose shift is of
+    finite type.
     """
     q, p = len(spec.preperiod), len(spec.period)
     members = spec.members_up_to(q + 3 * p - 1)
     gap_sup = max(map(sub, members[1:], members), default=0)
-    gcd_value = gcd(*(n + 1 for n in members))
+    gcd_value = spec.gcd()
     # Every description has bounded gaps between members.
     is_almost_specified = True
     is_mixing = gcd_value == 1

@@ -630,6 +630,42 @@ def test_count_cost_follows_the_window(capsys, argv):
     assert report["result"] == run_json(capsys, *argv, "--s", "co{}")["result"]
 
 
+@pytest.mark.parametrize(
+    ("source", "period"),
+    [
+        (["--s", "{2,5}"], 3),
+        (["--s", "ep:pre=;pat=0,1"], 2),
+        (["--s", "co{0}"], 1),
+        (["--even-shift"], 1),
+        (["--sft", "11", "--alphabet", "01"], 1),
+    ],
+)
+def test_check_bsm_passes_the_gap_sets_gcd(monkeypatch, capsys, source, period):
+    # The period is the gcd of the gap set the count row was built from:
+    # one parse per argv and no classify.  --sft carries no period.
+    periods, parses = [], []
+    estimate, parse = shiftlab.props.bsm_estimate, shiftlab.sgap.parse_sgap_spec
+
+    def recorded_estimate(counts, depth, p):
+        periods.append(p)
+        return estimate(counts, depth, p)
+
+    def recorded_parse(text):
+        parses.append(text)
+        return parse(text)
+
+    def no_classify(spec):
+        raise AssertionError("classify called")
+
+    monkeypatch.setattr("shiftlab.props.bsm_estimate", recorded_estimate)
+    monkeypatch.setattr("shiftlab.sgap.parse_sgap_spec", recorded_parse)
+    monkeypatch.setattr("shiftlab.sgap.classify", no_classify)
+    assert main(["check-bsm", *source, "--depth", "40"]) == 0
+    capsys.readouterr()
+    assert periods == [period]
+    assert len(parses) == (source[0] == "--s")
+
+
 def test_expand_digit_follows_its_flag(capsys):
     # x sits just below fl(switch_lo - tol): flagged forced0, it must take 0.
     lam, x, tol = 1.5, 0.6666666666636666, 3e-12

@@ -13,6 +13,7 @@ from shiftlab.blocks import (
     log2_int,
     sgap_count_table,
 )
+from shiftlab import cli
 from shiftlab.entropy import solve_sgap_entropy
 from shiftlab.props import (
     VERDICT_BALANCED,
@@ -100,10 +101,13 @@ def test_bsm_matches_reference(source):
     else:
         table = sgap_count_table(parse_sgap_spec(source), 600)
     counts = count_row(table)
+    # A gap set's own gcd as the period, as check-bsm passes it.
+    period = 1 if source in BSM_AUTOMATA else parse_sgap_spec(source).gcd()
     for depth in [*range(1, 41), 300]:
         rep = bsm_estimate(counts, depth)
         got = (rep.estimate, rep.witness, rep.verdict)
         assert got == oracles.bsm_reference(counts, depth), depth
+        assert bsm_estimate(counts, depth, period) == rep, depth
 
 
 def test_bsm_margin_covers_float_rounding():
@@ -208,6 +212,70 @@ def test_bsm_planted_ties_match_reference_on_random_tables(seed):
         rep = bsm_estimate(counts, depth)
         got = (rep.estimate, rep.witness, rep.verdict)
         assert got == oracles.bsm_reference(counts, depth), depth
+
+
+# Gap sets of gcd 3, 2, 4 and 3 and the even shift (gcd 1), whose counts
+# oscillate with the residue of n.
+PERIOD_SETS = ["{2,5}", "{1,3}", "{3,7}", "ep:pre=;pat=0,0,1", "ep:pre=;pat=1,0"]
+
+
+def _period_tables():
+    """(count row, depths) pairs: the random tables, TIE_ROWS, and the count
+    rows of PERIOD_SETS."""
+    for seed in range(16):
+        yield _random_counts(random.Random(seed), 80), range(1, 41)
+    yield TIE_ROWS, range(1, 7)
+    for text in PERIOD_SETS:
+        yield count_row(sgap_count_table(parse_sgap_spec(text), 120)), range(1, 61)
+
+
+@pytest.mark.parametrize("members", [1, 30])
+def test_bsm_any_period_matches_reference(monkeypatch, members):
+    # The period sets only the speed: right or wrong, every period gives
+    # the exact search's report.  With classes of one member, every row
+    # from d = period on is bounded class by class.
+    monkeypatch.setattr("shiftlab.props._CLASS_MEMBERS", members)
+    for counts, depths in _period_tables():
+        for depth in depths:
+            want = oracles.bsm_reference(counts, depth)
+            for period in range(1, 7):
+                rep = bsm_estimate(counts, depth, period)
+                assert (rep.estimate, rep.witness, rep.verdict) == want, (depth, period)
+
+
+def test_bsm_refuses_a_period_below_one():
+    with pytest.raises(ValueError, match="period must be >= 1"):
+        bsm_estimate(TIE_ROWS, 4, 0)
+
+
+# Float scores (row entries) check-bsm built before it bounded its rows per
+# residue class of the gcd: the gcd-3 sets must now score at most half as
+# many, the gcd-1 sets exactly as many.
+PARENT_SCORES = [
+    ("{2,5}", 800, 213_870),
+    ("ep:pre=;pat=0,0,1", 539, 97_218),
+    ("{0,2,5,8}", 750, 78),
+    ("co{0}", 412, 1),
+]
+
+
+@pytest.mark.parametrize(("text", "depth", "parent"), PARENT_SCORES)
+def test_check_bsm_scores_per_residue_class(monkeypatch, capsys, text, depth, parent):
+    scores = 0
+
+    def counted(a, b):
+        nonlocal scores
+        scores += 1
+        return a - b
+
+    # sub builds the row entries and nothing else in props.
+    monkeypatch.setattr("shiftlab.props.sub", counted)
+    assert cli.main(["check-bsm", "--s", text, "--depth", str(depth)]) == 0
+    capsys.readouterr()
+    if parse_sgap_spec(text).gcd() > 1:
+        assert scores <= parent // 2
+    else:
+        assert scores == parent
 
 
 class _CountedInt(int):
@@ -432,17 +500,18 @@ def test_gibbs_reads_every_row_from_one_kernel_pass(monkeypatch, corpus):
 
 def test_gibbs_hands_its_kernel_row_to_bsm_estimate(monkeypatch, corpus):
     # c2 is estimated on the very count row the kernel pass returned, not
-    # on a copy or a table rebuilt from it.
-    returned, estimated = [], []
+    # on a copy or a table rebuilt from it, with the gap set's gcd as period.
+    returned, estimated, periods = [], [], []
 
     def kernel(spec, starts, r_max):
         counts, rows = _follower_profiles(spec, starts, r_max)
         returned.append(counts)
         return counts, rows
 
-    def estimate(counts, depth):
+    def estimate(counts, depth, period):
         estimated.append(counts)
-        return bsm_estimate(counts, depth)
+        periods.append(period)
+        return bsm_estimate(counts, depth, period)
 
     monkeypatch.setattr("shiftlab.props._follower_profiles", kernel)
     monkeypatch.setattr("shiftlab.props.bsm_estimate", estimate)
@@ -452,6 +521,7 @@ def test_gibbs_hands_its_kernel_row_to_bsm_estimate(monkeypatch, corpus):
         diag = gibbs_diagnostics(spec, 1.0, 12)
         assert len(returned) == len(estimated) == 1, spec
         assert estimated[0] is returned[0] is diag.counts, spec
+        assert periods[-1] == classify(spec).gcd_value, spec
         assert diag.c2 == bsm_estimate(returned[0], 6).estimate
 
 

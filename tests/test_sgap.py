@@ -164,7 +164,7 @@ def test_periodic_gcd_matches_long_window():
     for spec in oracles.random_specs(80, seed=23):
         c = classify(spec)
         direct = reduce(gcd, (n + 1 for n in spec.members_up_to(500)))
-        assert c.gcd_value == direct
+        assert c.gcd_value == spec.gcd() == direct
 
 
 def test_periodic_gap_sup_matches_long_window():
