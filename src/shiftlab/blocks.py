@@ -26,7 +26,6 @@ additions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
@@ -36,16 +35,6 @@ from .sgap import SGapSpec, SizeGuardError, explicit_gaps
 SUBSET_STATE_LIMIT = 1 << 20
 # The start of the empty word, whose followers are the block counts.
 _EMPTY = (False, 0)
-
-
-def log2_int(x: int) -> float:
-    """log2 of a positive integer of any size."""
-    if x <= 0:
-        raise ValueError("log2_int needs a positive integer")
-    if x.bit_length() <= 512:
-        return math.log2(x)
-    shift = x.bit_length() - 64
-    return math.log2(x >> shift) + shift
 
 
 class EmptyShiftError(ValueError):

@@ -238,8 +238,7 @@ def _require_printable(flag: str, value: int, what: str, numbers) -> None:
 def _counts_csv(counts: list[int]) -> str:
     """The CSV of a count row, one CRLF-ended line per length from 1."""
     rows = ["n,count,log2_count,log2_count_over_n\r\n"]
-    for n, c in enumerate(counts[1:], start=1):
-        l2 = blocks.log2_int(c)
+    for n, c, l2 in zip(range(1, len(counts)), counts[1:], map(math.log2, counts[1:])):
         rows.append(f"{n},{c},{l2:.12g},{l2 / n:.12g}\r\n")
     return "".join(rows)
 

@@ -27,9 +27,6 @@ from itertools import accumulate, chain, compress, repeat
 from operator import le, mul, sub
 
 from .blocks import SizeGuardError, _follower_profiles
-# A private name, so the benchmark tracer (which wraps public names) charges
-# the 2 * depth calls per bsm_estimate to bsm_estimate itself.
-from .blocks import log2_int as _log2_int
 from .sgap import SGapSpec
 
 VERDICT_BSM = "ConsistentWithBSM"
@@ -102,11 +99,12 @@ def bsm_estimate(counts: list[int], depth: int, period: int = 1) -> PropertyRepo
     # the witness and the verdict are those of the full exact search.
     #
     # Why.  Let B = 1 + max(L) and let s, s* be the exact log2 ratios of a
-    # pair and of the best.  Each L[n] = log2_int(counts[n]) is within
+    # pair and of the best.  Each L[n] = math.log2(counts[n]) is within
     # 6 * B * 2**-52 of log2 counts[n]: at most 2**-52 from rounding the
-    # count (or its top 64 bits, 2**-62 more) to a double, 4 ulp allowed for
-    # libm's log2 (common libms stay within 1) and half an ulp for adding
-    # the shift, where an ulp of a value below B is at most B * 2**-52.
+    # count to a double, or past the double range CPython's _PyLong_Frexp
+    # mantissa in [0.5, 1) (both correctly rounded), 4 ulp allowed for libm's
+    # log2 (common libms stay within 1) and, past that range, half an ulp for
+    # adding the exponent, where an ulp of a value below B is at most B * 2**-52.
     # Every float below is a sum of at most three L values and 2 * margin,
     # so at most 3 * B in size, and each of the five roundings (row entry,
     # best_score twice, cut, floor) moves it by at most 1.5 * B * 2**-52.
@@ -145,7 +143,7 @@ def bsm_estimate(counts: list[int], depth: int, period: int = 1) -> PropertyRepo
     # R * counts[d] beats the best, to the first m reaching R: a later tie
     # never replaces.  So K, the witness and the verdict are unchanged, at
     # two products per pair instead of three.
-    logs = [0.0, *map(_log2_int, counts[1 : 2 * depth + 1])]
+    logs = [0.0, *map(math.log2, counts[1 : 2 * depth + 1])]
     margin = (1.0 + max(logs)) * 2.0**-44
     h = (logs[2 * depth] - logs[depth]) / depth
     g = [x - n * h for n, x in enumerate(logs)]
@@ -411,7 +409,7 @@ def _ratio(nh: float, count: int) -> float:
     try:
         return 2.0**nh / count
     except OverflowError:
-        return 2.0 ** (nh - _log2_int(count))
+        return 2.0 ** (nh - math.log2(count))
 
 
 def gibbs_diagnostics(

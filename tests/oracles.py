@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -174,6 +175,15 @@ def bsm_reference(counts, depth: int) -> tuple:
             at_anchor = best
     stable = best <= at_anchor * Fraction(101, 100)
     return best, witness, "ConsistentWithBSM" if stable else "Inconclusive"
+
+
+def exact_log2(c: int) -> Decimal:
+    """log2 c of a positive integer to 60 significant digits: the natural
+    logarithms of c and of 2, each correctly rounded in Decimal, and their
+    quotient."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(c).ln() / Decimal(2).ln()
 
 
 def even_word_ok(word: str) -> bool:

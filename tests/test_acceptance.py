@@ -25,7 +25,6 @@ from shiftlab.beta import (
 from shiftlab.blocks import (
     automaton_count_table,
     build_sft_automaton,
-    log2_int,
     sgap_count_table,
 )
 from shiftlab.cli import main as cli_main
@@ -160,7 +159,7 @@ def test_criterion_3_golden_entropy_and_slope():
         res = solve_sgap_entropy(spec, tol=1e-10)
         assert abs(res.lam - PHI) < 1e-9
         table = sgap_count_table(spec, 18)
-        slope = log2_int(table.counts[18]) / 18
+        slope = math.log2(table.counts[18]) / 18
         assert 0.0 <= slope - math.log2(res.lam) < 0.08
 
     _gate("3 golden entropy + slope", 5.0, body)
@@ -274,7 +273,7 @@ def test_criterion_9_property_suite():
                 max(table.counts[j] / res.lam**j for j in range(1, 13)), 1.0
             )
             for n in (4, 12):
-                l2 = log2_int(table.counts[n])
+                l2 = math.log2(table.counts[n])
                 lower, upper = (l2 - math.log2(k_window)) / n, l2 / n
                 assert lower <= res.entropy + 1e-9
                 assert upper >= res.entropy - 1e-9

@@ -1,7 +1,9 @@
 import csv
 import io
+import math
 import random
 import time
+from decimal import Decimal
 
 import pytest
 
@@ -11,7 +13,6 @@ from shiftlab.blocks import (
     _follower_profiles,
     automaton_count_table,
     build_sft_automaton,
-    log2_int,
     sgap_count_table,
 )
 from shiftlab.cli import _counts_csv
@@ -476,7 +477,7 @@ def _csv_writer_oracle(table) -> str:
     writer = csv.writer(buf)
     writer.writerow(["n", "count", "log2_count", "log2_count_over_n"])
     for n in sorted(table.counts):
-        l2 = log2_int(table.counts[n])
+        l2 = math.log2(table.counts[n])
         writer.writerow([n, table.counts[n], f"{l2:.12g}", f"{l2 / n:.12g}"])
     return buf.getvalue()
 
@@ -497,6 +498,40 @@ def test_csv_export_matches_csv_writer_bytes(build):
     text = _counts_csv(count_row(table))
     assert text == _csv_writer_oracle(table)
     assert text.count("\r\n") == 1501 and text.endswith("\r\n")
+
+
+def _twelve_digits(x: Decimal) -> Decimal:
+    return Decimal(format(x, ".12g"))
+
+
+def test_csv_log_columns_are_the_exact_logs_to_twelve_digits():
+    # Each log cell is log2 c or log2 c / n rounded to 12 significant
+    # digits, unless the exact value lies within 1e-14 (relative) of a
+    # rounding boundary, where the float's own error may pick either
+    # neighbour.  Of these 11,200 cells, 122 lie that near; each holds the
+    # exact rounding.
+    rows = [
+        *(
+            count_row(sgap_count_table(parse_sgap_spec(s), 1500))
+            for s in ("co{0}", "{0,1,3,4,7}", "ep:pre=;pat=0,0,1")
+        ),
+        count_row(automaton_count_table(build_sft_automaton("abcd", EX31_FORBIDDEN), 1100)),
+    ]
+    near = 0
+    for counts in rows:
+        lines = _counts_csv(counts).splitlines()[1:]
+        assert len(lines) == len(counts) - 1
+        for n, line in enumerate(lines, start=1):
+            cells = line.split(",")
+            exact = oracles.exact_log2(counts[n])
+            for cell, value in zip(cells[2:], (exact, exact / n)):
+                low, high = value * Decimal("0.99999999999999"), value * Decimal("1.00000000000001")
+                if _twelve_digits(low) != _twelve_digits(high):
+                    near += 1
+                    assert Decimal(cell) in (_twelve_digits(low), _twelve_digits(high))
+                else:
+                    assert Decimal(cell) == _twelve_digits(value), (n, cell, value)
+    assert near == 122
 
 
 @pytest.mark.parametrize(

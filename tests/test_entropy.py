@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from shiftlab import beta, entropy
 from shiftlab.beta import komornik_loreti_constant, specified_gap_set
-from shiftlab.blocks import log2_int, sgap_count_table
+from shiftlab.blocks import sgap_count_table
 from shiftlab.entropy import (
     EntropySolveError,
     _MIN_TOL,
@@ -360,14 +360,14 @@ def test_nan_tolerance_is_refused():
 def test_bounds_full_shift():
     # With K = 1 the sandwich (log2 c - log2 K) / n <= h <= log2 c / n closes.
     table = sgap_count_table(parse_sgap_spec("co{}"), 8)
-    l2 = log2_int(table.counts[5])
-    assert ((l2 - log2_int(1)) / 5, l2 / 5) == (1.0, 1.0)
+    l2 = math.log2(table.counts[5])
+    assert ((l2 - math.log2(1)) / 5, l2 / 5) == (1.0, 1.0)
 
 
 def test_bounds_even_shift_sandwich():
     table = sgap_count_table(parse_sgap_spec("ep:pre=;pat=1,0"), 10)
-    l2 = log2_int(table.counts[10])
-    lower, upper = (l2 - log2_int(4)) / 10, l2 / 10
+    l2 = math.log2(table.counts[10])
+    lower, upper = (l2 - math.log2(4)) / 10, l2 / 10
     assert upper - lower == pytest.approx(0.2, abs=1e-12)
     assert lower <= math.log2(PHI) <= upper
 
@@ -376,15 +376,15 @@ def test_bounds_positive_gaps_with_estimated_constant():
     spec = parse_sgap_spec("co{0}")
     table = sgap_count_table(spec, 16)
     k_est = bsm_estimate(count_row(table), 8).estimate
-    log2_k = log2_int(k_est.numerator) - log2_int(k_est.denominator)
-    l2 = log2_int(table.counts[16])
+    log2_k = math.log2(k_est.numerator) - math.log2(k_est.denominator)
+    l2 = math.log2(table.counts[16])
     lower, upper = (l2 - log2_k) / 16, l2 / 16
     assert lower <= math.log2(PHI) <= upper
 
 
 def test_slope_diagnostic_full_shift():
     table = sgap_count_table(parse_sgap_spec("co{}"), 10)
-    assert all(log2_int(table.counts[n]) / n == 1.0 for n in range(1, 11))
+    assert all(math.log2(table.counts[n]) / n == 1.0 for n in range(1, 11))
 
 
 def test_slope_diagnostic_even_shift():
@@ -393,7 +393,7 @@ def test_slope_diagnostic_even_shift():
     h = math.log2(rho)
     assert abs(rho - PHI) < 1e-12
     table = sgap_count_table(parse_sgap_spec("ep:pre=;pat=1,0"), 16)
-    slopes = [log2_int(table.counts[n]) / n for n in range(1, 17)]
+    slopes = [math.log2(table.counts[n]) / n for n in range(1, 17)]
     assert all(v >= h - 1e-12 for v in slopes)
     assert slopes[-1] - h < slopes[0] - h
 
@@ -403,7 +403,7 @@ def test_slope_upper_bounds_solver(corpus):
         res = solve_sgap_entropy(spec, tol=1e-10)
         table = sgap_count_table(spec, 18)
         for n in range(1, 19):
-            assert log2_int(table.counts[n]) / n >= res.entropy - 1e-9, (spec, n)
+            assert math.log2(table.counts[n]) / n >= res.entropy - 1e-9, (spec, n)
 
 
 def test_slope_excess_bounded_by_estimated_constant(corpus):
@@ -418,11 +418,6 @@ def test_slope_excess_bounded_by_estimated_constant(corpus):
         )
         k_valid = max(float(k_est), k_window)
         for n in range(1, 19):
-            slope = log2_int(table.counts[n]) / n
+            slope = math.log2(table.counts[n]) / n
             assert 0.0 <= slope - res.entropy + 1e-9
             assert slope - res.entropy <= math.log2(k_valid) / n + 1e-9
-
-
-def test_log2_int_large_values():
-    assert log2_int(2**1000) == pytest.approx(1000.0)
-    assert log2_int(3**500) == pytest.approx(500 * math.log2(3), rel=1e-12)

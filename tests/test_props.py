@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -10,7 +12,6 @@ from shiftlab.blocks import (
     _follower_profiles,
     automaton_count_table,
     build_sft_automaton,
-    log2_int,
     sgap_count_table,
 )
 from shiftlab import cli
@@ -118,11 +119,33 @@ def test_bsm_margin_covers_float_rounding():
     c2 = (1 << 150) + int(0.9 * math.log(2) * 2**104)
     c3 = (c2 * c2 - 1) >> 100  # the largest c3 with c2 / c3 > c1 / c2
     counts = [1, c1, c2, c3, 1 << 400]
-    logs = list(map(log2_int, counts))
+    logs = list(map(math.log2, counts))
     assert logs[1] - logs[3] + logs[2] < 2 * logs[1] - logs[2]
     rep = bsm_estimate(counts, 2)
     assert rep.witness == (1, 2)
     assert (rep.estimate, rep.witness, rep.verdict) == oracles.bsm_reference(counts, 2)
+
+
+def test_math_log2_meets_the_bsm_error_budget():
+    # The premise of bsm_estimate's "Why.": each L[n] = math.log2(counts[n])
+    # lies within 6 * (1 + log2 c) * 2**-52 of log2 c, on both of CPython's
+    # paths for an int: one double conversion, or a mantissa and exponent.
+    rng = random.Random(37)
+    widths = rng.choices(range(1, 4201), k=400)
+    cases = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in widths]
+    cases += [2**k + e for k in (*range(508, 517), *range(1020, 1029)) for e in (-1, 0, 1)]
+    # Past the largest double, 2**1024 - 2**971, an int rounds to 2**1024
+    # from the halfway point on, so float() overflows and math.log2 takes
+    # the _PyLong_Frexp path.
+    edge = 2**1024 - 2**970
+    assert float(edge - 1) == sys.float_info.max
+    with pytest.raises(OverflowError):
+        float(edge)
+    cases += [edge - 1, edge, edge + 1, *(rng.randrange(edge, 2**1024) for _ in range(20))]
+    for c in cases:
+        exact = oracles.exact_log2(c)
+        error = abs(Decimal(math.log2(c)) - exact)
+        assert error <= 6 * (1 + exact) * Decimal(2) ** -52, c
 
 
 def _random_counts(rng, n_max):
@@ -158,10 +181,10 @@ def test_bsm_row_bound_within_margin_of_cut_still_scans():
     # cut: above skip = cut - margin, so the row is built and rejected by
     # the float test itself.
     c1, c2, c4 = 1 << 100, 1 << 150, 1 << 400
-    margin = (1.0 + log2_int(c4)) * 2.0**-44
+    margin = (1.0 + math.log2(c4)) * 2.0**-44
     c3 = (1 << 200) + int(2.5 * margin * math.log(2) * 2**200)
     counts = [1, c1, c2, c3, c4]
-    logs = [0.0] + [log2_int(counts[n]) for n in range(1, 5)]
+    logs = [0.0] + [math.log2(counts[n]) for n in range(1, 5)]
     h = (logs[4] - logs[2]) / 2
     g = [x - n * h for n, x in enumerate(logs)]
     bound = max(g[1], g[2]) + g[2] - min(g[3], g[4])

@@ -89,6 +89,11 @@ EDGE_ARGVS = [
     ["check-bsm", "--s", "{2,5}", "--depth", "800"],
     ["check-bsm", "--s", "{1,3}", "--depth", "1500"],
     ["gibbs", "--s", "{1,3}", "--depth", "60"],
+    # Counts past 2**1024, whose log2 no double conversion reaches: the CSV
+    # log columns of sft4 and co{0} and a check-bsm scan of co{0}.
+    ["blocks", "--sft", "ac,ad,bd,ca,cb,da,db", "--alphabet", "abcd", "--n", "1100", "--format", "csv"],
+    ["check-bsm", "--s", "co{0}", "--depth", "1500"],
+    ["blocks", "--s", "co{0}", "--n", "3000", "--format", "csv"],
     # Usage errors (exit 2): a non-binary --pre/--pat word, a leaf budget
     # below one, a --length below one or given with --pre/--pat.
     ["bridge", "--pre", "1", "--pat", "2"],
