@@ -45,11 +45,10 @@ x: value(x), f(x) in floats with a proven bound on its error, and
 interval(x, w), an integer interval holding 2**(2w) times a function with
 the sign of f(x) - 1.  _side (the sign a float value proves) and _sign (the
 precision loop) are derived from them once, for every series.
-solve_sgap_entropy passes the closed form above (_gap_series);
+solve_sgap_entropy passes the closed form above (_gap_series), whose value
+powers each member afresh, since every evaluation has a new base;
 beta.komornik_loreti_constant passes _THUE_MORSE, the Thue-Morse digits'
-series summed as a product.  The closed form sums its two parts with
-_series, which powers each member afresh, since every evaluation has a new
-base.
+series summed as a product.
 beta.ExpansionPrefix.partial_sum sums the same terms lam ** -(j + 1), but
 reads them from a power table that every prefix of its base shares.
 """
@@ -59,7 +58,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 from itertools import compress, repeat
 from typing import NamedTuple
 
@@ -98,37 +96,6 @@ class EntropyResult:
     iterations: int
 
 
-def _series(exponents: list[int], lam: float) -> float:
-    """sum over e in exponents of lam ** e, rounded once from the exact sum
-    (fsum), so the order of the terms does not matter."""
-    return math.fsum(map(pow, repeat(lam), exponents))
-
-
-class _GapTerms(NamedTuple):
-    """The exponents -(n + 1) of the members n of a description: head in
-    the preperiod, cycle in the first period copy (empty for a finite set),
-    each increasing in n; and the period length p."""
-
-    head: list[int]
-    cycle: list[int]
-    p: int
-
-
-def _gap_terms(spec: SGapSpec) -> _GapTerms:
-    q, p = len(spec.preperiod), len(spec.period)
-    head = list(compress(range(-1, -q - 1, -1), spec.preperiod))
-    cycle = list(compress(range(-q - 1, -q - p - 1, -1), spec.period))
-    return _GapTerms(head, cycle, p)
-
-
-def _closed_series(terms: _GapTerms, lam: float) -> float:
-    """f(lam) from the closed form, in floats."""
-    value = _series(terms.head, lam)
-    if terms.cycle:
-        value += _series(terms.cycle, lam) / (1.0 - lam**-terms.p)
-    return value
-
-
 def _mul(a: tuple[int, int], b: tuple[int, int], w: int) -> tuple[int, int]:
     """Product of two nonnegative fixed-point intervals with w fractional
     bits, its lower end rounded down and its upper end up."""
@@ -146,30 +113,11 @@ def _power(y: tuple[int, int], k: int, w: int) -> tuple[int, int]:
     return result
 
 
-def _sign_interval(terms: _GapTerms, lam: float, w: int) -> tuple[int, int]:
-    """An integer interval holding P(1/lam) * 2**(2w)."""
-    num, den = lam.as_integer_ratio()
-    one = 1 << w
-    y = ((den << w) // num, -(-(den << w) // num))
-    # y ** (n + 1) for the members in increasing order, each from the last
-    # times y to the gap, and the head and cycle sums of them.
-    gaps: dict[int, tuple[int, int]] = {}
-    power, exponent, sums = (one, one), 0, []
-    for exponents in (terms.head, terms.cycle):
-        low = high = 0
-        for e in exponents:
-            gap = -e - exponent
-            if gap not in gaps:
-                gaps[gap] = _power(y, gap, w)
-            power, exponent = _mul(power, gaps[gap], w), -e
-            low, high = low + power[0], high + power[1]
-        sums.append((low, high))
-    (a_lo, a_hi), (c_lo, c_hi) = sums
-    if not terms.cycle:
-        return (a_lo - one) << w, (a_hi - one) << w
-    s_lo, s_hi = gaps.get(terms.p) or _power(y, terms.p, w)
-    ends = [x * z for x in (a_lo - one, a_hi - one) for z in (one - s_hi, one - s_lo)]
-    return min(ends) + (c_lo << w), max(ends) + (c_hi << w)
+def _reciprocal(x: float, w: int) -> tuple[int, int]:
+    """The fixed-point interval of 1/x with w fractional bits, for a
+    positive double x, its lower end rounded down and its upper end up."""
+    num, den = x.as_integer_ratio()
+    return (den << w) // num, -(-(den << w) // num)
 
 
 class _Series(NamedTuple):
@@ -206,14 +154,46 @@ def _sign(series: _Series, x: float) -> int:
 
 
 def _gap_series(spec: SGapSpec) -> _Series:
-    """The closed form of a gap set's series, its terms built once."""
-    terms = _gap_terms(spec)
+    """The closed form of a gap set's series, its terms built once: the
+    exponents -(n + 1) of the members n in the preperiod (head) and in the
+    first period copy (cycle, empty for a finite set), each increasing in n.
+    value sums each with fsum, rounded once from the exact sum, so the order
+    of the terms does not matter; interval holds P(1/lam) * 2**(2w)."""
+    q, p = len(spec.preperiod), len(spec.period)
+    head = list(compress(range(-1, -q - 1, -1), spec.preperiod))
+    cycle = list(compress(range(-q - 1, -q - p - 1, -1), spec.period))
 
     def value(x: float) -> tuple[float, float]:
-        bound = _FLOAT_MARGIN / (1.0 - x**-terms.p) if terms.cycle else _FLOAT_MARGIN
-        return _closed_series(terms, x), bound
+        total = math.fsum(map(pow, repeat(x), head))
+        if not cycle:
+            return total, _FLOAT_MARGIN
+        tail = 1.0 - x**-p
+        return total + math.fsum(map(pow, repeat(x), cycle)) / tail, _FLOAT_MARGIN / tail
 
-    return _Series(value, partial(_sign_interval, terms))
+    def interval(lam: float, w: int) -> tuple[int, int]:
+        one = 1 << w
+        y = _reciprocal(lam, w)
+        # y ** (n + 1) for the members in increasing order, each from the
+        # last times y to the gap, and the head and cycle sums of them.
+        gaps: dict[int, tuple[int, int]] = {}
+        power, exponent, sums = (one, one), 0, []
+        for exponents in (head, cycle):
+            low = high = 0
+            for e in exponents:
+                gap = -e - exponent
+                if gap not in gaps:
+                    gaps[gap] = _power(y, gap, w)
+                power, exponent = _mul(power, gaps[gap], w), -e
+                low, high = low + power[0], high + power[1]
+            sums.append((low, high))
+        (a_lo, a_hi), (c_lo, c_hi) = sums
+        if not cycle:
+            return (a_lo - one) << w, (a_hi - one) << w
+        s_lo, s_hi = gaps.get(p) or _power(y, p, w)
+        ends = [x * z for x in (a_lo - one, a_hi - one) for z in (one - s_hi, one - s_lo)]
+        return min(ends) + (c_lo << w), max(ends) + (c_hi << w)
+
+    return _Series(value, interval)
 
 
 # The Thue-Morse digits t(j), the parity of the ones in the binary digits of
@@ -260,9 +240,8 @@ def _thue_morse_interval(x: float, w: int) -> tuple[int, int]:
     the product; its sign there is +1."""
     if x == 1.0:
         return 1, 1
-    num, den = x.as_integer_ratio()
     one = 1 << w
-    y = ((den << w) // num, -(-(den << w) // num))
+    y = _reciprocal(x, w)
     product, z = (one, one), y
     while z[1] > 1:
         product = _mul(product, (one - z[1], one - z[0]), w)

@@ -578,12 +578,11 @@ def test_csv_without_a_csv_form_is_refused_before_any_work(monkeypatch, argv):
 )
 def test_tolerance_below_float_floor_fails_before_solving(monkeypatch, argv):
     # The bisection decides on float values of the series near 1, which
-    # cannot meet 1e-300, so the solver must not evaluate the series at all.
+    # cannot meet 1e-300, so the solver must not even build the series.
     def no_series(*_):
-        raise AssertionError("series evaluated")
+        raise AssertionError("series built")
 
-    monkeypatch.setattr("shiftlab.entropy._closed_series", no_series)
-    monkeypatch.setattr("shiftlab.entropy._sign_interval", no_series)
+    monkeypatch.setattr("shiftlab.entropy._gap_series", no_series)
     code, out, err = call([*argv, "--tol", "1e-300"])
     assert code == 3
     assert_one_line_failure(out, err)

@@ -14,11 +14,9 @@ from shiftlab.entropy import (
     _MIN_TOL,
     _THUE_MORSE,
     _gap_series,
-    _gap_terms,
     _root_bracket,
     _side,
     _sign,
-    _sign_interval,
     _thue_morse_float,
     solve_sgap_entropy,
 )
@@ -180,10 +178,10 @@ def test_root_bracket_is_the_reference_bisection(tol):
     [
         (lambda: komornik_loreti_constant(1e-10), "_thue_morse_float", 20),
         (lambda: komornik_loreti_constant(1e-15), "_thue_morse_float", 40),
-        (lambda: solve_sgap_entropy(parse_sgap_spec("{0,2,5,8}"), 1e-10), "_closed_series", 20),
+        (lambda: solve_sgap_entropy(parse_sgap_spec("{0,2,5,8}"), 1e-10), "_gap_series", 20),
         (
             lambda: solve_sgap_entropy(periodic_gaps([], [0] * 299 + [1]), 1e-10),
-            "_closed_series",
+            "_gap_series",
             32,
         ),
     ],
@@ -194,17 +192,20 @@ def test_series_evaluations_per_solve(monkeypatch, solve, counted, most):
     # 44 times for period 300; the counts are deterministic.  kl sums the
     # Thue-Morse product and never the gap closed form.
     calls = {}
-    for name in ("_closed_series", "_thue_morse_float"):
-        series = getattr(entropy, name)
+
+    def counting(name, series):
+        def value(x):
+            calls.setdefault(name, []).append(1)
+            return series.value(x)
+
+        return series._replace(value=value)
+
+    gap_series = entropy._gap_series
+    for module in (entropy, beta):
         monkeypatch.setattr(
-            entropy,
-            name,
-            lambda *args, name=name, series=series: calls.setdefault(name, []).append(1)
-            or series(*args),
+            module, "_gap_series", lambda spec: counting("_gap_series", gap_series(spec))
         )
-    # kl's series holds the product itself, so it counts through a copy.
-    counted_product = beta._THUE_MORSE._replace(value=entropy._thue_morse_float)
-    monkeypatch.setattr(beta, "_THUE_MORSE", counted_product)
+    monkeypatch.setattr(beta, "_THUE_MORSE", counting("_thue_morse_float", beta._THUE_MORSE))
     solve()
     assert 0 < len(calls.get(counted, [])) <= most
     assert calls.keys() == {counted}
@@ -283,8 +284,30 @@ def test_certified_ends_straddle_the_root_exactly(text, poly, tol):
     assert abs(oracles.closed_series(spec, res.lam) - 1.0) <= tol + 1e-12
 
 
-@pytest.mark.parametrize("text, poly", _ROOT_POLYNOMIALS)
-def test_exact_sign_at_the_doubles_around_the_root(text, poly):
+def _recording_widths(monkeypatch, series, start):
+    """series with its interval reads recorded by width, and _sign starting
+    from start bits."""
+    monkeypatch.setattr(entropy, "_START_PRECISION_BITS", start)
+    widths = []
+
+    def interval(x, w):
+        widths.append(w)
+        return series.interval(x, w)
+
+    return series._replace(interval=interval), widths
+
+
+# The default start, under the tests' first ids, and 8 bits, from which the
+# precision doubles before a sign near a root is decided.
+@pytest.mark.parametrize(
+    "text, poly, start",
+    [
+        pytest.param(*param.values, start, id=param.id + ("" if start == 128 else "-start8"))
+        for param in _ROOT_POLYNOMIALS
+        for start in (128, 8)
+    ],
+)
+def test_exact_sign_at_the_doubles_around_the_root(monkeypatch, text, poly, start):
     # The last double below the root, found with the polynomial alone, and
     # three doubles on each side of it.  Near the root the float series can
     # round to exactly 1 (at 1.6180339887498947 for {0,1}), so only an exact
@@ -292,13 +315,22 @@ def test_exact_sign_at_the_doubles_around_the_root(text, poly):
     lo, hi = 1.0, 2.0
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         lo, hi = (mid, hi) if poly(Fraction(mid)) < 0 else (lo, mid)
-    series = _gap_series(parse_sgap_spec(text))
+    series, widths = _recording_widths(monkeypatch, _gap_series(parse_sgap_spec(text)), start)
     x = lo
     for _ in range(3):
         x = math.nextafter(x, 0.0)
     for _ in range(7):
         assert _sign(series, x) == (1 if poly(Fraction(x)) < 0 else -1), x
         x = math.nextafter(x, 2.0)
+    assert start == 128 or max(widths) > start
+
+
+@pytest.mark.parametrize("start", [128, 8])
+def test_exact_sign_of_the_thue_morse_series_around_kl(monkeypatch, start):
+    # The two adjacent doubles either side of the Komornik-Loreti constant.
+    series, widths = _recording_widths(monkeypatch, _THUE_MORSE, start)
+    assert (_sign(series, 1.787231650182966), _sign(series, 1.7872316501829661)) == (1, -1)
+    assert start == 128 or max(widths) > start
 
 
 @pytest.mark.parametrize("w", [8, 16, 128])
@@ -309,8 +341,40 @@ def test_sign_interval_holds_the_finite_series(text, lam, w):
     # summed exactly: its ends are rounded outward at every product.
     spec = parse_sgap_spec(text)
     exact = sum(Fraction(lam) ** -(n + 1) for n in spec.members_up_to(len(spec.preperiod) - 1))
-    low, high = _sign_interval(_gap_terms(spec), lam, w)
+    low, high = _gap_series(spec).interval(lam, w)
     assert low <= (exact - 1) * 2 ** (2 * w) <= high
+
+
+@pytest.mark.parametrize("w", [8, 16, 128])
+@pytest.mark.parametrize("lam", [1.3, 1.5, 1.7, 1.9])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "co{0}",
+        "ep:pre=;pat=0,1",
+        "ep:pre=1;pat=1,0",
+        "ep:pre=0,1;pat=1,1,0",
+        "co{0,1,4}",
+        pytest.param(
+            "ep:pre=;pat=" + ",".join("1" if j in (4, 19, 29) else "0" for j in range(30)),
+            id="period30",
+        ),
+    ],
+)
+def test_gap_interval_holds_the_periodic_polynomial(text, lam, w):
+    # For a periodic set the interval holds P(1/lam) * 2**(2w), with
+    # P(y) = (A(y) - 1) * (1 - y**p) + sum over the period's members j of
+    # y**(q + j + 1) and A(y) the sum over the preperiod's members n of
+    # y**(n + 1), summed exactly from the description's bits.
+    spec = parse_sgap_spec(text)
+    q, p = len(spec.preperiod), len(spec.period)
+    assert any(spec.period)
+    y = 1 / Fraction(lam)
+    head = sum(y ** (n + 1) for n, bit in enumerate(spec.preperiod) if bit)
+    cycle = sum(y ** (q + j + 1) for j, bit in enumerate(spec.period) if bit)
+    exact = (head - 1) * (1 - y**p) + cycle
+    low, high = _gap_series(spec).interval(lam, w)
+    assert low <= exact * 2 ** (2 * w) <= high
 
 
 def test_bracket_of_the_specified_gap_set_holds_its_base():
