@@ -18,13 +18,16 @@ walk, _expand, that reads the flag, takes the digit at its end of the
 flag's entry and maps y to lambda * y - d.  The three-way test is one
 function per base, BetaContext.region_of, built on first use with the
 tolerance and the region's ends bound; the walk and the tree both call it.
-The tree writes its path in place, step k at index k of three lists, and a
-leaf copies the lists.
+The tree writes its path in place, step k at index k of three lists, and
+hands the lists to a leaf builder at each leaf, which copies what it keeps:
+by default _prefix, which _expand also uses, makes the ExpansionPrefix; a
+caller that wants only a report passes a builder that makes the report
+instead, so no prefix is built for it.
 
-A prefix's report costs no Python call per digit: its digit word is one
-bytes.translate of the 0/1 digits, and its partial sums fsum the one
-positions' weights out of one power table per base and length, cached, so
-that every leaf of a tree shares it.
+A report costs no Python call per digit: its digit word, _digit_text, is one
+bytes.translate of the 0/1 digits, and its sums, _one_weight_sum, fsum the
+one positions' weights out of one power table per base and length, cached
+by _powers, so that every leaf of a tree shares it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import chain, compress, cycle, islice
 from typing import NamedTuple
 
@@ -67,8 +70,19 @@ def _powers(lam, length: int) -> tuple:
     return tuple(lam ** -(j + 1) for j in range(length))
 
 
+def _digit_text(digits) -> str:
+    """The 0/1 digits as a word of the characters "0" and "1"."""
+    return bytes(digits).translate(_DIGIT_CHARS).decode()
+
+
+def _one_weight_sum(weights, digits) -> float:
+    """The sum of the weights at the one digits, rounded once (fsum)."""
+    return math.fsum(compress(weights, digits))
+
+
 class LeafBudgetError(sgap.SizeGuardError):
-    """Tree enumeration exhausted its leaf budget; partial leaves attached."""
+    """Tree enumeration exhausted its leaf budget; partial holds the records
+    its leaf builder made for the leaves before the budget ran out."""
 
     def __init__(self, message: str, partial: list):
         super().__init__(message)
@@ -145,22 +159,24 @@ class ExpansionPrefix(NamedTuple):
     orbit: tuple[float, ...]
     flags: tuple[str, ...]
 
-    @property
-    def ambiguous(self) -> bool:
-        return AMBIGUOUS in self.flags
-
     def digit_word(self) -> str:
-        return bytes(self.digits).translate(_DIGIT_CHARS).decode()
+        return _digit_text(self.digits)
 
     def partial_sum(self, upto: int | None = None) -> float:
         """sum of digit j * lam ** -j over the first upto digits (all by
         default): the weights of the one positions from the base's power
         table, rounded once from the exact sum (fsum)."""
         digits = self.digits if upto is None else self.digits[:upto]
-        return math.fsum(compress(_powers(self.lam, len(self.digits)), digits))
+        return _one_weight_sum(_powers(self.lam, len(self.digits)), digits)
 
     def residual(self) -> float:
         return abs(self.start - self.partial_sum())
+
+
+def _prefix(lam: float, start: float, digits, orbit, flags) -> ExpansionPrefix:
+    """The prefix from start in base lam along the path lists digits, orbit
+    and flags, copied into tuples."""
+    return ExpansionPrefix(lam, start, tuple(digits), tuple(orbit), tuple(flags))
 
 
 def _expand(x: float, ctx: BetaContext, depth: int, end: int) -> ExpansionPrefix:
@@ -178,7 +194,7 @@ def _expand(x: float, ctx: BetaContext, depth: int, end: int) -> ExpansionPrefix
         digits.append(digit)
         orbit.append(y)
         flags.append(flag)
-    return ExpansionPrefix(lam, x, tuple(digits), tuple(orbit), tuple(flags))
+    return _prefix(lam, x, digits, orbit, flags)
 
 
 def greedy_expansion(x: float, ctx: BetaContext, depth: int) -> ExpansionPrefix:
@@ -212,17 +228,29 @@ def max_zero_run_bound(delta: float, ctx: BetaContext) -> int:
 
 
 def enumerate_expansions_of_one(
-    ctx: BetaContext, depth: int, max_leaves: int = 4096
-) -> list[ExpansionPrefix]:
-    """Depth-first tree of digit choices for expansions of 1.
+    ctx: BetaContext,
+    depth: int,
+    max_leaves: int = 4096,
+    leaf: Callable[[list, list, list], object] | None = None,
+) -> list:
+    """Depth-first tree of digit choices for expansions of 1: the record
+    leaf(digits, orbit, flags) makes of each leaf, in digit lexicographic
+    order, so the first leaf is the lazy expansion of 1 and the last the
+    greedy one.
 
     Both digits are explored inside the switch region and within tolerance
     of its endpoints (the closed region genuinely branches at endpoints);
-    near-endpoint steps mark the prefix ambiguous.  Children whose orbit
-    leaves the interval beyond a small slack are dropped, which is how
-    spurious ambiguous branches die out.  Leaves come back in digit
-    lexicographic order, so the first is the lazy expansion of 1 and the
-    last the greedy one.
+    near-endpoint steps are flagged ambiguous.  Children whose orbit leaves
+    the interval beyond a small slack are dropped, which is how spurious
+    ambiguous branches die out.
+
+    leaf gets the walk's path lists, each of length depth, as they stand at
+    the leaf: digits[k], orbit[k] and flags[k] are the digit, the image and
+    the flag of step k, as in ExpansionPrefix.  The walk overwrites the
+    lists after the call, so leaf must copy what it keeps.  By default the
+    record is the leaf's ExpansionPrefix from 1 in base ctx.lam.  When the
+    budget of max_leaves records runs out, the LeafBudgetError raised holds
+    in partial the records made so far, the first max_leaves of the tree's.
     """
     if not (1 <= depth <= 64):
         raise ValueError("depth must be in 1..64")
@@ -231,9 +259,11 @@ def enumerate_expansions_of_one(
     slack = max(8.0 * ctx.membership_tol, 1e-10)
     low, high = -slack, ctx.interval_right + slack
     lam, region_of, last = ctx.lam, ctx.region_of, depth - 1
-    leaves: list[ExpansionPrefix] = []
+    if leaf is None:
+        leaf = partial(_prefix, lam, 1.0)
+    leaves = []
     # The path from the root, written in place: step k's digit, orbit point
-    # and flag at index k, so a leaf is a copy of the three lists.
+    # and flag at index k, handed to leaf at each leaf.
     digits, orbit, flags = [0] * depth, [0.0] * depth, [""] * depth
 
     def grow(y: float, k: int):
@@ -248,7 +278,7 @@ def enumerate_expansions_of_one(
             if k < last:
                 grow(child, k + 1)
             elif len(leaves) < max_leaves:
-                leaves.append(ExpansionPrefix(lam, 1.0, tuple(digits), tuple(orbit), tuple(flags)))
+                leaves.append(leaf(digits, orbit, flags))
             else:
                 raise LeafBudgetError(f"leaf budget {max_leaves} exhausted", leaves)
 
@@ -301,7 +331,7 @@ def expansion_from_sgap(spec: SGapSpec, length: int) -> str:
     if length < 1:
         raise ValueError("length must be >= 1")
     bits = islice(chain(spec.preperiod, cycle(spec.period)), length)
-    return bytes(bits).translate(_DIGIT_CHARS).decode()
+    return _digit_text(bits)
 
 
 def specified_gap_set(lam: float, tol: float) -> SGapSpec:

@@ -329,19 +329,22 @@ def cmd_enumerate_one(args) -> None:
     ctx = beta.BetaContext(args.lam, membership_tol=args.tol)
     max_leaves = args.max_leaves if args.max_leaves is not None else _cell_budget()
     _require_positive("--max-leaves", max_leaves)
-    leaves = beta.enumerate_expansions_of_one(ctx, args.depth, max_leaves=max_leaves)
-    result = {
-        "leaf_count": len(leaves),
-        "leaves": [
-            {
-                "digits": leaf.digit_word(),
-                "ambiguous": leaf.ambiguous,
-                "residual": leaf.residual(),
-            }
-            for leaf in leaves
-        ],
-    }
-    _emit(args, result)
+    weights = ()
+
+    def report(digits, orbit, flags) -> dict:
+        # A leaf's report, as its ExpansionPrefix would give it, made from the
+        # tree's path lists.  The power table is fetched at the first leaf,
+        # after the tree has checked --depth.
+        nonlocal weights
+        weights = weights or beta._powers(ctx.lam, len(digits))
+        return {
+            "digits": beta._digit_text(digits),
+            "ambiguous": beta.AMBIGUOUS in flags,
+            "residual": abs(1.0 - beta._one_weight_sum(weights, digits)),
+        }
+
+    leaves = beta.enumerate_expansions_of_one(ctx, args.depth, max_leaves=max_leaves, leaf=report)
+    _emit(args, {"leaf_count": len(leaves), "leaves": leaves})
 
 
 def cmd_kl(args) -> None:

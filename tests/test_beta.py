@@ -183,7 +183,6 @@ def test_leaf_record_is_immutable_and_hashed_by_its_fields():
             setattr(leaf, field, getattr(leaf, field))
     # A named tuple: equal to the plain tuple of its fields, in this order.
     assert leaf._fields == fields and leaf == tuple(getattr(leaf, f) for f in fields)
-    assert not ExpansionPrefix(PHI, 1.0, (1, 1), (), ()).ambiguous
 
 
 # phi, the smallest univoque base and a seeded sample of 298 of the bases
@@ -197,12 +196,20 @@ _LEAF_END_BASES = [PHI, KL_REF] + [
 _TREE_BASES = [PHI, KL_REF] + [1 + i / 97 for i in random.Random(5).sample(range(1, 97), 4)]
 
 
+def _path(digits, orbit, flags):
+    """A leaf builder that records the tree's path lists as three tuples."""
+    assert {type(digits), type(orbit), type(flags)} == {list}
+    return tuple(digits), tuple(orbit), tuple(flags)
+
+
 @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-6, 1e300, 1e308])
 def test_tree_matches_definition_oracle(tol):
     # At 1e300 every step is ambiguous and every child kept, so the tree
     # has 2**depth leaves: past depth 12 only phi runs there.  At 1e308 the
     # slack 8 * tol is infinite.  A budget one short of the leaf count
-    # carries every leaf but the last.
+    # carries every leaf but the last.  A leaf builder gets, leaf for leaf,
+    # the paths the default leaves hold, and a budget error carries its own
+    # records.
     for lam in _TREE_BASES:
         ctx = BetaContext(lam, membership_tol=tol)
         for depth in range(1, 17 if tol < 1 or lam == PHI else 13):
@@ -210,11 +217,16 @@ def test_tree_matches_definition_oracle(tol):
             leaves = enumerate_expansions_of_one(ctx, depth, max_leaves=len(expected))
             assert [(x.digits, x.orbit, x.flags) for x in leaves] == expected, (lam, depth)
             assert all(x.lam == lam and x.start == 1.0 for x in leaves)
+            paths = enumerate_expansions_of_one(ctx, depth, len(expected), leaf=_path)
+            assert paths == expected, (lam, depth)
             if len(expected) > 1:
                 with pytest.raises(LeafBudgetError) as err:
                     enumerate_expansions_of_one(ctx, depth, max_leaves=len(expected) - 1)
                 partial = [(x.digits, x.orbit, x.flags) for x in err.value.partial]
                 assert partial == expected[:-1], (lam, depth)
+                with pytest.raises(LeafBudgetError) as err:
+                    enumerate_expansions_of_one(ctx, depth, len(expected) - 1, leaf=_path)
+                assert err.value.partial == expected[:-1], (lam, depth)
 
 
 # Trees with more leaves than this get a budget below it, so the oracle

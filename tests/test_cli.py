@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shiftlab
-from shiftlab import cli
+from shiftlab import beta, cli
 from shiftlab.cli import _build_parser, _dumps, main
 
 import oracles
@@ -298,6 +298,31 @@ def test_enumerate_one_reports_and_budget(capsys):
         "--max-leaves", "2",
     )
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "lam, depth, count", [(1.442418082864579, 18, 592), (1.8, 64, 763), (PHI, 20, 21)]
+)
+def test_enumerate_one_reports_its_library_leaves(monkeypatch, lam, depth, count):
+    # Each report leaf is what the matching library leaf gives, and the
+    # reports are made at the leaves, without an ExpansionPrefix.  At phi
+    # every leaf is ambiguous.
+    monkeypatch.delenv("SHIFTLAB_MAX_CELLS", raising=False)
+    argv = ["enumerate-one", "--lambda", repr(lam), "--depth", str(depth)]
+    code, out, err = call(argv)
+    assert (code, err) == (0, "")
+    leaves = beta.enumerate_expansions_of_one(beta.BetaContext(lam), depth)
+    assert len(leaves) == count
+    reports = json.loads(out)["result"]["leaves"]
+    assert [(r["digits"], r["ambiguous"], r["residual"]) for r in reports] == [
+        (leaf.digit_word(), beta.AMBIGUOUS in leaf.flags, leaf.residual()) for leaf in leaves
+    ]
+
+    def no_prefix(*args):
+        raise AssertionError("an ExpansionPrefix was built")
+
+    monkeypatch.setattr(beta, "ExpansionPrefix", no_prefix)
+    assert call(argv) == (0, out, "")
 
 
 def test_env_budget_cap(capsys, monkeypatch):
@@ -787,12 +812,22 @@ ARGUMENT_ERRORS = [
     # An empty piece of --sft is an empty block, as all of --sft '' is.
     ["blocks", "--sft", "11,", "--alphabet", "01", "--n", "3"],
     ["check-bsm", "--sft", ",11", "--alphabet", "01", "--depth", "3"],
+    # The tree refuses a depth outside 1..64 before it builds anything.
+    ["enumerate-one", "--lambda", "1.5", "--depth", "0"],
+    ["enumerate-one", "--lambda", "1.5", "--depth", "65"],
+    ["enumerate-one", "--lambda", "1.5", "--depth", "1000000000"],
 ]
 
 
 @pytest.mark.parametrize("argv", ARGUMENT_ERRORS)
-def test_argument_errors_are_one_line_usage_errors(argv):
+def test_argument_errors_are_one_line_usage_errors(monkeypatch, argv):
+    def no_table(*args):
+        raise AssertionError("a power table was built")
+
+    monkeypatch.setattr(beta, "_powers", no_table)
+    start = time.perf_counter()
     code, out, err = call(argv)
+    assert time.perf_counter() - start < 0.5
     assert code == 2
     assert_one_line_failure(out, err)
 
