@@ -26,8 +26,8 @@ instead, so no prefix is built for it.
 
 A report costs no Python call per digit: its digit word, _digit_text, is one
 bytes.translate of the 0/1 digits, and its sums, _one_weight_sum, fsum the
-one positions' weights out of one power table per base and length, cached
-by _powers, so that every leaf of a tree shares it.
+one positions' weights out of a power table of the base and length,
+_powers, which a report builder fetches once per tree for all its leaves.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from itertools import chain, compress, cycle, islice
 from typing import NamedTuple
 
@@ -61,12 +61,8 @@ _DIGITS = {FORCED0: (0,), FORCED1: (1,), SWITCH: (0, 1), AMBIGUOUS: (0, 1)}
 _DIGIT_CHARS = bytes.maketrans(b"\0\1", b"01")
 
 
-# Typed, since 1.5 == Fraction(3, 2) but the powers of one are floats and
-# of the other exact fractions, which can round differently.
-@lru_cache(maxsize=8, typed=True)
 def _powers(lam, length: int) -> tuple:
-    """lam ** -(j + 1) for j < length: the weight of each digit position,
-    shared by every prefix of one base."""
+    """lam ** -(j + 1) for j < length: the weight of each digit position."""
     return tuple(lam ** -(j + 1) for j in range(length))
 
 

@@ -50,7 +50,7 @@ powers each member afresh, since every evaluation has a new base;
 beta.komornik_loreti_constant passes _THUE_MORSE, the Thue-Morse digits'
 series summed as a product.
 beta.ExpansionPrefix.partial_sum sums the same terms lam ** -(j + 1), but
-reads them from a power table that every prefix of its base shares.
+reads them from one power table of its base and length.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, compress, repeat
 from operator import le, mul, sub
 
 from .blocks import SizeGuardError, _follower_profiles
@@ -129,29 +129,29 @@ def bsm_estimate(counts: list[int], depth: int, period: int = 1) -> PropertyRepo
     # and margin = B * 2**-44 exceeds 25 * B * 2**-52: a class whose bound
     # is below skip has every row entry below floor, so skipping it is the
     # float test above rejecting it whole.  Each row is tested by its bound
-    # for D = 1, then, from split on, class by class; the passing m of the
-    # kept classes, merged in ascending order, are those of the whole row
-    # in its order.  When the counts settle on c(n) ~ C_(n mod D) *
-    # lambda**n the bounds rule out all but a few classes; ratios that tie
-    # or creep up to their supremum keep near-ties in every row.
+    # for D = 1, then, from split on, class by class: each kept class is a
+    # piece; a tie between pieces goes to the least m.  When the counts
+    # settle on c(n) ~ C_(n mod D) * lambda**n the bounds rule out all but
+    # a few classes; ratios that tie or creep up to their supremum keep
+    # near-ties in every row.
     #
     # Such a row's passing pairs are settled by their exact maximum R of
-    # counts[m] / counts[m + d], kept under a strict > so that the first m
-    # reaching it stays, and one strict test of R * counts[d] against the
-    # best.  Testing the pairs one by one against the best would end the
-    # row at max(best, R * counts[d]), and would move the witness only when
-    # R * counts[d] beats the best, to the first m reaching R: a later tie
-    # never replaces.  So K, the witness and the verdict are unchanged, at
-    # two products per pair instead of three.
+    # counts[m] / counts[m + d], least m on a tie, and one strict test of
+    # R * counts[d] against the best.  Testing the pairs one by one, in
+    # ascending m, against the best would end the row at max(best,
+    # R * counts[d]), and would move the witness only when R * counts[d]
+    # beats the best, to the least m reaching R: a later tie never
+    # replaces.  So K, the witness and the verdict are unchanged, at two
+    # products per pair instead of three.
     logs = [0.0, *map(math.log2, counts[1 : 2 * depth + 1])]
     margin = (1.0 + max(logs)) * 2.0**-44
     h = (logs[2 * depth] - logs[depth]) / depth
     g = [x - n * h for n, x in enumerate(logs)]
     top, low = _extremes(g, depth, 1)
-    # Rows from split on also bound their classes, whose _extremes are
-    # built when a row first needs them.
+    # Rows from split on also bound their classes.
     split = period * _CLASS_MEMBERS if period > 1 else depth + 1
-    class_top = class_low = None
+    if split <= depth:
+        class_top, class_low = _extremes(g, depth, period)
     starts = range(1, period + 1)
     cut = skip = best_score = -math.inf
 
@@ -166,39 +166,29 @@ def bsm_estimate(counts: list[int], depth: int, period: int = 1) -> PropertyRepo
         # each row entry L[m] - L[m + d] is compared with cut - L[d].
         if top[d] + g[d] - low[d + 1] >= skip:
             floor = cut - logs[d]
+            # The row's pieces (first m, step): the whole row, or the
+            # classes whose own bound reaches skip, top at their last m <= d.
+            pieces = [(1, 1)]
             if d >= split:
-                if class_top is None:
-                    class_top, class_low = _extremes(g, depth, period)
-                # The classes whose own bound reaches skip, top at their
-                # last m <= d.
                 kept = [
-                    m0
+                    (m0, period)
                     for m0 in starts
                     if class_top[d - (d - m0) % period] + g[d] - class_low[m0 + d] >= skip
                 ]
-            passing = ()
-            if d < split or len(kept) == period:
-                # Every class at once.
-                row = list(map(sub, logs[1 : d + 1], logs[d + 1 : 2 * d + 1]))
+                if len(kept) < period:
+                    pieces = kept
+            # The row's exact maximum of counts[m] / counts[m + d] over the
+            # pairs that pass, its least m on a tie; then one test.
+            row_num, row_den = 0, 1
+            for m0, step in pieces:
+                row = list(map(sub, logs[m0 : d + 1 : step], logs[m0 + d : 2 * d + 1 : step]))
                 if max(row) >= floor:
-                    passing = compress(range(1, d + 1), map(le, repeat(floor), row))
-            else:
-                # The kept classes' passing m, merged in ascending order.
-                for m0 in kept:
-                    row = list(
-                        map(sub, logs[m0 : d + 1 : period], logs[m0 + d : 2 * d + 1 : period])
-                    )
-                    if max(row) >= floor:
-                        m = compress(range(m0, d + 1, period), map(le, repeat(floor), row))
-                        passing = sorted(chain(passing, m)) if passing else m
-            if passing:
-                # The row's exact maximum of counts[m] / counts[m + d] over
-                # the pairs that pass, its first m on a tie; then one test.
-                row_num, row_den = 0, 1
-                for m in passing:
-                    num, den = counts[m], counts[m + d]
-                    if num * row_den > row_num * den:
-                        row_num, row_den, row_m = num, den, m
+                    for m in compress(range(m0, d + 1, step), map(le, repeat(floor), row)):
+                        num, den = counts[m], counts[m + d]
+                        left, right = num * row_den, row_num * den
+                        if left > right or left == right and m < row_m:
+                            row_num, row_den, row_m = num, den, m
+            if row_num:
                 num = row_num * counts[d]
                 if num * best_den > best_num * row_den:
                     best_num, best_den, witness = num, row_den, (row_m, d)
@@ -257,26 +247,23 @@ def _min_density(starts, profiles, counts, r_max: int) -> PropertyReport:
     density: the first minimum over every word is the one found here.
     """
     # Densities stay integer pairs compared by cross-multiplying, as in
-    # bsm_estimate; None means no pair seen yet.
-    best = best_at_half = None
+    # bsm_estimate; (1, 0) lies above every density, and every counts[r] is
+    # at least 1, so the first cell replaces it.
+    best = best_at_half = (1, 0)
     witness = None
     half = r_max // 2
     for start, profile in zip(starts, profiles):
         for r in range(1, r_max + 1):
             num, den = profile[r], counts[r]
-            if best is None or num * best[1] < best[0] * den:
+            if num * best[1] < best[0] * den:
                 best, witness = (num, den), (start, r)
-            if r <= half and (
-                best_at_half is None or num * best_at_half[1] < best_at_half[0] * den
-            ):
+            if r <= half and num * best_at_half[1] < best_at_half[0] * den:
                 best_at_half = (num, den)
 
-    if best is None or not 0 < best[0] <= best[1]:
+    if witness is None or not 0 < best[0] <= best[1]:
         raise ArithmeticError("smallest follower density outside (0, 1]")
-    decayed = (
-        half >= 1
-        and best_at_half is not None
-        and best[0] * _DECAY_FACTOR * best_at_half[1] <= best_at_half[0] * best[1]
+    decayed = half >= 1 and (
+        best[0] * _DECAY_FACTOR * best_at_half[1] <= best_at_half[0] * best[1]
     )
     (has_one, run), r = witness
     verdict = VERDICT_DECAY if decayed else VERDICT_BALANCED

@@ -229,6 +229,23 @@ def test_tree_matches_definition_oracle(tol):
                 assert err.value.partial == expected[:-1], (lam, depth)
 
 
+@pytest.mark.parametrize("depth", [30, 40])
+def test_tree_drops_children_outside_the_interval(depth):
+    # At phi the tree branches on switch and ambiguous steps, and some
+    # children leave the interval beyond the slack: at depth 40 nine are
+    # dropped and 22 leaves stay.  So some prefix of the leaves admits two
+    # digits but leads on with one.
+    expected = oracles.digit_tree(PHI, depth, 1e-12)
+    leaves = enumerate_expansions_of_one(BetaContext(PHI, membership_tol=1e-12), depth)
+    assert [(x.digits, x.orbit, x.flags) for x in leaves] == expected
+    children = {}
+    for x in leaves:
+        for k in range(depth):
+            if x.flags[k] in (SWITCH, AMBIGUOUS):
+                children.setdefault(x.digits[:k], set()).add(x.digits[k])
+    assert any(len(digits) == 1 for digits in children.values())
+
+
 # Trees with more leaves than this get a budget below it, so the oracle
 # walks no more than this many leaves per draw.
 _DRAW_LEAF_CAP = 2000

@@ -582,8 +582,10 @@ def test_integer_band_check_matches_cells(corpus):
 
 
 def _first_minimum_density(spec, word_max, r_max):
-    """Every suffix-run representative within the window, its density at
-    every length, the first minimum in representative then length order."""
+    """(estimate, witness, verdict): every suffix-run representative within
+    the window, its density at every length, the first minimum in
+    representative then length order, and decay when the minimum over
+    r <= r_max // 2 is at least 4 times that minimum."""
     reps = ["1" + "0" * k for k in range(word_max)]
     reps += ["0" * k for k in range(1, word_max + 1)]
     counts = oracles.run_length_counts(spec, r_max)
@@ -594,14 +596,31 @@ def _first_minimum_density(spec, word_max, r_max):
         followers = oracles.run_length_counts(spec, r_max, prefix=omega)
         for r in range(1, r_max + 1):
             cells.append((Fraction(followers[r], counts[r]), (omega, r)))
-    return min(cells, key=lambda cell: cell[0])
+    estimate, witness = min(cells, key=lambda cell: cell[0])
+    at_half = [density for density, (_, r) in cells if r <= r_max // 2]
+    decayed = at_half and min(at_half) >= 4 * estimate
+    return estimate, witness, VERDICT_DECAY if decayed else VERDICT_BALANCED
 
 
 @pytest.mark.parametrize("text", oracles.QUOTIENT_SETS)
 def test_balanced_minimum_matches_unbounded_dp(text):
     spec = parse_sgap_spec(text)
     rep = balanced_estimate(spec, 56, 12)
-    assert (rep.estimate, rep.witness) == _first_minimum_density(spec, 56, 12)
+    assert (rep.estimate, rep.witness, rep.verdict) == _first_minimum_density(spec, 56, 12)
+
+
+@pytest.mark.parametrize("r_max", [1, 2, 3, 12])
+def test_balanced_verdict_matches_definition(r_max):
+    # At r_max 1 the half window r <= r_max // 2 is empty, so nothing
+    # decays; at 3 and 12 the doubling gaps decay.
+    verdicts = set()
+    for text in [*oracles.QUOTIENT_SETS, DOUBLING]:
+        spec = parse_sgap_spec(text)
+        rep = balanced_estimate(spec, 34, r_max)
+        want = _first_minimum_density(spec, 34, r_max)
+        assert (rep.estimate, rep.witness, rep.verdict) == want, text
+        verdicts.add(rep.verdict)
+    assert (VERDICT_DECAY in verdicts) == (r_max >= 3)
 
 
 @pytest.mark.parametrize(
@@ -614,7 +633,7 @@ def test_balanced_first_class_words_match_every_word(text):
     # periods of every set, and must find the same first minimum.
     spec = parse_sgap_spec(text)
     rep = balanced_estimate(spec, 200, 12)
-    assert (rep.estimate, rep.witness) == _first_minimum_density(spec, 200, 12)
+    assert (rep.estimate, rep.witness, rep.verdict) == _first_minimum_density(spec, 200, 12)
 
 
 def _representatives(spec, word_max):
