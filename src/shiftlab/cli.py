@@ -23,9 +23,11 @@ library's pure-Python indenting encoder: containers are joined from lists
 and each scalar is converted by the C or builtin function of its exact type,
 looked up in the comprehension that joins its container, so only nested
 containers and unknown types (which raise TypeError) make a recursive call.
-Dicts are written in runs that share one set of keys, which are checked,
-sorted and encoded once per run: a list whose items are all such dicts (the
-leaves of enumerate-one) is one run, and a lone dict is a run of one.
+A lone dict is written key by key.  A list of two or more dicts that share
+one set of str keys (the leaves of enumerate-one) is written a column at a
+time: the keys are checked, sorted and encoded once, into one % template,
+and a column whose values share one exact scalar type is converted by one
+map of that type's function.
 """
 
 from __future__ import annotations
@@ -104,20 +106,30 @@ def _dumps(value, indent: str = "\n") -> str:
     """value as json.dumps(value, indent=2, sort_keys=True) writes it, byte
     for byte, for dicts with str keys, lists, tuples and the scalars of
     _SCALAR_TEXT; indent is the line break and indent of value's own line.
-    Any other key or value type raises TypeError."""
+    A dict is written key by key, and a list that _like_keyed picks by
+    _run_texts, a column at a time.  Any other key or value type raises
+    TypeError."""
     kind = type(value)
     if kind is dict:
         if not value:
             return "{}"
         if set(map(type, value)) != {str}:
             raise TypeError("report keys must be str")
-        return _dict_texts((value,), indent)[0]
+        inner = indent + "  "
+        scalar = _SCALAR_TEXT.get
+        fields = [
+            encode_basestring_ascii(k)
+            + ": "
+            + (text(v) if (text := scalar(type(v := value[k]))) else _dumps(v, inner))
+            for k in sorted(value)
+        ]
+        return "{" + inner + ("," + inner).join(fields) + indent + "}"
     if kind is list or kind is tuple:
         if not value:
             return "[]"
         inner = indent + "  "
         if _like_keyed(value):
-            items = _dict_texts(value, inner)
+            items = _run_texts(value, inner)
         else:
             # Scalars are written here; only containers and unknown types recurse.
             scalar = _SCALAR_TEXT.get
@@ -130,35 +142,42 @@ def _dumps(value, indent: str = "\n") -> str:
 
 
 def _like_keyed(items) -> bool:
-    """Whether items are dicts with one nonempty set of str keys: a run
-    that _dict_texts writes at once."""
+    """Whether items are two or more dicts with one nonempty set of str
+    keys: a run that _run_texts writes a column at a time."""
     keys = items[0].keys() if type(items[0]) is dict else None
     return (
-        bool(keys)
+        len(items) > 1
+        and bool(keys)
         and set(map(type, items)) == {dict}
         and all(map(keys.__eq__, map(dict.keys, items)))
         and set(map(type, chain.from_iterable(items))) == {str}
     )
 
 
-def _dict_texts(rows, indent: str) -> list[str]:
-    """The text of each of rows, nonempty dicts with one set of str keys,
-    as _dumps writes a dict on a line indented by indent.  The keys are
-    sorted and encoded once for all the rows; each value is converted as
-    in _dumps' lists."""
+def _run_texts(rows, indent: str) -> list[str]:
+    """The text of each of rows, dicts with one nonempty set of str keys, as
+    _dumps writes a dict on a line indented by indent.  The keys are sorted
+    and encoded once, into one % template; a column whose values share one
+    exact scalar type is converted by one map of its function, and any
+    other column value by value, as in _dumps' lists."""
     keys = sorted(rows[0])
     inner = indent + "  "
-    heads = [encode_basestring_ascii(k) + ": " for k in keys]
+    heads = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
+    template = "{" + inner + ("," + inner).join(heads) + indent + "}"
     scalar = _SCALAR_TEXT.get
-    sep = "," + inner
-    texts = []
-    for row in rows:
-        fields = [
-            head + (text(v) if (text := scalar(type(v := row[k]))) else _dumps(v, inner))
-            for head, k in zip(heads, keys)
-        ]
-        texts.append("{" + inner + sep.join(fields) + indent + "}")
-    return texts
+    columns = []
+    for k in keys:
+        values = [row[k] for row in rows]
+        kinds = set(map(type, values))
+        if kinds == {float}:
+            texts = list(map(float.__repr__, values))
+            texts = map(_FLOAT_WORDS.get, texts, texts)
+        elif len(kinds) == 1 and (text := scalar(*kinds)):
+            texts = map(text, values)
+        else:
+            texts = [text(v) if (text := scalar(type(v))) else _dumps(v, inner) for v in values]
+        columns.append(texts)
+    return list(map(template.__mod__, zip(*columns)))
 
 
 def _emit(args, result: dict, to_csv: Callable[[], str] | None = None) -> None:

@@ -989,6 +989,36 @@ def test_report_writer_matches_json_dumps():
         assert _dumps(value) == _stdlib_json(value), value
 
 
+# The values of one column of a run: one exact scalar type each, then mixed
+# types, the last with nested containers and a nested run.
+_COLUMN_POOLS = [
+    ["", "plain", "caf\u00e9 \u2603 \U0001d11e", "\x00\x1f\x7f\"\\/\n\t\u2028", "%", "%s"],
+    [True, False],
+    [None],
+    [0, 1, -1, 2**200, -(3**150)],
+    [0.0, -0.0, 0.1, -2.5, 5e-324, 1e308, 1e16, math.nan, math.inf, -math.inf],
+    [0, -7, 2**70, True, False],
+    [0.5, -0.0, math.nan, None],
+    ["a", "%%", [], [1, "b"], {}, {"%": [None]}, [{"x": 1.5}, {"x": "%s"}]],
+]
+
+
+def test_report_writer_matches_json_dumps_on_runs():
+    # Lists of 2-50 dicts over one key set, written a column at a time.
+    rng = random.Random(41)
+    keys = [*_JSON_KEYS, "%", "%s", "%%"]
+    for i in range(400):
+        names = rng.sample(keys, rng.randint(1, 5))
+        pools = [_COLUMN_POOLS[i % len(_COLUMN_POOLS)]]
+        pools += [rng.choice(_COLUMN_POOLS) for _ in names[1:]]
+        rows = []
+        for _ in range(rng.randint(2, 50)):
+            row = {k: rng.choice(pool) for k, pool in zip(names, pools)}
+            rows.append(dict(rng.sample(list(row.items()), len(row))))
+        assert cli._like_keyed(rows)
+        assert _dumps(rows) == _stdlib_json(rows), rows
+
+
 def test_report_writer_matches_json_dumps_on_edge_results(monkeypatch, digest_tool):
     results, emit = [], cli._emit
 

@@ -158,7 +158,7 @@ def _small_descriptions(max_bits):
 
 _REFERENCE_SETS = [
     *_small_descriptions(6),
-    *(periodic_gaps([], [0] * (p - 1) + [1]) for p in (2, 50, 256, 257, 400)),
+    *(periodic_gaps([], [0] * (p - 1) + [1]) for p in (2, 50, 256, 257, 400, 1100)),
     # kl's set: the parity-doubling digits t(1..256).
     periodic_gaps([bin(j).count("1") & 1 for j in range(1, 257)], [0]),
 ]
@@ -179,17 +179,23 @@ def test_root_bracket_is_the_reference_bisection(tol):
         (lambda: komornik_loreti_constant(1e-10), "_thue_morse_float", 20),
         (lambda: komornik_loreti_constant(1e-15), "_thue_morse_float", 40),
         (lambda: solve_sgap_entropy(parse_sgap_spec("{0,2,5,8}"), 1e-10), "_gap_series", 20),
-        (
-            lambda: solve_sgap_entropy(periodic_gaps([], [0] * 299 + [1]), 1e-10),
-            "_gap_series",
-            32,
+        *(
+            (
+                lambda p=p: solve_sgap_entropy(periodic_gaps([], [0] * (p - 1) + [1]), 1e-10),
+                "_gap_series",
+                most,
+            )
+            for p, most in ((300, 13), (2, 6), (50, 11), (400, 13), (1100, 16))
         ),
     ],
-    ids=["kl", "kl1e-15", "{0,2,5,8}", "period300"],
+    ids=["kl", "kl1e-15", "{0,2,5,8}", "period300", "period2", "period50", "period400",
+         "period1100"],
 )
 def test_series_evaluations_per_solve(monkeypatch, solve, counted, most):
     # A bisection alone evaluates the series 36 times for the first two and
-    # 44 times for period 300; the counts are deterministic.  kl sums the
+    # 36 to 46 times for one member per period 2 to 1100, whose root
+    # 2**(1/p) the float bracket's first model point finds (f(2) underflows
+    # to 0.0 at period 1100); the counts are deterministic.  kl sums the
     # Thue-Morse product and never the gap closed form.
     calls = {}
 
